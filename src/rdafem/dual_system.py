@@ -23,8 +23,6 @@ functions: cell density sum_z <g, phi*_{z;T}> lam_z, face density <g, phi*_F>.
 By construction it reproduces every functional of volume+face form.
 """
 
-import weakref
-
 import numpy as np
 
 from . import quadrature
@@ -33,8 +31,6 @@ from .mesh import MeshError, squeeze_element
 from .quadrature import DEFAULT_DEGREE
 
 GAMMA_DEGREE = 4  # the gamma integrand on the squeezed triangle is cubic
-
-_system_cache = weakref.WeakKeyDictionary()
 
 
 def theta_factor(h, kappa):
@@ -431,11 +427,14 @@ class DualSystem:
 
 
 def get_dual_system(mesh, kappa, quad_degree=DEFAULT_DEGREE):
-    """Cached DualSystem per (mesh, kappa, quad_degree)."""
-    per_mesh = _system_cache.get(mesh)
+    """Cached DualSystem per (mesh, kappa, quad_degree).
+
+    The cache lives on the mesh: its systems refer back to the mesh, and the
+    garbage collector frees that cycle together with the mesh.
+    """
+    per_mesh = getattr(mesh, "_dual_systems", None)
     if per_mesh is None:
-        per_mesh = {}
-        _system_cache[mesh] = per_mesh
+        per_mesh = mesh._dual_systems = {}
     key = (float(kappa), int(quad_degree))
     if key not in per_mesh:
         per_mesh[key] = DualSystem(mesh, kappa, quad_degree)

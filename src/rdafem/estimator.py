@@ -19,6 +19,20 @@ red-refined patches with zero boundary values; refining the patch can only
 grow the value, so `depth` tunes the accuracy of the surrogate.  These
 surrogates price the oscillation f - Pi f and back the verification of the
 localization and error-residual identities.
+
+Star surrogates are computed in batches (`discrete_dual_norm`).  A free
+sub-vertex of a star has its whole hat support inside the star, so every
+star system is a principal submatrix of the operator on the red-refined mesh.
+Red-refined sub-triangles are similar to their parent, so the refined block
+of a parent T is sum_k cot(theta_k) S_k + kappa^2 |T| M with reference
+blocks S_k, M fixed per depth.  Sub-vertices are numbered topologically per
+star (the center, then face id with the dyadic index from the face's lower
+endpoint, then element interiors), the parent blocks and loads are gathered
+into each star's free set, and all stars with equal free count are solved
+by one stacked dense solve (larger stars by a sparse one).  Stars go through
+in chunks of bounded size, so memory does not grow with the mesh.
+`PatchSpace`, which builds one star at a time, stays as the independent
+reference for the tests and serves the global and single-star surrogates.
 """
 
 import numpy as np
@@ -29,7 +43,13 @@ from . import quadrature
 from .galerkin import (PiecewiseFunctional, SourceFunctional,
                        energy_error_sq_elements, grad_jumps, load_vector,
                        residual_source)
+from .mesh import MeshError
 from .quadrature import DEFAULT_DEGREE
+
+_DENSE_MAX = 220  # star systems up to this size are solved densely
+# Work entries (matrix entries plus gathered block entries and quadrature
+# values) per batch of stars; bounds the memory of one batch.
+_CHUNK_ENTRIES = 2**17
 
 
 def weight_elements(mesh, kappa):
@@ -126,11 +146,6 @@ def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
     return vol + jump_part.sum(axis=1)
 
 
-def classic_indicator(problem, U, element, quad_degree=DEFAULT_DEGREE):
-    """Squared classical indicator of a single element."""
-    return float(classic_indicators(problem, U, quad_degree)[element])
-
-
 # -- P1 spaces on red-refined patches -------------------------------------------
 
 
@@ -184,6 +199,76 @@ def _template(depth):
     if depth not in _template_cache:
         _template_cache[depth] = _Template(depth)
     return _template_cache[depth]
+
+
+class _RefBlocks:
+    """Reference blocks and loads of the depth-d template, shared by all parents.
+
+    The refined block of a parent T with angles theta_k is
+    sum_k cot(theta_k) S_k + kappa^2 |T| M: on a sub-triangle t the gradient
+    of a sub-hat is sum_i d_i grad(lam_i) in the parent barycentrics, and
+    grad(lam_i).grad(lam_j) = -cot(theta_k) / (2|T|) for {i, j, k} = {0, 1, 2}.
+    `values` holds S_0, S_1, S_2 and M (unit parent area) on the nonzero
+    pattern (`rows`, `cols`).  Loads per unit parent area come from
+    `mass_bary` for P1 densities and from `field_weights` for field values at
+    the points `quad_bary` (every quadrature point of every sub-triangle).
+    """
+
+    def __init__(self, depth, quad_degree):
+        tpl = _template(depth)
+        n_sub = 4**depth
+        nt = len(tpl.bary)
+        self.n_nodes = nt
+        self.face_dofs = 2**depth - 1
+        self.inner_dofs = self.face_dofs * (self.face_dofs - 1) // 2
+        # coefficient of lam_i in sub-hat m on sub-triangle t, (t, m, i)
+        coeff = np.linalg.inv(tpl.bary[tpl.tris]).transpose(0, 2, 1)
+        rows = np.repeat(tpl.tris, 3, axis=1).ravel()
+        cols = np.tile(tpl.tris, (1, 3)).ravel()
+        blocks = np.zeros((4, nt, nt))
+        for k in range(3):
+            edge = np.zeros(3)
+            edge[(k + 1) % 3], edge[(k + 2) % 3] = 1.0, -1.0
+            d = coeff @ edge
+            np.add.at(blocks[k], (rows, cols),
+                      (d[:, :, None] * d[:, None, :]).ravel() / (2.0 * n_sub))
+        mass = (np.ones((3, 3)) + np.eye(3)) / (12.0 * n_sub)
+        np.add.at(blocks[3], (rows, cols), np.tile(mass.ravel(), len(tpl.tris)))
+        self.rows, self.cols = np.nonzero(blocks[3])
+        self.values = blocks[:, self.rows, self.cols]
+        self.mass_bary = tpl.bary.T @ blocks[3]
+
+        rule = quadrature.simplex_rule(quad_degree)
+        nq = len(rule.weights)
+        self.quad_bary = np.einsum("qs,tsi->tqi", rule.points,
+                                   tpl.bary[tpl.tris]).reshape(-1, 3)
+        weights = np.zeros((len(tpl.tris), nq, nt))
+        sub = np.arange(len(tpl.tris))[:, None]
+        for i in range(3):
+            weights[sub, np.arange(nq), tpl.tris[:, i:i + 1]] += (
+                2.0 / n_sub * rule.weights * rule.points[:, i])
+        self.field_weights = weights.reshape(-1, nt)
+
+        # topological class of every template vertex
+        face = tpl.face_of >= 0
+        self.corner_cols = np.nonzero(tpl.corner_of >= 0)[0]
+        self.corner_local = tpl.corner_of[self.corner_cols]
+        self.face_cols = np.nonzero(face)[0]
+        self.face_local = tpl.face_of[face]
+        self.face_step = np.rint(tpl.face_param[face] * 2**depth).astype(np.int64)
+        self.inner_cols = np.nonzero((tpl.corner_of < 0) & ~face)[0]
+        # work entries one (star, parent) pair adds to a batch
+        self.pair_entries = len(self.rows) + len(self.quad_bary)
+
+
+_ref_blocks_cache = {}
+
+
+def _ref_blocks(depth, quad_degree):
+    key = (depth, quad_degree)
+    if key not in _ref_blocks_cache:
+        _ref_blocks_cache[key] = _RefBlocks(depth, quad_degree)
+    return _ref_blocks_cache[key]
 
 
 class PatchSpace:
@@ -299,7 +384,7 @@ class PatchSpace:
             return 0.0
         A = self.operator(kappa)[free][:, free].tocsc()
         b = self.load(g, quad_degree)[free]
-        if len(free) <= 220:
+        if len(free) <= _DENSE_MAX:
             w = np.linalg.solve(A.toarray(), b)
         else:
             w = spla.spsolve(A, b)
@@ -314,13 +399,158 @@ def _as_source(mesh, g):
     return SourceFunctional(mesh, field=g)
 
 
-def discrete_dual_norm(mesh, star, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
-    """Lower bound of the dual norm of g on a vertex star.
+def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
+    """Lower bounds of the dual norm of g on the stars of `vertices`, one each.
 
-    Monotone nondecreasing in `depth` (the red-refined P1 spaces are nested).
+    Entry i is the energy norm of the Riesz representative of g in the P1
+    space with zero boundary values on the star of vertices[i], red-refined
+    `depth` times: the value of `PatchSpace(...).dual_norm` up to rounding,
+    and monotone nondecreasing in `depth` (the spaces are nested).  A star
+    without free sub-vertices gets exactly 0.
     """
-    space = PatchSpace(mesh, star.elements, depth)
-    return space.dual_norm(_as_source(mesh, g), kappa, quad_degree)
+    vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= mesh.n_vertices):
+        raise MeshError("star vertex out of range")
+    g = _as_source(mesh, g)
+    depth = int(depth)
+    ref = _ref_blocks(depth, int(quad_degree))
+    # vertex -> (element, local index) pairs, elements ascending per vertex
+    flat = mesh.elements.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=mesh.n_vertices), out=starts[1:])
+
+    # stars in the order of their lowest element, so that a batch shares
+    # most of its parents (bisection numbers children next to each other)
+    perm = np.argsort(order[starts[vertices]], kind="stable")
+    vertices = vertices[perm]
+    valence = starts[vertices + 1] - starts[vertices]
+    most_dofs = 1 + valence * (ref.face_dofs + ref.inner_dofs)
+    cost = np.cumsum(most_dofs**2 + valence * ref.pair_entries)
+    out = np.empty(len(vertices))
+    start = 0
+    while start < len(vertices):
+        spent = cost[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(cost, spent + _CHUNK_ENTRIES,
+                                                  side="right")))
+        out[perm[start:stop]] = _star_batch(mesh, vertices[start:stop], g, kappa,
+                                            depth, ref, order, starts)
+        start = stop
+    return out
+
+
+def _star_batch(mesh, centers, g, kappa, depth, ref, order, starts):
+    """Dual norms of g on the stars of `centers` (one batch)."""
+    ns = len(centers)
+    k = starts[centers + 1] - starts[centers]
+    star = np.repeat(np.arange(ns), k)
+    first = np.zeros(ns + 1, dtype=np.int64)
+    np.cumsum(k, out=first[1:])
+    rank = np.arange(len(star)) - first[star]
+    elem, iz = np.divmod(order[starts[centers][star] + rank], 3)
+    tri = mesh.elements[elem]
+    ef = mesh.elem_faces[elem]
+
+    # interior faces through the center, numbered per star in face-id order
+    nf = mesh.n_faces
+    through = (np.arange(3) != iz[:, None]) & mesh.interior_face[ef]
+    keys = star[:, None] * nf + ef
+    faces = np.unique(keys[through])
+    bounds = np.searchsorted(faces, np.arange(ns + 1) * nf)
+    n_if = np.diff(bounds)
+    slot = np.searchsorted(faces, keys) - bounds[star][:, None]
+
+    # star-local index of every template vertex of every pair (-1: not free)
+    m, n_int = ref.face_dofs, ref.inner_dofs
+    center = (~mesh.boundary_vertex[centers]).astype(np.int64)
+    n = center + n_if * m + k * n_int
+    local = np.empty((len(star), ref.n_nodes), dtype=np.int64)
+    local[:, ref.corner_cols] = np.where(
+        (ref.corner_local == iz[:, None]) & (center[star] == 1)[:, None], 0, -1)
+    fl = ref.face_local
+    flip = tri[:, (fl + 1) % 3] > tri[:, (fl + 2) % 3]
+    step = np.where(flip, 2**depth - ref.face_step, ref.face_step)
+    local[:, ref.face_cols] = np.where(
+        through[:, fl], center[star][:, None] + slot[:, fl] * m + step - 1, -1)
+    local[:, ref.inner_cols] = ((center + n_if * m)[star][:, None]
+                                + rank[:, None] * n_int + np.arange(n_int))
+
+    parents, parent_of = np.unique(elem, return_inverse=True)
+    base = np.zeros(ns + 1, dtype=np.int64)
+    np.cumsum(n, out=base[1:])
+    free = local >= 0
+    rhs = np.zeros(base[-1])
+    rhs += np.bincount((base[star][:, None] + local)[free],
+                       weights=_parent_loads(mesh, g, parents, ref)[parent_of][free],
+                       minlength=base[-1])
+    if g.piecewise is not None:
+        # line sources: c |F| / 2^d on each free sub-vertex of F, half that
+        # on the center from the first sub-edge
+        s_f, f = np.divmod(faces, nf)
+        c = g.piecewise.face_density[f] * mesh.face_len[f] / 2**depth
+        on_face = base[s_f] + center[s_f] + (np.arange(len(faces)) - bounds[s_f]) * m
+        rhs[on_face[:, None] + np.arange(m)] += c[:, None]
+        on = center[s_f] == 1
+        np.add.at(rhs, base[s_f][on], 0.5 * c[on])
+
+    # the matrices of all stars, grouped by size, gathered into one buffer
+    by_size = np.argsort(n, kind="stable")
+    sizes, first_of, counts = np.unique(n[by_size], return_index=True,
+                                        return_counts=True)
+    q = np.empty(ns, dtype=np.int64)
+    q[by_size] = np.arange(ns) - np.repeat(first_of, counts)
+    offset = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(counts * sizes**2, out=offset[1:])
+    at = offset[np.searchsorted(sizes, n)] + q * n * n
+    rows, cols = local[:, ref.rows], local[:, ref.cols]
+    keep = (rows >= 0) & (cols >= 0)
+    flat = at[star][:, None] + rows * n[star][:, None] + cols
+    vals = _parent_weights(mesh, parents, kappa)[parent_of] @ ref.values
+    matrices = np.bincount(flat[keep], weights=vals[keep], minlength=offset[-1])
+
+    out = np.zeros(ns)
+    for i, size in enumerate(sizes):
+        if size == 0:
+            continue
+        members = by_size[first_of[i]:first_of[i] + counts[i]]
+        A = matrices[offset[i]:offset[i + 1]].reshape(-1, size, size)
+        b = rhs[base[members][:, None] + np.arange(size)]
+        if size <= _DENSE_MAX:
+            w = np.linalg.solve(A, b[..., None])[..., 0]
+            energy = (w * (A @ w[..., None])[..., 0]).sum(axis=1)
+        else:
+            energy = np.empty(len(members))
+            for j in range(len(members)):
+                sparse = sp.csc_matrix(A[j])
+                w = spla.spsolve(sparse, b[j])
+                energy[j] = w @ (sparse @ w)
+        out[members] = np.sqrt(np.maximum(energy, 0.0))
+    return out
+
+
+def _parent_weights(mesh, parents, kappa):
+    """(cot theta_0, cot theta_1, cot theta_2, kappa^2 |T|) per parent."""
+    p = mesh.vertices[mesh.elements[parents]]
+    u = p[:, [1, 2, 0]] - p
+    v = p[:, [2, 0, 1]] - p
+    area = mesh.areas[parents]
+    cot = np.einsum("pkx,pkx->pk", u, v) / (2.0 * area[:, None])
+    return np.column_stack([cot, kappa**2 * area])
+
+
+def _parent_loads(mesh, g, parents, ref):
+    """<g, sub-hat> for every template vertex of every parent, without line sources."""
+    area = mesh.areas[parents]
+    out = np.zeros((len(parents), ref.n_nodes))
+    if g.field is not None:
+        corners = mesh.vertices[mesh.elements[parents]]
+        x = corners[..., 0] @ ref.quad_bary.T
+        y = corners[..., 1] @ ref.quad_bary.T
+        fv = np.asarray(g.field.value(x, y), dtype=float)
+        out += g.field_weight * area[:, None] * (fv @ ref.field_weights)
+    if g.piecewise is not None:
+        out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
+    return out
 
 
 def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
@@ -340,23 +570,12 @@ def oscillation_source(problem, interpolated):
                             piecewise=-1.0 * interpolated)
 
 
-def oscillation_surrogate(problem, interpolated, z, depth=2,
-                          quad_degree=DEFAULT_DEGREE):
-    """Dual norm surrogate of f - Pi f on the star of vertex z."""
-    g = oscillation_source(problem, interpolated)
-    return discrete_dual_norm(problem.mesh, problem.mesh.star(z), g,
-                              problem.kappa, depth, quad_degree)
-
-
 def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE):
     """Oscillation surrogate for every vertex star, (nv,)."""
     g = oscillation_source(problem, interpolated)
     mesh = problem.mesh
-    out = np.empty(mesh.n_vertices)
-    for z in range(mesh.n_vertices):
-        out[z] = discrete_dual_norm(mesh, mesh.star(z), g, problem.kappa,
-                                    depth, quad_degree)
-    return out
+    return discrete_dual_norm(mesh, np.arange(mesh.n_vertices), g, problem.kappa,
+                              depth, quad_degree)
 
 
 # -- localization of the residual norm -------------------------------------------
@@ -393,10 +612,8 @@ def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE, ortho_tol=1e
         raise ValueError(
             f"residual is not orthogonal to the discrete space "
             f"(violation {viol:.3e} vs scale {scale:.3e})")
-    local = np.empty(mesh.n_vertices)
-    for z in range(mesh.n_vertices):
-        local[z] = discrete_dual_norm(mesh, mesh.star(z), g, problem.kappa,
-                                      depth, quad_degree)
+    local = discrete_dual_norm(mesh, np.arange(mesh.n_vertices), g, problem.kappa,
+                               depth, quad_degree)
     glob = global_dual_norm(mesh, g, problem.kappa, depth, quad_degree)
     return LocalizeReport(glob, local, viol)
 

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from rdafem import adapt
 from rdafem import galerkin as g
-from rdafem.mesh import uniform_refine, unit_square_2tri, unit_square_crisscross
+from rdafem.mesh import bisect, uniform_refine, unit_square_2tri, unit_square_crisscross
 
 
 def test_dorfler_equal_indicators():
@@ -94,6 +97,23 @@ def test_adaptive_loop_records_marked_sets():
     for rec, elems in zip(run.records, run.marked):
         assert rec["n_marked_elements"] == len(elems)
         assert rec["n_marked_vertices"] >= 1
+
+
+def test_adaptive_loop_frees_its_meshes(monkeypatch):
+    # the per-mesh DualSystem cache must not keep finished meshes alive
+    refined = []
+
+    def recording_bisect(mesh, marked):
+        out = bisect(mesh, marked)
+        refined.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(adapt, "bisect", recording_bisect)
+    problem = g.make_problem(uniform_refine(unit_square_2tri(), 2), 100.0, "sinsin")
+    run = adapt.adaptive_loop(problem, max_dof=200, osc_every=0)
+    assert len(refined) >= 3 and len(run.records) == len(refined) + 1
+    gc.collect()
+    assert [ref() for ref in refined] == [None] * len(refined)
 
 
 def test_adaptive_loop_stops_when_estimator_vanishes():
