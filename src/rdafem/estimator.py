@@ -29,8 +29,10 @@ blocks S_k, M fixed per depth.  Sub-vertices are numbered topologically per
 star (the center, then face id with the dyadic index from the face's lower
 endpoint, then element interiors), the parent blocks and loads are gathered
 into each star's free set, and all stars with equal free count are solved
-by one stacked dense solve (larger stars by a sparse one).  Stars go through
-in chunks of bounded size, so memory does not grow with the mesh.
+by one stacked dense solve.  Stars above `_DENSE_MAX` free sub-vertices are
+solved together by one sparse solve of their block-diagonal system, so no
+memory grows with the square of a star's size.  Stars go through in chunks
+of bounded size, so memory does not grow with the mesh either.
 `PatchSpace`, which builds one star at a time, stays as the independent
 reference for the tests and serves the global and single-star surrogates.
 """
@@ -210,8 +212,10 @@ class _RefBlocks:
     grad(lam_i).grad(lam_j) = -cot(theta_k) / (2|T|) for {i, j, k} = {0, 1, 2}.
     `values` holds S_0, S_1, S_2 and M (unit parent area) on the nonzero
     pattern (`rows`, `cols`).  Loads per unit parent area come from
-    `mass_bary` for P1 densities and from `field_weights` for field values at
-    the points `quad_bary` (every quadrature point of every sub-triangle).
+    `mass_bary` for P1 densities and from the sparse (node, point) matrix
+    `field_weights` for field values at the points `quad_bary` (every
+    quadrature point of every sub-triangle).  Nothing here is stored dense
+    in the node count squared, so deep templates stay small.
     """
 
     def __init__(self, depth, quad_degree):
@@ -225,29 +229,32 @@ class _RefBlocks:
         coeff = np.linalg.inv(tpl.bary[tpl.tris]).transpose(0, 2, 1)
         rows = np.repeat(tpl.tris, 3, axis=1).ravel()
         cols = np.tile(tpl.tris, (1, 3)).ravel()
-        blocks = np.zeros((4, nt, nt))
+        entries = np.empty((4, len(rows)))
         for k in range(3):
             edge = np.zeros(3)
             edge[(k + 1) % 3], edge[(k + 2) % 3] = 1.0, -1.0
             d = coeff @ edge
-            np.add.at(blocks[k], (rows, cols),
-                      (d[:, :, None] * d[:, None, :]).ravel() / (2.0 * n_sub))
+            entries[k] = (d[:, :, None] * d[:, None, :]).ravel() / (2.0 * n_sub)
         mass = (np.ones((3, 3)) + np.eye(3)) / (12.0 * n_sub)
-        np.add.at(blocks[3], (rows, cols), np.tile(mass.ravel(), len(tpl.tris)))
-        self.rows, self.cols = np.nonzero(blocks[3])
-        self.values = blocks[:, self.rows, self.cols]
-        self.mass_bary = tpl.bary.T @ blocks[3]
+        entries[3] = np.tile(mass.ravel(), len(tpl.tris))
+        pattern, where = np.unique(rows * nt + cols, return_inverse=True)
+        self.rows, self.cols = np.divmod(pattern, nt)
+        self.values = np.stack([np.bincount(where, weights=e, minlength=len(pattern))
+                                for e in entries])
+        mass = sp.csr_matrix((self.values[3], (self.rows, self.cols)), shape=(nt, nt))
+        self.mass_bary = np.ascontiguousarray((mass @ tpl.bary).T)
 
         rule = quadrature.simplex_rule(quad_degree)
         nq = len(rule.weights)
         self.quad_bary = np.einsum("qs,tsi->tqi", rule.points,
                                    tpl.bary[tpl.tris]).reshape(-1, 3)
-        weights = np.zeros((len(tpl.tris), nq, nt))
-        sub = np.arange(len(tpl.tris))[:, None]
-        for i in range(3):
-            weights[sub, np.arange(nq), tpl.tris[:, i:i + 1]] += (
-                2.0 / n_sub * rule.weights * rule.points[:, i])
-        self.field_weights = weights.reshape(-1, nt)
+        point = np.arange(len(self.quad_bary)).reshape(-1, nq)
+        weights = 2.0 / n_sub * rule.weights[:, None] * rule.points
+        self.field_weights = sp.csr_matrix(
+            (np.broadcast_to(weights, (len(tpl.tris), nq, 3)).ravel(),
+             (np.repeat(tpl.tris[:, None, :], nq, axis=1).ravel(),
+              np.repeat(point, 3).ravel())),
+            shape=(nt, len(self.quad_bary)))
 
         # topological class of every template vertex
         face = tpl.face_of >= 0
@@ -425,8 +432,12 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     perm = np.argsort(order[starts[vertices]], kind="stable")
     vertices = vertices[perm]
     valence = starts[vertices + 1] - starts[vertices]
-    most_dofs = 1 + valence * (ref.face_dofs + ref.inner_dofs)
-    cost = np.cumsum(most_dofs**2 + valence * ref.pair_entries)
+    inner_faces = np.bincount(mesh.faces[mesh.interior_face].ravel(),
+                              minlength=mesh.n_vertices)[vertices]
+    n = (~mesh.boundary_vertex[vertices] + inner_faces * ref.face_dofs
+         + valence * ref.inner_dofs)
+    cost = np.cumsum(np.where(n <= _DENSE_MAX, n**2, 0)
+                     + valence * ref.pair_entries)
     out = np.empty(len(vertices))
     start = 0
     while start < len(vertices):
@@ -493,39 +504,50 @@ def _star_batch(mesh, centers, g, kappa, depth, ref, order, starts):
         on = center[s_f] == 1
         np.add.at(rhs, base[s_f][on], 0.5 * c[on])
 
-    # the matrices of all stars, grouped by size, gathered into one buffer
-    by_size = np.argsort(n, kind="stable")
+    rows, cols = local[:, ref.rows], local[:, ref.cols]
+    vals = _parent_weights(mesh, parents, kappa)[parent_of] @ ref.values
+    keep = (rows >= 0) & (cols >= 0)
+    energy = np.zeros(ns)
+
+    # small stars: matrices grouped by size in one buffer, one stacked dense
+    # solve per size
+    is_small = (n > 0) & (n <= _DENSE_MAX)
+    small = np.nonzero(is_small)[0]
+    by_size = small[np.argsort(n[small], kind="stable")]
     sizes, first_of, counts = np.unique(n[by_size], return_index=True,
                                         return_counts=True)
-    q = np.empty(ns, dtype=np.int64)
-    q[by_size] = np.arange(ns) - np.repeat(first_of, counts)
     offset = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(counts * sizes**2, out=offset[1:])
-    at = offset[np.searchsorted(sizes, n)] + q * n * n
-    rows, cols = local[:, ref.rows], local[:, ref.cols]
-    keep = (rows >= 0) & (cols >= 0)
-    flat = at[star][:, None] + rows * n[star][:, None] + cols
-    vals = _parent_weights(mesh, parents, kappa)[parent_of] @ ref.values
-    matrices = np.bincount(flat[keep], weights=vals[keep], minlength=offset[-1])
-
-    out = np.zeros(ns)
+    at = np.zeros(ns, dtype=np.int64)
+    at[by_size] = (np.repeat(offset[:-1], counts)
+                   + (np.arange(len(by_size)) - np.repeat(first_of, counts))
+                   * n[by_size] ** 2)
+    pick = keep & is_small[star][:, None]
+    flat = (at[star][:, None] + rows * n[star][:, None] + cols)[pick]
+    matrices = np.bincount(flat, weights=vals[pick], minlength=offset[-1])
     for i, size in enumerate(sizes):
-        if size == 0:
-            continue
         members = by_size[first_of[i]:first_of[i] + counts[i]]
         A = matrices[offset[i]:offset[i + 1]].reshape(-1, size, size)
         b = rhs[base[members][:, None] + np.arange(size)]
-        if size <= _DENSE_MAX:
-            w = np.linalg.solve(A, b[..., None])[..., 0]
-            energy = (w * (A @ w[..., None])[..., 0]).sum(axis=1)
-        else:
-            energy = np.empty(len(members))
-            for j in range(len(members)):
-                sparse = sp.csc_matrix(A[j])
-                w = spla.spsolve(sparse, b[j])
-                energy[j] = w @ (sparse @ w)
-        out[members] = np.sqrt(np.maximum(energy, 0.0))
-    return out
+        w = np.linalg.solve(A, b[..., None])[..., 0]
+        energy[members] = (w * (A @ w[..., None])[..., 0]).sum(axis=1)
+
+    # large stars: one sparse solve of their block-diagonal system, assembled
+    # from the gathered entries without a dense matrix
+    is_large = n > _DENSE_MAX
+    large = np.nonzero(is_large)[0]
+    if large.size:
+        shift = np.zeros(ns, dtype=np.int64)
+        shift[large] = np.cumsum(n[large]) - n[large]
+        total = int(n[large].sum())
+        pick = keep & is_large[star][:, None]
+        at = shift[star][:, None]
+        A = sp.csc_matrix((vals[pick], ((at + rows)[pick], (at + cols)[pick])),
+                          shape=(total, total))
+        w = spla.spsolve(A, rhs[np.repeat(base[large] - shift[large], n[large])
+                                + np.arange(total)])
+        energy[large] = np.add.reduceat(w * (A @ w), shift[large])
+    return np.sqrt(np.maximum(energy, 0.0))
 
 
 def _parent_weights(mesh, parents, kappa):
@@ -547,7 +569,7 @@ def _parent_loads(mesh, g, parents, ref):
         x = corners[..., 0] @ ref.quad_bary.T
         y = corners[..., 1] @ ref.quad_bary.T
         fv = np.asarray(g.field.value(x, y), dtype=float)
-        out += g.field_weight * area[:, None] * (fv @ ref.field_weights)
+        out += g.field_weight * area[:, None] * (ref.field_weights @ fv.T).T
     if g.piecewise is not None:
         out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
     return out

@@ -121,9 +121,9 @@ def test_vertex_order_subsets_and_batches(monkeypatch):
         est.discrete_dual_norm(mesh, [mesh.n_vertices], src, 30.0)
 
 
-@pytest.mark.parametrize("label,mesh", [MESHES[3], MESHES[-1]],
-                         ids=[MESHES[3][0], MESHES[-1][0]])
-def test_localize_check_local_norms_match_patch_space(label, mesh):
+@pytest.mark.parametrize("label", ["lshape_24", "random-nvb"])
+def test_localize_check_local_norms_match_patch_space(label):
+    mesh = dict(MESHES)[label]
     for kappa in (1.0, 1e4):
         problem = g.make_problem(mesh, kappa, "sinsin")
         U = g.solve(problem)
@@ -155,3 +155,37 @@ def test_oscillation_memory_bounded_across_mesh_sizes():
         finally:
             tracemalloc.stop()
     assert max(peaks.values()) < bound, peaks
+
+
+@pytest.mark.parametrize("depth", [5, 6])
+def test_deep_stars_match_patch_space_in_bounded_memory(depth, monkeypatch):
+    # the CLI allows depths up to 6, where an interior star of valence 8 has
+    # 1 + 8 * 63 + 8 * 1953 = 16129 free sub-vertices: neither its system
+    # (2 GB dense) nor the reference blocks may be held dense
+    bound = 64 * 2**20
+    nvb = _random_nvb()
+    valence = np.bincount(nvb.elements.ravel())
+    inner = np.nonzero(~nvb.boundary_vertex)[0]
+    crisscross = dict(MESHES)["crisscross"]
+    cases = [(crisscross, np.arange(crisscross.n_vertices)),
+             (nvb, inner[np.argsort(-valence[inner], kind="stable")[:2]])]
+    assert valence[cases[1][1]].min() == 8
+    rng = np.random.default_rng(depth)
+    for mesh, vertices in cases:
+        spaces = [est.PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
+        for name, src in _sources(mesh, 1.0, rng):
+            if name not in ("sinsin", "mixed"):
+                continue
+            # fresh caches: the peak includes building the reference blocks
+            monkeypatch.setattr(est, "_template_cache", {})
+            monkeypatch.setattr(est, "_ref_blocks_cache", {})
+            tracemalloc.start()
+            try:
+                got = est.discrete_dual_norm(mesh, vertices, src, 1.0, depth)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (depth, name, peak)
+            oracle = est._as_source(mesh, src)
+            ref = np.array([space.dual_norm(oracle, 1.0) for space in spaces])
+            _assert_matches(got, ref, (depth, name))
