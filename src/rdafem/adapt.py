@@ -83,7 +83,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     (0 switches them off).  A solver failure ends the run with the partial
     report; the report's stop_reason says why the loop ended.
     """
-    from .dual_system import project_pi
+    from .dual_system import project_pi, theta_factor
 
     if isinstance(problem.rhs, galerkin.PiecewiseFunctional):
         raise TypeError("adaptive refinement needs data that can move to "
@@ -119,7 +119,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
                                                         quad_degree).sum())),
             "kappa": kappa,
             "theta_mark": theta_mark,
-            "theta_min": float(np.minimum(1.0, 1.0 / (mesh.h_elem * kappa)).min()),
+            "theta_min": float(theta_factor(mesh.h_elem, kappa).min()),
             "n_marked_vertices": 0,
             "n_marked_elements": 0,
             "seconds": 0.0,

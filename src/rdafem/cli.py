@@ -308,7 +308,7 @@ def run(args):
     if opts["threads"] and opts["threads"] > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(opts["threads"]))
+            os.environ[var] = str(opts["threads"])
     outdir = opts["out"]
     os.makedirs(outdir, exist_ok=True)
 

@@ -42,10 +42,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .galerkin import (PiecewiseFunctional, SourceFunctional,
+from .galerkin import (PiecewiseFunctional, SourceFunctional, _p1_mass_sq,
                        energy_error_sq_elements, grad_jumps, load_vector,
                        residual_source)
-from .mesh import MeshError
+from .mesh import MeshError, bary_grads, signed_areas
 from .quadrature import DEFAULT_DEGREE
 
 _DENSE_MAX = 220  # star systems up to this size are solved densely
@@ -62,10 +62,6 @@ def weight_elements(mesh, kappa):
 def weight_faces(mesh, kappa):
     """min(h_F, 1/kappa) per face, h_F the largest adjacent element diameter."""
     return np.minimum(mesh.h_face, 1.0 / kappa)
-
-
-def _p1_mass_sq(areas, coeffs):
-    return areas / 12.0 * ((coeffs**2).sum(axis=1) + coeffs.sum(axis=1) ** 2)
 
 
 class ResidualData:
@@ -112,17 +108,6 @@ def vertex_indicators(rd):
     np.add.at(face_part, mesh.faces,
               np.broadcast_to(contrib[:, None], mesh.faces.shape))
     return np.sqrt(elem_part) + np.sqrt(face_part)
-
-
-def vertex_indicator(rd, z):
-    """E(z) for a single vertex (star sums over elements and skeleton)."""
-    mesh = rd.mesh
-    star = mesh.star(z)
-    wT2 = weight_elements(mesh, rd.kappa)[star.elements] ** 2
-    wF = weight_faces(mesh, rd.kappa)[star.skeleton]
-    elem = float((wT2 * rd.cell_norms_sq()[star.elements]).sum())
-    face = float((wF * rd.face_norms_sq()[star.skeleton]).sum())
-    return np.sqrt(elem) + np.sqrt(face)
 
 
 def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
@@ -328,11 +313,8 @@ class PatchSpace:
         self.tri_parent = np.repeat(self.parents, len(tpl.tris))
 
         p = self.coords[self.tris]
-        self.areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-        g = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
-        self.grads = g / (2.0 * self.areas)[:, None, None]
+        self.areas = signed_areas(p)
+        self.grads = bary_grads(p)
 
         pairs = np.sort(self.tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
         uniq, counts = np.unique(pairs, axis=0, return_counts=True)
@@ -421,15 +403,11 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     g = _as_source(mesh, g)
     depth = int(depth)
     ref = _ref_blocks(depth, int(quad_degree))
-    # vertex -> (element, local index) pairs, elements ascending per vertex
-    flat = mesh.elements.ravel()
-    order = np.argsort(flat, kind="stable")
-    starts = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=mesh.n_vertices), out=starts[1:])
+    starts = mesh.vertex_starts
 
     # stars in the order of their lowest element, so that a batch shares
     # most of its parents (bisection numbers children next to each other)
-    perm = np.argsort(order[starts[vertices]], kind="stable")
+    perm = np.argsort(mesh.vertex_slots[starts[vertices]], kind="stable")
     vertices = vertices[perm]
     valence = starts[vertices + 1] - starts[vertices]
     inner_faces = np.bincount(mesh.faces[mesh.interior_face].ravel(),
@@ -445,20 +423,21 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
         stop = max(start + 1, int(np.searchsorted(cost, spent + _CHUNK_ENTRIES,
                                                   side="right")))
         out[perm[start:stop]] = _star_batch(mesh, vertices[start:stop], g, kappa,
-                                            depth, ref, order, starts)
+                                            depth, ref)
         start = stop
     return out
 
 
-def _star_batch(mesh, centers, g, kappa, depth, ref, order, starts):
+def _star_batch(mesh, centers, g, kappa, depth, ref):
     """Dual norms of g on the stars of `centers` (one batch)."""
+    starts = mesh.vertex_starts
     ns = len(centers)
     k = starts[centers + 1] - starts[centers]
     star = np.repeat(np.arange(ns), k)
     first = np.zeros(ns + 1, dtype=np.int64)
     np.cumsum(k, out=first[1:])
     rank = np.arange(len(star)) - first[star]
-    elem, iz = np.divmod(order[starts[centers][star] + rank], 3)
+    elem, iz = np.divmod(mesh.vertex_slots[starts[centers][star] + rank], 3)
     tri = mesh.elements[elem]
     ef = mesh.elem_faces[elem]
 

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
+from .mesh import MeshError, bary_grads
 from .quadrature import DEFAULT_DEGREE
 
 
@@ -55,15 +56,9 @@ class DiscreteFunction:
 
     def element_gradients(self):
         """(ne, 2) constant gradient per element."""
-        return np.einsum("ei,eix->ex", self.element_values(), all_bary_grads(self.mesh))
-
-
-def all_bary_grads(mesh):
-    """Gradients of all barycentric coordinates, (ne, 3, 2)."""
-    p = mesh.vertices[mesh.elements]
-    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite local vertex i
-    g = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
-    return g / (2.0 * mesh.areas)[:, None, None]
+        mesh = self.mesh
+        return np.einsum("ei,eix->ex", self.element_values(),
+                         bary_grads(mesh.vertices[mesh.elements]))
 
 
 # -- functionals --------------------------------------------------------------
@@ -235,9 +230,19 @@ PRESETS = {"sinsin": _sinsin, "const1": _const1, "layer1d": _layer1d}
 
 
 def make_problem(mesh, kappa, preset):
-    """Build a Problem from a named right-hand-side preset."""
+    """Build a Problem from a named right-hand-side preset.
+
+    `layer1d` is posed on the unit square, and its data overflow outside it,
+    so that preset refuses (MeshError) a mesh with a vertex outside [0, 1]^2.
+    """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset '{preset}' (have: {', '.join(sorted(PRESETS))})")
+    if preset == "layer1d":
+        outside = np.nonzero(((mesh.vertices < 0.0) | (mesh.vertices > 1.0)).any(axis=1))[0]
+        if outside.size:
+            x, y = mesh.vertices[outside[0]]
+            raise MeshError(f"preset 'layer1d' is posed on the unit square, but vertex "
+                            f"{outside[0]} at ({x:g}, {y:g}) lies outside [0, 1]^2")
     rhs, exact = PRESETS[preset](kappa)
     return Problem(mesh, kappa, rhs, exact, name=preset)
 
@@ -262,7 +267,7 @@ class GalerkinSystem:
 
 def assemble(mesh, kappa):
     """Stiffness + kappa^2 * mass in sparse CSR form."""
-    g = all_bary_grads(mesh)
+    g = bary_grads(mesh.vertices[mesh.elements])
     stiff = np.einsum("eix,ejx->eij", g, g) * mesh.areas[:, None, None]
     mass = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (mesh.areas / 12.0)[:, None, None]
     local = stiff + kappa**2 * mass

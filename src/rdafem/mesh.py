@@ -9,8 +9,8 @@ newest-vertex rule, so no separate marker array is carried around.
 
 Interior faces carry a unit normal oriented from the lower adjacent element
 index to the higher one; boundary faces point out of the domain.  Geometry
-helpers (barycentric coordinates, hat-function gradients, squeezed triangles)
-live here as well, since every other module needs them.
+helpers (signed areas, barycentric coordinates and their gradients) live here
+as well, since every other module needs them.
 """
 
 import numpy as np
@@ -28,53 +28,34 @@ class Star:
     center : int
         Vertex index.
     elements : (k,) int array
-        Elements containing the vertex.
-    skeleton : (m,) int array
-        Faces containing the vertex (interior and boundary).
+        Elements containing the vertex, ascending.
     on_boundary : bool
         Whether the center vertex lies on the domain boundary.
     """
 
-    def __init__(self, center, elements, skeleton, on_boundary):
+    def __init__(self, center, elements, on_boundary):
         self.center = int(center)
         self.elements = np.asarray(elements, dtype=np.int64)
-        self.skeleton = np.asarray(skeleton, dtype=np.int64)
         self.on_boundary = bool(on_boundary)
 
 
-class SqueezedTriangle:
-    """A triangle compressed toward one of its faces.
-
-    The face F is kept pointwise; the opposite vertex slides along the edge
-    toward the first face endpoint of the orientation-preserving frame, ending
-    at (1-theta)*v0 + theta*apex.  `coords` lists (v0, v1, apex') counter-
-    clockwise, and `parent_bary` gives the barycentric coordinates of these
-    three points with respect to the parent element, so integrals of parent
-    quantities over the squeezed triangle reduce to a 3x3 product.
-    """
-
-    def __init__(self, element, face, theta, coords, parent_bary):
-        self.element = int(element)
-        self.face = int(face)
-        self.theta = float(theta)
-        self.coords = coords
-        self.parent_bary = parent_bary
-
-    @property
-    def area(self):
-        c = self.coords
-        return 0.5 * abs(
-            (c[1, 0] - c[0, 0]) * (c[2, 1] - c[0, 1])
-            - (c[2, 0] - c[0, 0]) * (c[1, 1] - c[0, 1])
-        )
-
-
-def _signed_areas(vertices, elements):
-    p = vertices[elements]
+def signed_areas(p):
+    """Signed areas of triangles with corners p, (..., 3, 2) -> (...)."""
     return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+        (p[..., 1, 0] - p[..., 0, 0]) * (p[..., 2, 1] - p[..., 0, 1])
+        - (p[..., 2, 0] - p[..., 0, 0]) * (p[..., 1, 1] - p[..., 0, 1])
     )
+
+
+def bary_grads(p):
+    """Gradients of the barycentric coordinates of triangles p, (..., 3, 2).
+
+    Entry [..., i, :] is the gradient of the coordinate of corner i: the edge
+    opposite corner i turned by a quarter, over twice the signed area.
+    """
+    edges = p[..., [2, 0, 1], :] - p[..., [1, 2, 0], :]
+    g = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
+    return g / (2.0 * signed_areas(p))[..., None, None]
 
 
 class Mesh:
@@ -101,7 +82,7 @@ class Mesh:
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise MeshError("element vertex index out of range")
 
-        areas = _signed_areas(vertices, elements)
+        areas = signed_areas(vertices[elements])
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
             raise MeshError(f"element {bad[0]} has non-positive area (not counter-clockwise)")
@@ -113,11 +94,12 @@ class Mesh:
 
         self.vertices = vertices
         self.elements = elements
-        self.areas = _signed_areas(vertices, elements)
+        self.areas = signed_areas(vertices[elements])
         self._build_topology()
         self._build_geometry()
         for arr in (self.vertices, self.elements, self.faces, self.face_elems,
-                    self.elem_faces, self.normals, self.areas):
+                    self.elem_faces, self.normals, self.areas, self.vertex_slots,
+                    self.vertex_starts):
             arr.setflags(write=False)
 
     @staticmethod
@@ -167,23 +149,14 @@ class Mesh:
         if bfaces.size:
             self.boundary_vertex[bfaces.ravel()] = True
 
-        # vertex -> incident elements, CSR-style
+        # vertex -> incident elements, CSR-style: the slots of vertex z are
+        # vertex_slots[vertex_starts[z]:vertex_starts[z + 1]], each one
+        # 3 * element + local index, elements ascending
         flat = elements.ravel()
-        vorder = np.argsort(flat, kind="stable")
-        vcounts = np.bincount(flat, minlength=len(self.vertices))
-        vstarts = np.zeros(len(self.vertices) + 1, dtype=np.int64)
-        np.cumsum(vcounts, out=vstarts[1:])
-        self._vertex_elem_data = vorder // 3
-        self._vertex_elem_starts = vstarts
-
-        # vertex -> incident faces
-        fflat = faces.ravel()
-        forder = np.argsort(fflat, kind="stable")
-        fcounts = np.bincount(fflat, minlength=len(self.vertices))
-        fstarts = np.zeros(len(self.vertices) + 1, dtype=np.int64)
-        np.cumsum(fcounts, out=fstarts[1:])
-        self._vertex_face_data = forder // 2
-        self._vertex_face_starts = fstarts
+        self.vertex_slots = np.argsort(flat, kind="stable")
+        self.vertex_starts = np.zeros(len(self.vertices) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=len(self.vertices)),
+                  out=self.vertex_starts[1:])
 
     def _build_geometry(self):
         p = self.vertices[self.elements]
@@ -236,25 +209,8 @@ class Mesh:
         """Indices of vertices not on the domain boundary."""
         return np.nonzero(~self.boundary_vertex)[0]
 
-    def vertex_elements(self, z):
-        s, e = self._vertex_elem_starts[z], self._vertex_elem_starts[z + 1]
-        return np.sort(self._vertex_elem_data[s:e])
-
-    def vertex_faces(self, z):
-        s, e = self._vertex_face_starts[z], self._vertex_face_starts[z + 1]
-        return np.sort(self._vertex_face_data[s:e])
-
     def element_coords(self, e):
         return self.vertices[self.elements[e]]
-
-    def bary_grads(self, e):
-        """Gradients of the three barycentric coordinates of element e, (3,2)."""
-        c = self.element_coords(e)
-        g = np.empty((3, 2))
-        for i in range(3):
-            edge = c[(i + 2) % 3] - c[(i + 1) % 3]
-            g[i] = np.array([-edge[1], edge[0]]) / (2.0 * self.areas[e])
-        return g
 
     def barycentric(self, e, points):
         """Barycentric coordinates of (n, 2) points w.r.t. element e."""
@@ -267,18 +223,18 @@ class Mesh:
     # -- stars -------------------------------------------------------------
 
     def star(self, z):
-        """Patch of elements and skeleton faces around vertex z."""
+        """Patch of elements around vertex z."""
         z = int(z)
         if not 0 <= z < self.n_vertices:
             raise MeshError(f"vertex {z} out of range")
-        return Star(z, self.vertex_elements(z), self.vertex_faces(z),
-                    self.boundary_vertex[z])
+        slots = self.vertex_slots[self.vertex_starts[z]:self.vertex_starts[z + 1]]
+        return Star(z, slots // 3, self.boundary_vertex[z])
 
     # -- verification ------------------------------------------------------
 
     def audit(self):
         """Exhaustive conformity audit; raises MeshError on any defect."""
-        if (_signed_areas(self.vertices, self.elements) <= 0).any():
+        if (signed_areas(self.vertices[self.elements]) <= 0).any():
             raise MeshError("inverted element")
         key = np.sort(self.elements, axis=1)
         if len(np.unique(key, axis=0)) != self.n_elements:
@@ -375,7 +331,7 @@ def load_mesh(path):
     if (elements < 0).any() or (elements >= nv).any():
         bad = int(np.nonzero(((elements < 0) | (elements >= nv)).any(axis=1))[0][0])
         raise MeshError(f"{path}: element {bad} references a vertex out of range")
-    areas = _signed_areas(vertices, elements)
+    areas = signed_areas(vertices[elements])
     if (areas <= 0).any():
         bad = int(np.nonzero(areas <= 0)[0][0])
         raise MeshError(f"{path}: element {bad} is not counter-clockwise")
@@ -493,33 +449,3 @@ def uniform_refine(mesh, sweeps=1):
         mesh = bisect(mesh, np.arange(mesh.n_elements))
     return mesh
 
-
-# -- squeezed triangles -------------------------------------------------------
-
-
-def squeeze_element(mesh, elem, face, theta):
-    """Compress element `elem` toward its face `face` by factor theta in (0, 1].
-
-    The face stays fixed pointwise and the opposite vertex moves to
-    (1-theta)*v0 + theta*apex, where (v0, v1) are the face endpoints ordered so
-    that (v0, v1, apex) is counter-clockwise (the orientation-preserving frame
-    of the pair).  The squeezed area is theta times the element area.
-    """
-    theta = float(theta)
-    if not 0.0 < theta <= 1.0:
-        raise MeshError(f"theta must be in (0, 1], got {theta}")
-    tri = mesh.elements[elem]
-    local = np.nonzero(mesh.elem_faces[elem] == face)[0]
-    if local.size != 1:
-        raise MeshError(f"face {face} does not belong to element {elem}")
-    i = int(local[0])  # apex local index; face endpoints follow cyclically
-    j, k = (i + 1) % 3, (i + 2) % 3
-    coords = mesh.vertices[tri]
-    apex_prime = (1.0 - theta) * coords[j] + theta * coords[i]
-    squeezed = np.array([coords[j], coords[k], apex_prime])
-    parent_bary = np.zeros((3, 3))
-    parent_bary[0, j] = 1.0
-    parent_bary[1, k] = 1.0
-    parent_bary[2, j] = 1.0 - theta
-    parent_bary[2, i] = theta
-    return SqueezedTriangle(elem, face, theta, squeezed, parent_bary)

@@ -1,24 +1,207 @@
-"""Seeded property suite behind the `verify` command.
+"""Seeded property suite behind the `verify` command, and its pointwise oracle.
 
 Every check measures a constant (an identity residual, a ratio, a stability
 factor) and compares it against a fixed bound.  The outcome is a plain dict
 ready for JSON serialization; randomized parts draw from one seeded
 generator so reruns reproduce bit-identical reports.
+
+The oracle evaluates the dual functions of a `DualSystem` pointwise and
+pairs them with functionals by quadrature, piece by piece.  It shares only
+the coefficient arrays with the bulk pairings behind the interpolation, so
+the checks and the tests use it as an independent cross-check.
 """
 
 import numpy as np
 
 from . import galerkin
-from .dual_system import (element_dual_energy_norm, face_dual_energy_norm,
-                          get_dual_system, pair, phi_star_face, project_pi)
+from .dual_system import get_dual_system, project_pi, theta_factor
 from .estimator import PatchSpace, localize_check
-from .galerkin import DiscreteFunction, PiecewiseFunctional, apply_operator
-from .quadrature import DEFAULT_DEGREE, gauss_edge
+from .galerkin import (DiscreteFunction, PiecewiseFunctional, ScalarField,
+                       SourceFunctional, apply_operator)
+from .mesh import MeshError, bary_grads, signed_areas
+from .quadrature import DEFAULT_DEGREE, gauss_edge, map_to_triangle, simplex_rule
 
 IDENTITY_TOL = 1e-11
 INVARIANCE_TOL = 1e-9
 STABILITY_BOUND = 100.0
 LOCALIZE_WINDOW = (0.2, 20.0)
+
+
+# -- pointwise dual functions ----------------------------------------------------
+
+
+class ElementDualFunction:
+    """phi*_{z;T} = psi_z b_T: quartic bump on one element, L2-dual to its hats."""
+
+    def __init__(self, system, element, local):
+        self.mesh = system.mesh
+        self.element = int(element)
+        self.psi = system.psi[element, :, local]
+
+    def __call__(self, points):
+        lam = self.mesh.barycentric(self.element, points)
+        inside = (lam >= -1e-12).all(axis=1)
+        return np.where(inside, (lam @ self.psi) * lam.prod(axis=1), 0.0)
+
+
+def element_duals(system, element):
+    """The three element duals of one element."""
+    return [ElementDualFunction(system, element, z) for z in range(3)]
+
+
+class FaceDualFunction:
+    """phi*_F of an interior face, read off the arrays of a DualSystem.
+
+    Side s is the adjacent element `elements[s]` (lower index first),
+    squeezed by `thetas[s]` to the triangle `sq_coords[s]` whose corners have
+    the parent barycentrics `parent_bary[s]`; `gammas[s]` weigh the element
+    duals of that side that are subtracted from the normalized bubble.
+    """
+
+    def __init__(self, system, face):
+        pos = system.face_pos[face]
+        if pos < 0:
+            raise MeshError(f"face {face} lies on the boundary; it carries no dual function")
+        self.mesh = system.mesh
+        self.face = int(face)
+        self.elements = system.adj[pos]
+        self.thetas = system.thetas[pos]
+        self.sq_coords = system.sq_coords[pos]
+        self.parent_bary = system.parent_bary[pos]
+        self.gammas = system.gammas[pos]
+        self.int_bubble = self.mesh.face_len[face] / 6.0  # exact value of int_F b_F
+        self.element_duals = [element_duals(system, e) for e in self.elements]
+
+    def bubble_value(self, points):
+        """b_F: product of the squeezed hats of the two face endpoints."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros(len(points))
+        todo = np.ones(len(points), dtype=bool)
+        for c in self.sq_coords:
+            A = np.column_stack([c[1] - c[0], c[2] - c[0]])
+            lam12 = np.linalg.solve(A, (points - c[0]).T).T
+            mu = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+            inside = todo & (mu >= -1e-10).all(axis=1)
+            out[inside] = mu[inside, 0] * mu[inside, 1]
+            todo &= ~inside
+        return out
+
+    def __call__(self, points):
+        vals = self.bubble_value(points) / self.int_bubble
+        for gammas, duals in zip(self.gammas, self.element_duals):
+            for gz, dual in zip(gammas, duals):
+                vals = vals - gz * dual(points)
+        return vals
+
+
+# -- pairing by quadrature ------------------------------------------------------
+
+
+def _edge_integral(mesh, face, fn, quad_degree):
+    """Integral of a points -> values callable over one mesh face."""
+    a, b = mesh.vertices[mesh.faces[face]]
+    return gauss_edge(a, b, quad_degree, lambda x, y: fn(np.column_stack([x, y])))
+
+
+def _volume_values(f, element, points):
+    """Values of the volume part of f (field or P1 density) at points of an element."""
+    if isinstance(f, PiecewiseFunctional):
+        return f.mesh.barycentric(element, points) @ f.cell_density[element]
+    return np.asarray(f.value(points[:, 0], points[:, 1]), dtype=float)
+
+
+def _pair_element_dual(f, phi, quad_degree):
+    # line sources meet the trace of phi*, which vanishes on the element boundary
+    pts, w = map_to_triangle(simplex_rule(quad_degree),
+                             phi.mesh.element_coords(phi.element))
+    return float(w @ (_volume_values(f, phi.element, pts) * phi(pts)))
+
+
+def _pair_face_dual(f, phi, quad_degree):
+    rule = simplex_rule(quad_degree)
+    psi = rule.points[:, 0] * rule.points[:, 1] / phi.int_bubble
+    total = 0.0
+    for s, e in enumerate(phi.elements):
+        pts, w = map_to_triangle(rule, phi.sq_coords[s])
+        total += float(w @ (_volume_values(f, e, pts) * psi))
+        for gz, dual in zip(phi.gammas[s], phi.element_duals[s]):
+            total -= gz * _pair_element_dual(f, dual, quad_degree)
+    if isinstance(f, PiecewiseFunctional):
+        # the trace of phi*_F is psi_F on F and vanishes on every other face
+        total += f.face_density[phi.face] * _edge_integral(phi.mesh, phi.face, phi,
+                                                           quad_degree)
+    return total
+
+
+def pair(f, phi, quad_degree=DEFAULT_DEGREE):
+    """Duality pairing <f, phi> with a dual function, by piecewise quadrature.
+
+    `f` may be a ScalarField, a PiecewiseFunctional, or a SourceFunctional;
+    integration is split over the polynomial pieces (squeezed triangle,
+    element, face), so results are exact for polynomial data up to the rule
+    degree.
+    """
+    if isinstance(f, SourceFunctional):
+        val = 0.0
+        if f.field is not None:
+            val += f.field_weight * pair(f.field, phi, quad_degree)
+        if f.piecewise is not None:
+            val += pair(f.piecewise, phi, quad_degree)
+        return val
+    if isinstance(phi, ElementDualFunction):
+        return _pair_element_dual(f, phi, quad_degree)
+    if isinstance(phi, FaceDualFunction):
+        return _pair_face_dual(f, phi, quad_degree)
+    raise TypeError(f"cannot pair with {type(phi).__name__}")
+
+
+# -- energy norms of the dual functions (stability measurements) ------------------
+
+
+def _bump_eval(coeffs, lam, grads):
+    """Values and gradients of (lam.c) lam0 lam1 lam2 at barycentric points."""
+    s = lam @ coeffs
+    b = lam.prod(axis=1)
+    prods = np.stack([lam[:, 1] * lam[:, 2], lam[:, 0] * lam[:, 2],
+                      lam[:, 0] * lam[:, 1]], axis=1)
+    partial = coeffs[None, :] * b[:, None] + s[:, None] * prods
+    return s * b, partial @ grads
+
+
+def element_dual_energy_norm(system, element, z, quad_degree=DEFAULT_DEGREE):
+    """Energy norm of phi*_{z;T}; scales like |T|^(-1/2) max(1/h_T, kappa)."""
+    mesh = system.mesh
+    rule = simplex_rule(quad_degree)
+    val, grad = _bump_eval(system.psi[element, :, z], rule.points,
+                           bary_grads(mesh.element_coords(element)))
+    dens = (grad**2).sum(axis=1) + system.kappa**2 * val**2
+    return float(np.sqrt(2.0 * mesh.areas[element] * (rule.weights @ dens)))
+
+
+def face_dual_energy_norm(system, face, quad_degree=DEFAULT_DEGREE):
+    """Energy norm of phi*_F, integrated piecewise on the squeezed supports."""
+    phi = FaceDualFunction(system, face)
+    mesh, kappa2 = system.mesh, system.kappa**2
+    rule = simplex_rule(quad_degree)
+    lam_q = rule.points
+    total = 0.0
+    for s, e in enumerate(phi.elements):
+        grads = bary_grads(mesh.element_coords(e))
+        c = -(system.psi[e] @ phi.gammas[s])  # corrected part is -(lam.c) b on all of T
+        val, grad = _bump_eval(c, lam_q, grads)
+        dens = (grad**2).sum(axis=1) + kappa2 * val**2
+        total += 2.0 * mesh.areas[e] * (rule.weights @ dens)
+        # on the squeezed triangle psi_F = mu0 mu1 / int_bubble joins in
+        g_sq = bary_grads(phi.sq_coords[s])
+        val_c, grad_c = _bump_eval(c, lam_q @ phi.parent_bary[s], grads)
+        v_full = val_c + lam_q[:, 0] * lam_q[:, 1] / phi.int_bubble
+        g_full = grad_c + (lam_q[:, 1, None] * g_sq[0]
+                           + lam_q[:, 0, None] * g_sq[1]) / phi.int_bubble
+        dens = ((g_full**2).sum(axis=1) - (grad_c**2).sum(axis=1)
+                + kappa2 * (v_full**2 - val_c**2))
+        total += 2.0 * signed_areas(phi.sq_coords[s]) * (rule.weights @ dens)
+    return float(np.sqrt(max(total, 0.0)))
+
 
 
 def _check(name, measured, bound, lower=None):
@@ -52,40 +235,34 @@ def element_duality_residual(mesh):
     return float(np.abs(res).max())
 
 
-def _edge_pair(a, b, evaluator, quad_degree):
-    """Integral over segment [a, b] of a points-array evaluator."""
-    return gauss_edge(a, b, quad_degree,
-                      lambda x, y: evaluator(np.column_stack([x, y])))
-
-
 def face_duality_residuals(mesh, kappa, faces, quad_degree=DEFAULT_DEGREE):
     """(diagonal, cross) residuals of the face Dirac pairings."""
+    system = get_dual_system(mesh, kappa, quad_degree)
     diag = 0.0
     cross = 0.0
     interior = np.nonzero(mesh.interior_face)[0]
     for face in faces:
-        fd = phi_star_face(mesh, face, kappa)
-        a, b = mesh.vertices[mesh.faces[face]]
-        diag = max(diag, abs(_edge_pair(a, b, fd, quad_degree) - 1.0))
+        fd = FaceDualFunction(system, face)
+        diag = max(diag, abs(_edge_integral(mesh, face, fd, quad_degree) - 1.0))
         for other in interior:
             if other == face:
                 continue
             if not np.intersect1d(mesh.face_elems[other],
                                   mesh.face_elems[face]).size:
                 continue
-            c, d = mesh.vertices[mesh.faces[other]]
-            cross = max(cross, abs(_edge_pair(c, d, fd, quad_degree)))
-        for side in fd.sides:
-            for dual in get_dual_system(mesh, kappa).element_duals(side.element):
-                cross = max(cross, abs(_edge_pair(a, b, dual, quad_degree)))
+            cross = max(cross, abs(_edge_integral(mesh, other, fd, quad_degree)))
+        for duals in fd.element_duals:
+            for dual in duals:
+                cross = max(cross, abs(_edge_integral(mesh, face, dual, quad_degree)))
     return diag, cross
 
 
 def hat_face_residual(mesh, kappa, faces, quad_degree=DEFAULT_DEGREE):
     """max |<hat_y, phi*_F>| over the hats touching each sampled face."""
+    system = get_dual_system(mesh, kappa, quad_degree)
     worst = 0.0
     for face in faces:
-        fd = phi_star_face(mesh, face, kappa)
+        fd = FaceDualFunction(system, face)
         verts = np.unique(mesh.elements[mesh.face_elems[face]])
         for y in verts:
             val = pair(_hat_functional(mesh, y), fd, quad_degree)
@@ -128,8 +305,6 @@ def stability_samples(mesh, kappa, rng, vertices, depth=2,
     Piecewise functionals are fixed points of the interpolation, so the
     samples must come from outside that class for the ratio to say anything.
     """
-    from .galerkin import ScalarField
-
     worst = 0.0
     for z in vertices:
         star = mesh.star(z)
@@ -148,8 +323,8 @@ def stability_samples(mesh, kappa, rng, vertices, depth=2,
         g = ScalarField(field, name="stability-sample")
         pig = project_pi(mesh, kappa, g, quad_degree)
         space = PatchSpace(mesh, star.elements, depth)
-        gsrc = galerkin.SourceFunctional(mesh, field=g)
-        pigsrc = galerkin.SourceFunctional(mesh, piecewise=pig)
+        gsrc = SourceFunctional(mesh, field=g)
+        pigsrc = SourceFunctional(mesh, piecewise=pig)
         denom = space.dual_norm(gsrc, kappa, quad_degree)
         if denom == 0.0:
             continue
@@ -159,20 +334,20 @@ def stability_samples(mesh, kappa, rng, vertices, depth=2,
 
 def scaling_constants(mesh, kappa, elements, faces, quad_degree=DEFAULT_DEGREE):
     """Normalized energy norms of the dual functions on sampled entities."""
+    system = get_dual_system(mesh, kappa, quad_degree)
     c_elem = 0.0
     for e in elements:
         unit = max(1.0 / mesh.h_elem[e], kappa) / np.sqrt(mesh.areas[e])
         for z in range(3):
             c_elem = max(c_elem, element_dual_energy_norm(
-                mesh, kappa, e, z, quad_degree) / unit)
+                system, e, z, quad_degree) / unit)
     c_face = 0.0
     for face in faces:
-        adj = mesh.face_elems[face]
-        theta = min(min(1.0, 1.0 / (mesh.h_elem[e] * kappa)) for e in adj)
+        theta = theta_factor(mesh.h_elem[mesh.face_elems[face]], kappa).min()
         unit = max(1.0 / mesh.h_face[face], kappa) / np.sqrt(
             theta * mesh.face_len[face])
         c_face = max(c_face, face_dual_energy_norm(
-            mesh, kappa, face, quad_degree) / unit)
+            system, face, quad_degree) / unit)
     return c_elem, c_face
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_verify_command_and_determinism(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "pass" in printed and "FAIL" not in printed
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
+
+
+def test_layer1d_off_the_unit_square_is_a_bad_mesh(tmp_path, capsys):
+    code = run_cli("estimate", "--preset", "layer1d", "--kappa", "1e4",
+                   "--mesh", "lshape", "--out", str(tmp_path))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad mesh" in err and "layer1d" in err
+    assert not (tmp_path / "estimate.json").exists()
+
+
+def test_threads_flag_overrides_environment(tmp_path, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "4")
+    assert run_cli("solve", "--mesh", "crisscross", "--out", str(tmp_path)) == cli.EXIT_OK
+    assert all(os.environ[name] == "4" for name in names)
+    assert run_cli("solve", "--mesh", "crisscross", "--threads", "1",
+                   "--out", str(tmp_path)) == cli.EXIT_OK
+    assert all(os.environ[name] == "1" for name in names)
 
 
 def test_mesh_file_argument(tmp_path):

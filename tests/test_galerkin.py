@@ -113,6 +113,19 @@ def test_layer1d_grad_matches_fd():
     assert np.abs(gy - fy).max() < 1e-4 * max(1.0, np.abs(gy).max())
 
 
+def test_layer1d_refuses_meshes_outside_unit_square():
+    # its data overflow off [0, 1]^2; vertex 0 of the L-shape sits at (-1, -1)
+    with pytest.raises(mesh_mod.MeshError, match=r"'layer1d'.*vertex 0 at \(-1, -1\)"):
+        g.make_problem(mesh_mod.l_shape(), 1e4, "layer1d")
+    assert g.make_problem(mesh_mod.l_shape(), 1e4, "sinsin").name == "sinsin"
+    # the unit square, boundary included, is unchanged
+    m = uniform_refine(unit_square_2tri(), 2)
+    problem = g.make_problem(m, 1e4, "layer1d")
+    U = g.solve(problem)
+    assert np.isfinite(U.values).all()
+    assert np.isfinite(g.energy_error(problem, U))
+
+
 def test_presets_and_problem_validation():
     assert set(g.PRESETS) == {"sinsin", "const1", "layer1d"}
     m = unit_square_2tri()

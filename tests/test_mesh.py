@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rdafem import mesh as mesh_mod
-from rdafem.mesh import (Mesh, MeshError, bisect, l_shape, load_mesh, save_mesh,
-                         squeeze_element, uniform_refine, unit_square_2tri,
+from rdafem.dual_system import get_dual_system
+from rdafem.mesh import (Mesh, MeshError, bary_grads, bisect, l_shape, load_mesh,
+                         save_mesh, signed_areas, uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
 
 
@@ -22,7 +23,7 @@ def test_crisscross_topology():
     assert m.interior_face.sum() == 4
     assert list(m.free_vertices()) == [4]
     star = m.star(4)
-    assert len(star.elements) == 4 and len(star.skeleton) == 4
+    assert len(star.elements) == 4
     assert not star.on_boundary
     assert m.star(0).on_boundary
 
@@ -56,7 +57,7 @@ def test_normals_unit_and_outward_of_first_element():
 def test_bary_grads_partition_and_duality():
     m = l_shape()
     for e in range(m.n_elements):
-        grads = m.bary_grads(e)
+        grads = bary_grads(m.element_coords(e))
         assert np.allclose(grads.sum(axis=0), 0.0, atol=1e-13)
         coords = m.element_coords(e)
         # lam_i affine with lam_i(v_j) = delta_ij fixes the gradient
@@ -192,24 +193,22 @@ def test_load_mesh_comments_and_blank_lines(tmp_path):
 
 
 def test_squeeze_element_geometry():
+    # the squeezed triangles of the dual system, every interior face and side
     m = unit_square_crisscross()
-    e = 0
-    face = m.elem_faces[e][np.nonzero(m.interior_face[m.elem_faces[e]])[0][0]]
-    for theta in (1.0, 0.25, 1e-3):
-        sq = squeeze_element(m, e, face, theta)
-        assert np.isclose(sq.area, theta * m.areas[e], rtol=1e-12)
-        # squeezed coords come from the parent via the stored barycentrics
-        assert np.allclose(sq.coords, sq.parent_bary @ m.element_coords(e),
-                           atol=1e-15)
-        # the face itself stays put
-        fv = set(map(tuple, m.vertices[m.faces[face]].tolist()))
-        sv = set(map(tuple, sq.coords[:2].tolist()))
-        assert fv == sv
-    with pytest.raises(MeshError):
-        squeeze_element(m, e, face, 0.0)
-    boundary = m.elem_faces[e][~m.interior_face[m.elem_faces[e]]][0]
-    sq = squeeze_element(m, e, boundary, 0.5)
-    assert np.isclose(sq.area, 0.5 * m.areas[e], rtol=1e-12)
+    for kappa in (1.0, 4.0, 1e3):
+        system = get_dual_system(m, kappa)
+        for pos, face in enumerate(system.iface):
+            for s, e in enumerate(system.adj[pos]):
+                coords = system.sq_coords[pos, s]
+                theta = system.thetas[pos, s]
+                assert np.isclose(signed_areas(coords), theta * m.areas[e], rtol=1e-12)
+                # squeezed coords come from the parent via the stored barycentrics
+                assert np.allclose(coords, system.parent_bary[pos, s] @ m.element_coords(e),
+                                   atol=1e-15)
+                # the face itself stays put
+                fv = set(map(tuple, m.vertices[m.faces[face]].tolist()))
+                sv = set(map(tuple, coords[:2].tolist()))
+                assert fv == sv
 
 
 def test_h_face_is_max_adjacent_diameter():
