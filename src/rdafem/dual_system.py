@@ -26,6 +26,8 @@ By construction it reproduces every functional of volume+face form.
 oracle that evaluates them for the cross-checks lives in `verify`.
 """
 
+import weakref
+
 import numpy as np
 
 from . import quadrature
@@ -50,14 +52,25 @@ class DualSystem:
     data is stored per side s in {0, 1} (lower/higher adjacent element):
     squeeze factors, squeezed vertex coordinates, barycentric coordinates of
     the squeezed vertices in the parent element, and the gamma coefficients.
+
+    The system holds its mesh weakly: `get_dual_system` caches it on the
+    mesh, and a strong reference back would make a cycle that only the
+    cyclic garbage collector frees, keeping finished meshes alive.
     """
 
     def __init__(self, mesh, kappa, quad_degree=DEFAULT_DEGREE):
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         self.kappa = float(kappa)
         self.quad_degree = int(quad_degree)
         self._build_elements()
         self._build_faces()
+
+    @property
+    def mesh(self):
+        mesh = self._mesh()
+        if mesh is None:
+            raise ReferenceError("the mesh of this DualSystem has been freed")
+        return mesh
 
     def _build_elements(self):
         mesh = self.mesh
@@ -113,10 +126,10 @@ class DualSystem:
         mu = rule.points
         bubble = mu[:, 0] * mu[:, 1]
         inv_int = 6.0 / mesh.face_len[self.iface]  # 1 / (|F|/6)
-        lam_parent = np.einsum("qm,fsmz->fsqz", mu, self.parent_bary)
+        lam_parent = quadrature.map_points(rule, self.parent_bary)  # (nfi, 2, nq, 3)
         jac = 2.0 * self.thetas * mesh.areas[adj]  # (nfi, 2)
-        self.gammas = inv_int[:, None, None] * jac[:, :, None] * np.einsum(
-            "q,q,fsqz->fsz", rule.weights, bubble, lam_parent)
+        self.gammas = inv_int[:, None, None] * jac[:, :, None] * (
+            (rule.weights * bubble) @ lam_parent)
 
     # -- bulk pairings --
 
@@ -124,8 +137,8 @@ class DualSystem:
         """<f, phi*_{z;T}> for all elements and local nodes, (ne, 3)."""
         mesh = self.mesh
         rule = quadrature.simplex_rule(self.quad_degree)
-        lam = rule.points
-        psib = np.einsum("ecz,qc->ezq", self.psi, lam) * lam.prod(axis=1)[None, None, :]
+        # psi_z times the element bubble at the nodes, (ne, nq, 3)
+        psib = quadrature.map_points(rule, self.psi) * rule.points.prod(axis=1)[:, None]
         out = np.zeros((mesh.n_elements, 3))
         if isinstance(f, SourceFunctional):
             if f.field is not None:
@@ -139,16 +152,19 @@ class DualSystem:
 
     def _pair_elements_field(self, field, rule, psib):
         mesh = self.mesh
-        pts = np.einsum("qi,eix->eqx", rule.points, mesh.vertices[mesh.elements])
+        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
         fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-        return 2.0 * mesh.areas[:, None] * np.einsum("q,eq,ezq->ez", rule.weights, fv, psib)
+        return self._pair_psib(fv, rule, psib)
 
     def _pair_elements_density(self, g, rule, psib):
         # face line sources contribute nothing here: the element duals vanish
         # identically on element boundaries
-        fv = g.cell_density @ rule.points.T  # (ne, nq)
-        return 2.0 * self.mesh.areas[:, None] * np.einsum(
-            "q,eq,ezq->ez", rule.weights, fv, psib)
+        return self._pair_psib(g.cell_density @ rule.points.T, rule, psib)
+
+    def _pair_psib(self, fv, rule, psib):
+        """Quadrature of node values fv (ne, nq) against psi_z b_T, (ne, 3)."""
+        weighted = (fv * rule.weights)[:, None, :]
+        return 2.0 * self.mesh.areas[:, None] * (weighted @ psib)[:, 0, :]
 
     def pair_faces(self, f, elem_pairs):
         """<f, phi*_F> for all interior faces, given the element pairings."""
@@ -162,27 +178,27 @@ class DualSystem:
         out = np.zeros(nfi)
         if isinstance(f, SourceFunctional):
             if f.field is not None:
-                out += f.field_weight * self._psi_pair_field(f.field, mu, bubble_w,
+                out += f.field_weight * self._psi_pair_field(f.field, rule, bubble_w,
                                                              inv_int, jac)
             if f.piecewise is not None:
-                out += self._psi_pair_density(f.piecewise, mu, bubble_w, inv_int, jac)
+                out += self._psi_pair_density(f.piecewise, rule, bubble_w, inv_int, jac)
         elif isinstance(f, PiecewiseFunctional):
-            out += self._psi_pair_density(f, mu, bubble_w, inv_int, jac)
+            out += self._psi_pair_density(f, rule, bubble_w, inv_int, jac)
         else:
-            out += self._psi_pair_field(f, mu, bubble_w, inv_int, jac)
+            out += self._psi_pair_field(f, rule, bubble_w, inv_int, jac)
         out -= np.einsum("fsz,fsz->f", self.gammas, elem_pairs[self.adj])
         return out
 
-    def _psi_pair_field(self, field, mu, bubble_w, inv_int, jac):
-        pts = np.einsum("qm,fsmx->fsqx", mu, self.sq_coords)
+    def _psi_pair_field(self, field, rule, bubble_w, inv_int, jac):
+        pts = quadrature.map_points(rule, self.sq_coords)
         fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-        return inv_int * np.einsum("fs,fsq,q->f", jac, fv, bubble_w)
+        return inv_int * ((fv @ bubble_w) * jac).sum(axis=1)
 
-    def _psi_pair_density(self, g, mu, bubble_w, inv_int, jac):
-        lam_parent = np.einsum("qm,fsmz->fsqz", mu, self.parent_bary)
+    def _psi_pair_density(self, g, rule, bubble_w, inv_int, jac):
+        lam_parent = quadrature.map_points(rule, self.parent_bary)
         dens = g.cell_density[self.adj]  # (nfi, 2, 3)
-        fv = np.einsum("fsqz,fsz->fsq", lam_parent, dens)
-        out = inv_int * np.einsum("fs,fsq,q->f", jac, fv, bubble_w)
+        fv = (lam_parent @ dens[..., None])[..., 0]  # (nfi, 2, nq)
+        out = inv_int * ((fv @ bubble_w) * jac).sum(axis=1)
         # the trace of psi_F integrates to exactly one over its own face and
         # vanishes on every other face of the patch
         out += g.face_density[self.iface]
@@ -192,8 +208,8 @@ class DualSystem:
 def get_dual_system(mesh, kappa, quad_degree=DEFAULT_DEGREE):
     """Cached DualSystem per (mesh, kappa, quad_degree).
 
-    The cache lives on the mesh: its systems refer back to the mesh, and the
-    garbage collector frees that cycle together with the mesh.
+    The cache lives on the mesh and its systems hold the mesh only weakly,
+    so the cache goes with the mesh as soon as the last reference to it does.
     """
     per_mesh = getattr(mesh, "_dual_systems", None)
     if per_mesh is None:

@@ -123,7 +123,7 @@ def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
         f_mean = problem.rhs.cell_density.mean(axis=1)
     else:
         rule = quadrature.simplex_rule(quad_degree)
-        pts = np.einsum("qi,eix->eqx", rule.points, mesh.vertices[mesh.elements])
+        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
         fv = np.asarray(problem.rhs.value(pts[..., 0], pts[..., 1]), dtype=float)
         f_mean = 2.0 * (fv @ rule.weights)  # divided by |T| against the |T| Jacobian
     coeffs = f_mean[:, None] - kappa**2 * U.values[mesh.elements]
@@ -231,8 +231,7 @@ class _RefBlocks:
 
         rule = quadrature.simplex_rule(quad_degree)
         nq = len(rule.weights)
-        self.quad_bary = np.einsum("qs,tsi->tqi", rule.points,
-                                   tpl.bary[tpl.tris]).reshape(-1, 3)
+        self.quad_bary = quadrature.map_points(rule, tpl.bary[tpl.tris]).reshape(-1, 3)
         point = np.arange(len(self.quad_bary)).reshape(-1, nq)
         weights = 2.0 / n_sub * rule.weights[:, None] * rule.points
         self.field_weights = sp.csr_matrix(
@@ -338,10 +337,9 @@ class PatchSpace:
         out = np.zeros(len(self.coords))
         if g.field is not None:
             rule = quadrature.simplex_rule(quad_degree)
-            pts = np.einsum("qi,eix->eqx", rule.points, self.coords[self.tris])
+            pts = quadrature.map_points(rule, self.coords[self.tris])
             fv = np.asarray(g.field.value(pts[..., 0], pts[..., 1]), dtype=float)
-            contrib = 2.0 * self.areas[:, None] * np.einsum(
-                "q,eq,qi->ei", rule.weights, fv, rule.points)
+            contrib = 2.0 * self.areas[:, None] * ((fv * rule.weights) @ rule.points)
             np.add.at(out, self.tris, g.field_weight * contrib)
         if g.piecewise is not None:
             self._load_piecewise(g.piecewise, out)

@@ -281,10 +281,9 @@ def assemble(mesh, kappa):
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
     """<f, hat_z> for every vertex z, by elementwise Gauss quadrature."""
     rule = quadrature.simplex_rule(quad_degree)
-    pts = np.einsum("qi,eix->eqx", rule.points, mesh.vertices[mesh.elements])
+    pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
     fvals = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-    contrib = 2.0 * mesh.areas[:, None] * np.einsum(
-        "q,eq,qi->ei", rule.weights, fvals, rule.points)
+    contrib = 2.0 * mesh.areas[:, None] * ((fvals * rule.weights) @ rule.points)
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.elements, contrib)
     return out
@@ -375,7 +374,7 @@ def energy_norm_sq_elements(mesh, kappa, v, quad_degree=DEFAULT_DEGREE):
     if v.grad is None:
         raise ValueError("energy norm of a field requires its gradient")
     rule = quadrature.simplex_rule(quad_degree)
-    pts = np.einsum("qi,eix->eqx", rule.points, mesh.vertices[mesh.elements])
+    pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
     gx, gy = v.grad(pts[..., 0], pts[..., 1])
     vals = v.value(pts[..., 0], pts[..., 1])
     dens = gx**2 + gy**2 + kappa**2 * vals**2
@@ -395,12 +394,12 @@ def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
         raise ValueError("problem has no exact solution to compare against")
     mesh = problem.mesh
     rule = quadrature.simplex_rule(quad_degree)
-    pts = np.einsum("qi,eix->eqx", rule.points, mesh.vertices[mesh.elements])
+    pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
     x, y = pts[..., 0], pts[..., 1]
     gx, gy = problem.exact.grad(x, y)
     uvals = problem.exact.value(x, y)
     Ugrads = U.element_gradients()
-    Uvals = np.einsum("ei,qi->eq", U.element_values(), rule.points)
+    Uvals = U.element_values() @ rule.points.T
     dens = ((gx - Ugrads[:, None, 0]) ** 2 + (gy - Ugrads[:, None, 1]) ** 2
             + problem.kappa**2 * (uvals - Uvals) ** 2)
     return 2.0 * mesh.areas * (dens @ rule.weights)

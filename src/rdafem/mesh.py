@@ -15,6 +15,9 @@ as well, since every other module needs them.
 
 import numpy as np
 
+# face-vertex pairs per chunk of the hanging-vertex audit
+_AUDIT_CHUNK = 2**20
+
 
 class MeshError(Exception):
     """Raised for format errors, non-conforming input, or inverted elements."""
@@ -119,33 +122,37 @@ class Mesh:
     def _build_topology(self):
         elements = self.elements
         ne = len(elements)
-        # local face i is opposite local vertex i
+        nv = len(self.vertices)
+        # local face i is opposite local vertex i; slot 3e + i holds it
         pairs = elements[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-        pairs_sorted = np.sort(pairs, axis=1)
-        faces, inverse = np.unique(pairs_sorted, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        self.faces = faces
+        key = pairs.min(axis=1) * nv + pairs.max(axis=1)
+        # keys sort the faces lexicographically; the sort is stable, so the
+        # slots of one face, and so its owner elements, come out ascending
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = sorted_key[1:] != sorted_key[:-1]
+        starts = np.nonzero(first)[0]
+        self.faces = np.column_stack(np.divmod(sorted_key[starts], nv))
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
         self.elem_faces = inverse.reshape(ne, 3)
 
-        counts = np.bincount(inverse, minlength=len(faces))
+        counts = np.diff(np.append(starts, len(order)))
         if counts.max(initial=0) > 2:
             f = int(np.argmax(counts))
             raise MeshError(
-                f"face {tuple(faces[f])} shared by {counts[f]} elements (non-conforming)"
+                f"face {tuple(self.faces[f])} shared by {counts[f]} elements (non-conforming)"
             )
-        order = np.argsort(inverse, kind="stable")
         owner = order // 3
-        face_elems = np.full((len(faces), 2), -1, dtype=np.int64)
-        starts = np.zeros(len(faces) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        for f in range(len(faces)):
-            adj = np.sort(owner[starts[f]:starts[f + 1]])
-            face_elems[f, :len(adj)] = adj
-        self.face_elems = face_elems
         self.interior_face = counts == 2
+        face_elems = np.full((len(starts), 2), -1, dtype=np.int64)
+        face_elems[:, 0] = owner[starts]
+        face_elems[self.interior_face, 1] = owner[starts[self.interior_face] + 1]
+        self.face_elems = face_elems
 
-        self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
-        bfaces = faces[~self.interior_face]
+        self.boundary_vertex = np.zeros(nv, dtype=bool)
+        bfaces = self.faces[~self.interior_face]
         if bfaces.size:
             self.boundary_vertex[bfaces.ravel()] = True
 
@@ -255,20 +262,30 @@ class Mesh:
         bfaces = self.faces[~self.interior_face]
         if bfaces.size:
             # hanging vertices sit strictly inside a once-counted face; check
-            # this before boundary closure so the diagnosis is the precise one
+            # this before boundary closure so the diagnosis is the precise one.
+            # Elements do not overlap, so the elements around a hanging vertex
+            # cannot close a fan: it is an endpoint of a once-counted face
+            # itself, and only those endpoints (ascending) are candidates.
+            cand = np.unique(bfaces)
+            pc = self.vertices[cand]
             a = self.vertices[bfaces[:, 0]]
-            b = self.vertices[bfaces[:, 1]]
-            ab = b - a
-            L2 = np.einsum("ij,ij->i", ab, ab)
-            for f in range(len(bfaces)):
-                rel = self.vertices - a[f]
-                cross = np.abs(rel[:, 0] * ab[f, 1] - rel[:, 1] * ab[f, 0])
-                t = rel @ ab[f]
-                on = (cross <= 1e-12 * L2[f]) & (t > 1e-12 * L2[f]) & (t < (1 - 1e-12) * L2[f])
-                if on.any():
+            ab = self.vertices[bfaces[:, 1]] - a
+            L2 = np.einsum("ij,ij->i", ab, ab)[:, None]
+            step = max(1, _AUDIT_CHUNK // len(cand))
+            for lo in range(0, len(bfaces), step):
+                f = slice(lo, lo + step)
+                rx = pc[None, :, 0] - a[f, 0, None]
+                ry = pc[None, :, 1] - a[f, 1, None]
+                cross = np.abs(rx * ab[f, 1, None] - ry * ab[f, 0, None])
+                t = rx * ab[f, 0, None] + ry * ab[f, 1, None]
+                on = ((cross <= 1e-12 * L2[f]) & (t > 1e-12 * L2[f])
+                      & (t < (1 - 1e-12) * L2[f]))
+                hit = np.nonzero(on.any(axis=1))[0]
+                if hit.size:
+                    face = bfaces[lo + hit[0]]
                     raise MeshError(
-                        f"vertex {int(np.nonzero(on)[0][0])} hangs on face "
-                        f"({int(bfaces[f, 0])}, {int(bfaces[f, 1])})"
+                        f"vertex {int(cand[np.argmax(on[hit[0]])])} hangs on face "
+                        f"({int(face[0])}, {int(face[1])})"
                     )
             # each boundary vertex must close up with exactly two boundary faces
             cnt = np.bincount(bfaces.ravel(), minlength=self.n_vertices)
@@ -416,28 +433,32 @@ def bisect(mesh, marked_elements):
                         + mesh.vertices[mesh.faces[face_ids, 1]])
     vertices = np.vstack([mesh.vertices, new_coords])
 
-    children = []
-    for e in range(mesh.n_elements):
-        v0, v1, v2 = mesh.elements[e]
-        m2 = midpoint_of[ef[e, 2]]
-        if m2 < 0:
-            children.append((v0, v1, v2))
-            continue
-        m0 = midpoint_of[ef[e, 0]]  # midpoint of (v1, v2)
-        m1 = midpoint_of[ef[e, 1]]  # midpoint of (v2, v0)
-        # first cut along the refinement edge (v0, v1)
-        if m1 < 0:
-            children.append((v2, v0, m2))
-        else:
-            children.append((m2, v2, m1))
-            children.append((v0, m2, m1))
-        if m0 < 0:
-            children.append((v1, v2, m2))
-        else:
-            children.append((m2, v1, m0))
-            children.append((v2, m2, m0))
+    # Children are built per refinement pattern with array operations, in
+    # element order: an unrefined element keeps its triple; a refined one is
+    # cut along its refinement edge (v0, v1) at m2, and each half, (v2, v0)
+    # side first, is kept or cut once more at m1 (side v2-v0) or m0 (v1-v2).
+    v0, v1, v2 = mesh.elements.T
+    m0, m1, m2 = midpoint_of[ef].T
+    cut = m2 >= 0
+    left_two = cut & (m1 >= 0)
+    right_two = cut & (m0 >= 0)
+    n_children = np.where(cut, 2 + left_two + right_two, 1)
+    left = np.cumsum(n_children) - n_children  # first child of each element
+    right = left + 1 + left_two
+    children = np.empty((int(n_children.sum()), 3), dtype=np.int64)
 
-    out = Mesh(vertices, np.asarray(children, dtype=np.int64), ref_edge_policy="asis")
+    def put(mask, at, *corners):
+        children[at[mask]] = np.column_stack([c[mask] for c in corners])
+
+    put(~cut, left, v0, v1, v2)
+    put(cut & ~left_two, left, v2, v0, m2)
+    put(left_two, left, m2, v2, m1)
+    put(left_two, left + 1, v0, m2, m1)
+    put(cut & ~right_two, right, v1, v2, m2)
+    put(right_two, right, m2, v1, m0)
+    put(right_two, right + 1, v2, m2, m0)
+
+    out = Mesh(vertices, children, ref_edge_policy="asis")
     out.new_vertex_parents = mesh.faces[face_ids].copy()
     out.n_parent_vertices = mesh.n_vertices
     return out

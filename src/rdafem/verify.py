@@ -240,16 +240,13 @@ def face_duality_residuals(mesh, kappa, faces, quad_degree=DEFAULT_DEGREE):
     system = get_dual_system(mesh, kappa, quad_degree)
     diag = 0.0
     cross = 0.0
-    interior = np.nonzero(mesh.interior_face)[0]
     for face in faces:
         fd = FaceDualFunction(system, face)
         diag = max(diag, abs(_edge_integral(mesh, face, fd, quad_degree) - 1.0))
-        for other in interior:
-            if other == face:
-                continue
-            if not np.intersect1d(mesh.face_elems[other],
-                                  mesh.face_elems[face]).size:
-                continue
+        # the other interior faces of the elements next to F, ascending
+        adj = mesh.face_elems[face]
+        near = np.unique(mesh.elem_faces[adj[adj >= 0]])
+        for other in near[mesh.interior_face[near] & (near != face)]:
             cross = max(cross, abs(_edge_integral(mesh, other, fd, quad_degree)))
         for duals in fd.element_duals:
             for dual in duals:

@@ -116,6 +116,34 @@ def test_adaptive_loop_frees_its_meshes(monkeypatch):
     assert [ref() for ref in refined] == [None] * len(refined)
 
 
+def test_adaptive_loop_frees_its_meshes_without_the_gc(monkeypatch):
+    # no reference cycle holds a mesh: reference counting alone frees each
+    # one once the loop has moved past it
+    refined = []
+    alive_before = []
+
+    def recording_bisect(mesh, marked):
+        alive_before.append([ref() is not None for ref in refined
+                             if ref() is not mesh])
+        out = bisect(mesh, marked)
+        refined.append(weakref.ref(out))
+        return out
+
+    def run():
+        start = uniform_refine(unit_square_2tri(), 2)
+        problem = g.make_problem(start, 100.0, "sinsin")
+        return adapt.adaptive_loop(problem, max_dof=200, osc_every=0)
+
+    monkeypatch.setattr(adapt, "bisect", recording_bisect)
+    gc.disable()
+    try:
+        run()
+    finally:
+        gc.enable()
+    assert len(alive_before) >= 3
+    assert not any(any(alive) for alive in alive_before)
+
+
 def test_adaptive_loop_stops_when_estimator_vanishes():
     m = uniform_refine(unit_square_2tri(), 1)
     f = g.ScalarField(lambda x, y: np.zeros_like(x))

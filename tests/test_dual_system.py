@@ -234,3 +234,29 @@ def test_face_dual_energy_robust_in_kappa():
     n2 = verify.face_dual_energy_norm(ds.get_dual_system(m, 1e5), face)
     assert n2 / n1 < 12.0
     assert np.isclose(n2 / n1, 10.0, rtol=0.15)
+
+
+def _full_scan_face_duality(mesh, kappa, faces):
+    # every interior face sharing an element with F, found by scanning all
+    system = ds.get_dual_system(mesh, kappa)
+    diag = cross = 0.0
+    for face in faces:
+        fd = verify.FaceDualFunction(system, face)
+        diag = max(diag, abs(verify._edge_integral(mesh, face, fd, 8) - 1.0))
+        for other in np.nonzero(mesh.interior_face)[0]:
+            if other != face and np.intersect1d(mesh.face_elems[other],
+                                                mesh.face_elems[face]).size:
+                cross = max(cross, abs(verify._edge_integral(mesh, other, fd, 8)))
+        for duals in fd.element_duals:
+            for dual in duals:
+                cross = max(cross, abs(verify._edge_integral(mesh, face, dual, 8)))
+    return diag, cross
+
+
+@pytest.mark.parametrize("name", ["crisscross", "lshape", "square64"])
+def test_face_duality_neighbour_scan_matches_full_scan(corpus, name):
+    mesh = dict(corpus)[name]
+    faces = np.nonzero(mesh.interior_face)[0][:12]
+    for kappa in (1.0, 1e4):
+        got = verify.face_duality_residuals(mesh, kappa, faces)
+        assert got == _full_scan_face_duality(mesh, kappa, faces)

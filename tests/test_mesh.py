@@ -139,7 +139,16 @@ def test_audit_catches_hanging_vertex():
                        [0.5, 0.0], [0.5, -0.5]]),
              np.array([[0, 4, 2], [4, 1, 2], [0, 2, 3], [1, 0, 5]]),
              ref_edge_policy="asis")
-    with pytest.raises(MeshError, match="hangs on face"):
+    with pytest.raises(MeshError, match=r"^vertex 4 hangs on face \(0, 1\)$"):
+        m.audit()
+    # three vertices hang on the coarse face (0, 1), numbered above other
+    # boundary vertices and not in order along it: the lowest one is named
+    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5], [0.5, 0.5],
+                       [0.0, 1.0], [0.75, 0.0], [0.25, 0.0], [0.5, 0.0]]),
+             np.array([[1, 0, 2], [0, 6, 3], [6, 7, 3], [7, 5, 3], [5, 1, 3],
+                       [0, 3, 4]]),
+             ref_edge_policy="asis")
+    with pytest.raises(MeshError, match=r"^vertex 5 hangs on face \(0, 1\)$"):
         m.audit()
 
 
