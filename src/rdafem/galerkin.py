@@ -21,6 +21,8 @@ from . import quadrature
 from .mesh import MeshError, bary_grads
 from .quadrature import DEFAULT_DEGREE
 
+_ERROR_BLOCK = 2**14  # elements per block of energy_error_sq_elements
+
 
 class SolverError(Exception):
     """Raised when the linear solver fails to reach the requested tolerance."""
@@ -394,15 +396,21 @@ def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
         raise ValueError("problem has no exact solution to compare against")
     mesh = problem.mesh
     rule = quadrature.simplex_rule(quad_degree)
-    pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
-    x, y = pts[..., 0], pts[..., 1]
-    gx, gy = problem.exact.grad(x, y)
-    uvals = problem.exact.value(x, y)
     Ugrads = U.element_gradients()
     Uvals = U.element_values() @ rule.points.T
-    dens = ((gx - Ugrads[:, None, 0]) ** 2 + (gy - Ugrads[:, None, 1]) ** 2
-            + problem.kappa**2 * (uvals - Uvals) ** 2)
-    return 2.0 * mesh.areas * (dens @ rule.weights)
+    out = np.empty(mesh.n_elements)
+    # in blocks of elements: about ten (element, node) arrays are live at
+    # once, which made this the memory peak of a solve on a fine mesh
+    for lo in range(0, mesh.n_elements, _ERROR_BLOCK):
+        e = slice(lo, lo + _ERROR_BLOCK)
+        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[e]])
+        x, y = pts[..., 0], pts[..., 1]
+        gx, gy = problem.exact.grad(x, y)
+        uvals = problem.exact.value(x, y)
+        dens = ((gx - Ugrads[e, None, 0]) ** 2 + (gy - Ugrads[e, None, 1]) ** 2
+                + problem.kappa**2 * (uvals - Uvals[e]) ** 2)
+        out[e] = 2.0 * mesh.areas[e] * (dens @ rule.weights)
+    return out
 
 
 def energy_error(problem, U, region=None, quad_degree=DEFAULT_DEGREE):
