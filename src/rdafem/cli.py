@@ -139,18 +139,40 @@ def fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.17g}"
+        from .mesh import format_floats
+
+        return format_floats(value)[0]
     return str(value)
 
 
-def write_csv(path, columns, rows):
+def format_column(values):
+    """The cells of one CSV column: a float array in one pass, anything else
+    value by value through `fmt`."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            from .mesh import format_floats
+
+            return format_floats(values)
+        values = values.tolist()
+    return [fmt(v) for v in values]
+
+
+def write_csv(path, columns):
+    """Write a CSV file from {header: column values}, one array or list each."""
     import csv
 
+    cells = [format_column(values) for values in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt(row.get(col)) for col in columns])
+        writer.writerows(zip(*cells))
+
+
+def record_columns(records, header):
+    """{header: column} of a list of record dicts; missing keys are blank."""
+    return {col: [row.get(col) for row in records] for col in header}
 
 
 def write_json(path, payload):
@@ -173,20 +195,18 @@ def load_mesh_arg(name):
     return mesh_mod.load_mesh(name), name
 
 
-def _solution_rows(mesh, values):
-    return [{"vertex_id": z, "x": mesh.vertices[z, 0], "y": mesh.vertices[z, 1],
-             "u": values[z]} for z in range(mesh.n_vertices)]
-
-
 def cmd_solve(opts, outdir):
+    import numpy as np
+
     from . import galerkin
 
     mesh, label = load_mesh_arg(opts["mesh"])
     problem = galerkin.make_problem(mesh, opts["kappa"], opts["preset"])
     system = galerkin.assemble(mesh, opts["kappa"])
     U = galerkin.solve(problem, quad_degree=opts["quad_degree"], system=system)
-    write_csv(os.path.join(outdir, "solution.csv"), ("vertex_id", "x", "y", "u"),
-              _solution_rows(mesh, U.values))
+    write_csv(os.path.join(outdir, "solution.csv"), {
+        "vertex_id": np.arange(mesh.n_vertices), "x": mesh.vertices[:, 0],
+        "y": mesh.vertices[:, 1], "u": U.values})
     summary = {
         "command": "solve", "mesh": label, "preset": opts["preset"],
         "kappa": opts["kappa"], "n_vertices": mesh.n_vertices,
@@ -213,11 +233,9 @@ def cmd_estimate(opts, outdir):
     report = build_report(problem, U, depth=opts["dual_depth"],
                           quad_degree=opts["quad_degree"])
     star_sizes = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
-    rows = [{"vertex_id": z, "x": mesh.vertices[z, 0], "y": mesh.vertices[z, 1],
-             "E": report.E[z], "osc": report.osc[z],
-             "n_elements_in_star": int(star_sizes[z])}
-            for z in range(mesh.n_vertices)]
-    write_csv(os.path.join(outdir, "indicators.csv"), INDICATOR_COLUMNS, rows)
+    write_csv(os.path.join(outdir, "indicators.csv"), dict(zip(INDICATOR_COLUMNS, (
+        np.arange(mesh.n_vertices), mesh.vertices[:, 0], mesh.vertices[:, 1],
+        report.E, report.osc, star_sizes))))
     summary = {
         "command": "estimate", "mesh": label, "preset": opts["preset"],
         "kappa": opts["kappa"], "estimator": report.estimator,
@@ -238,7 +256,8 @@ def cmd_adapt(opts, outdir):
     report = adaptive_loop(problem, theta_mark=opts["theta_mark"],
                            max_dof=opts["max_dof"], depth=opts["dual_depth"],
                            quad_degree=opts["quad_degree"])
-    write_csv(os.path.join(outdir, "run.csv"), RUN_COLUMNS, report.records)
+    write_csv(os.path.join(outdir, "run.csv"),
+              record_columns(report.records, RUN_COLUMNS))
     summary = {
         "command": "adapt", "mesh": label, "preset": opts["preset"],
         "kappa": opts["kappa"], "theta_mark": opts["theta_mark"],
@@ -262,7 +281,8 @@ def cmd_study(opts, outdir):
                               theta_mark=opts["theta_mark"],
                               depth=opts["dual_depth"],
                               quad_degree=opts["quad_degree"], mesh=mesh)
-    write_csv(os.path.join(outdir, "study.csv"), STUDY_COLUMNS, report.rows())
+    write_csv(os.path.join(outdir, "study.csv"),
+              record_columns(report.rows(), STUDY_COLUMNS))
     summary = report.summary()
     summary.update({"command": "study", "mesh": label, "preset": opts["preset"],
                     "kappas": kappas})

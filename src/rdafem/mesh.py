@@ -61,6 +61,28 @@ def bary_grads(p):
     return g / (2.0 * signed_areas(p))[..., None, None]
 
 
+def _nonfinite_vertex(vertices):
+    """(index, diagnosis) of the first vertex with a nan or inf coordinate, or None."""
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if not bad.size:
+        return None
+    v = int(bad[0])
+    return v, f"vertex {v} has non-finite coordinates {tuple(vertices[v].tolist())}"
+
+
+def _has_duplicate_rows(a):
+    """Whether two rows of the 2-d array a are equal, compared by value (so
+    -0.0 equals 0.0): one lexsort brings equal rows next to each other."""
+    s = a[np.lexsort(a.T)]
+    return bool((s[1:] == s[:-1]).all(axis=1).any())
+
+
+def format_floats(values):
+    """Decimal strings of floats, 17 significant digits: each reads back as
+    exactly the same double.  The one float format of every file written."""
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
 class Mesh:
     """Conforming triangulation of a polygonal domain.
 
@@ -84,6 +106,9 @@ class Mesh:
             raise MeshError("elements must be an (ne, 3) array")
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise MeshError("element vertex index out of range")
+        nonfinite = _nonfinite_vertex(vertices)
+        if nonfinite is not None:
+            raise MeshError(nonfinite[1])
 
         areas = signed_areas(vertices[elements])
         bad = np.nonzero(areas <= 0.0)[0]
@@ -243,8 +268,7 @@ class Mesh:
         """Exhaustive conformity audit; raises MeshError on any defect."""
         if (signed_areas(self.vertices[self.elements]) <= 0).any():
             raise MeshError("inverted element")
-        key = np.sort(self.elements, axis=1)
-        if len(np.unique(key, axis=0)) != self.n_elements:
+        if _has_duplicate_rows(np.sort(self.elements, axis=1)):
             raise MeshError("duplicate element")
         counts = (self.face_elems >= 0).sum(axis=1)
         if not np.isin(counts, (1, 2)).all():
@@ -255,8 +279,7 @@ class Mesh:
         used[self.elements.ravel()] = True
         if not used.all():
             raise MeshError(f"vertex {int(np.nonzero(~used)[0][0])} not used by any element")
-        uniq = np.unique(self.vertices, axis=0)
-        if len(uniq) != self.n_vertices:
+        if _has_duplicate_rows(self.vertices):
             raise MeshError("duplicate vertex coordinates")
 
         bfaces = self.faces[~self.interior_face]
@@ -302,49 +325,41 @@ def load_mesh(path):
 
     First line: `nv ne`.  Then nv lines `x y` and ne lines `i j k` with
     0-based counter-clockwise vertex indices.  Blank lines and `#` comments
-    are allowed.  Boundary is inferred from face incidence.
+    are allowed.  Boundary is inferred from face incidence.  Each block is
+    parsed whole by `np.loadtxt`; only a block that fails is scanned line by
+    line, to name the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    lines = []
-    for ln, text in enumerate(raw.splitlines(), start=1):
-        text = text.split("#", 1)[0].strip()
-        if text:
-            lines.append((ln, text))
-    if not lines:
+    lines = raw.splitlines()
+    # 1-based numbers of the content lines: the text before '#' is not blank
+    numbers = [ln for ln, text in enumerate(lines, start=1)
+               if text.split("#", 1)[0].strip()]
+    if not numbers:
         raise MeshError(f"{path}: empty mesh file")
-    try:
-        nv, ne = (int(tok) for tok in lines[0][1].split())
-    except ValueError as exc:
-        raise MeshError(f"{path}:{lines[0][0]}: header must be 'nv ne'") from exc
+    if len(numbers) < len(lines):
+        lines = [lines[ln - 1] for ln in numbers]
+    header = "header must be 'nv ne'"
+    nv, ne = _read_block(path, lines[:1], numbers[:1], np.int64, 2,
+                         header, header)[0].tolist()
+    if nv < 0 or ne < 0:
+        raise MeshError(f"{path}:{numbers[0]}: {header}")
     if len(lines) != 1 + nv + ne:
         raise MeshError(
             f"{path}: expected {1 + nv + ne} content lines for nv={nv} ne={ne}, "
             f"found {len(lines)}"
         )
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        ln, text = lines[1 + i]
-        toks = text.split()
-        if len(toks) != 2:
-            raise MeshError(f"{path}:{ln}: vertex line must be 'x y'")
-        try:
-            vertices[i] = [float(toks[0]), float(toks[1])]
-        except ValueError as exc:
-            raise MeshError(f"{path}:{ln}: bad vertex coordinates") from exc
-    elements = np.empty((ne, 3), dtype=np.int64)
-    for i in range(ne):
-        ln, text = lines[1 + nv + i]
-        toks = text.split()
-        if len(toks) != 3:
-            raise MeshError(f"{path}:{ln}: element line must be 'i j k'")
-        try:
-            elements[i] = [int(toks[0]), int(toks[1]), int(toks[2])]
-        except ValueError as exc:
-            raise MeshError(f"{path}:{ln}: bad element indices") from exc
+    vertices = _read_block(path, lines[1:1 + nv], numbers[1:1 + nv], float, 2,
+                           "vertex line must be 'x y'", "bad vertex coordinates")
+    nonfinite = _nonfinite_vertex(vertices)
+    if nonfinite is not None:
+        v, diagnosis = nonfinite
+        raise MeshError(f"{path}:{numbers[1 + v]}: {diagnosis}")
+    elements = _read_block(path, lines[1 + nv:], numbers[1 + nv:], np.int64, 3,
+                           "element line must be 'i j k'", "bad element indices")
     if (elements < 0).any() or (elements >= nv).any():
         bad = int(np.nonzero(((elements < 0) | (elements >= nv)).any(axis=1))[0][0])
         raise MeshError(f"{path}: element {bad} references a vertex out of range")
@@ -357,14 +372,41 @@ def load_mesh(path):
     return mesh
 
 
+def _read_block(path, lines, numbers, dtype, width, shape_msg, value_msg):
+    """Parse content lines of `width` numbers each into an (n, width) array.
+
+    The numbers are the tokens `np.loadtxt` reads: Python's `int` and `float`
+    also take `1_000` and non-ASCII digits, the reader refuses them.  On
+    failure the first bad line is named, its token count checked before its
+    values.
+    """
+    if not lines:
+        return np.empty((0, width), dtype=dtype)
+    try:
+        block = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=2)
+        if block.shape == (len(lines), width):
+            return block
+    except ValueError:
+        pass
+    for ln, text in zip(numbers, lines):
+        if len(text.split("#", 1)[0].split()) != width:
+            raise MeshError(f"{path}:{ln}: {shape_msg}")
+        try:
+            np.loadtxt([text], dtype=dtype, comments="#")
+        except ValueError:
+            raise MeshError(f"{path}:{ln}: {value_msg}") from None
+    # not reached: a block fails to parse only where one of its lines does
+    raise MeshError(f"{path}:{numbers[0]}: {value_msg}")
+
+
 def save_mesh(mesh, path):
     """Write a mesh in the plain-text format read by load_mesh."""
+    xs = format_floats(mesh.vertices[:, 0])
+    ys = format_floats(mesh.vertices[:, 1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{mesh.n_vertices} {mesh.n_elements}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.elements:
-            fh.write(f"{i} {j} {k}\n")
+        fh.writelines(f"{x} {y}\n" for x, y in zip(xs, ys))
+        fh.writelines(f"{i} {j} {k}\n" for i, j, k in mesh.elements.tolist())
 
 
 def unit_square_2tri():

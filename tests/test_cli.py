@@ -180,3 +180,85 @@ def test_fmt_shortest_roundtrip():
     assert cli.fmt(0.1) == "0.10000000000000001"
     assert float(cli.fmt(np.pi)) == np.pi
     assert cli.fmt(7) == "7"
+
+
+# -- CSV bytes against the dict-per-row writer ---------------------------------
+
+
+def fmt_by_value(value):
+    """Reference cell format of the dict-per-row writer."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv_by_rows(path, columns, rows):
+    """Reference writer: one dict per row, one format call per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt_by_value(row.get(col)) for col in columns])
+
+
+def solution_rows(args, U):
+    mesh = U.mesh
+    return [{"vertex_id": z, "x": mesh.vertices[z, 0], "y": mesh.vertices[z, 1],
+             "u": U.values[z]} for z in range(mesh.n_vertices)]
+
+
+def indicator_rows(args, report):
+    mesh = args[1].mesh
+    star_sizes = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
+    return [{"vertex_id": z, "x": mesh.vertices[z, 0], "y": mesh.vertices[z, 1],
+             "E": report.E[z], "osc": report.osc[z],
+             "n_elements_in_star": int(star_sizes[z])}
+            for z in range(mesh.n_vertices)]
+
+
+MESH_ARGS = ("crisscross", "lshape", os.path.join(
+    os.path.dirname(__file__), os.pardir, "meshes", "square_64.msh"))
+# command -> (flags, CSV file, its columns, the call whose result the rows
+# come from, the dict rows the command used to build from that call)
+CSV_COMMANDS = {
+    "solve": ((), "solution.csv", ("vertex_id", "x", "y", "u"),
+              ("rdafem.galerkin", "solve"), solution_rows),
+    "estimate": ((), "indicators.csv", cli.INDICATOR_COLUMNS,
+                 ("rdafem.estimator", "build_report"), indicator_rows),
+    "adapt": (("--max-dof", "60"), "run.csv", cli.RUN_COLUMNS,
+              ("rdafem.adapt", "adaptive_loop"),
+              lambda args, report: report.records),
+    "study": (("--kappas", "1,100", "--max-dof", "40"), "study.csv", None,
+              ("rdafem.adapt", "robustness_study"),
+              lambda args, report: report.rows()),
+}
+
+
+@pytest.mark.parametrize("mesh", MESH_ARGS, ids=("crisscross", "lshape", "square_64"))
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_csv_bytes_match_row_writer(tmp_path, monkeypatch, command, mesh):
+    import importlib
+
+    from rdafem.adapt import STUDY_COLUMNS
+
+    flags, name, columns, (module, attr), rows_of = CSV_COMMANDS[command]
+    calls = []
+    owner = importlib.import_module(module)
+    original = getattr(owner, attr)
+
+    def capture(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, attr, capture)
+    assert run_cli(command, "--mesh", mesh, "--kappa", "10", *flags,
+                   "--out", str(tmp_path)) == cli.EXIT_OK
+    assert len(calls) == 1
+    reference = tmp_path / "reference.csv"
+    write_csv_by_rows(reference, columns or STUDY_COLUMNS, rows_of(*calls[0]))
+    written = (tmp_path / name).read_bytes()
+    assert written.count(b"\n") > 1
+    assert written == reference.read_bytes()
