@@ -37,11 +37,6 @@ def star_union(mesh, vertices):
     return np.nonzero(mask[mesh.elements].any(axis=1))[0]
 
 
-def dorfler_mark(mesh, indicators, theta_mark):
-    """Element set to refine: union of stars of the greedily marked vertices."""
-    return star_union(mesh, dorfler_vertices(indicators, theta_mark))
-
-
 class RunReport:
     """Per-iteration records of one adaptive run.
 

@@ -20,21 +20,21 @@ grow the value, so `depth` tunes the accuracy of the surrogate.  These
 surrogates price the oscillation f - Pi f and back the verification of the
 localization and error-residual identities.
 
-Star surrogates are computed in batches (`discrete_dual_norm`).  A free
-sub-vertex of a star has its whole hat support inside the star, so every
-star system is a principal submatrix of the operator on the red-refined mesh.
-Red-refined sub-triangles are similar to their parent, so the refined block
-of a parent T is sum_k cot(theta_k) S_k + kappa^2 |T| M with reference
-blocks S_k, M fixed per depth.  Sub-vertices are numbered topologically per
-star (the center, then face id with the dyadic index from the face's lower
-endpoint, then element interiors), the parent blocks and loads are gathered
-into each star's free set, and all stars with equal free count are solved
-by one stacked dense solve.  Stars above `_DENSE_MAX` free sub-vertices are
-solved together by one sparse solve of their block-diagonal system, so no
-memory grows with the square of a star's size.  Stars go through in chunks
-of bounded size, so memory does not grow with the mesh either.
-`PatchSpace`, which builds one star at a time, stays as the independent
-reference for the tests and serves the global and single-star surrogates.
+One engine builds every red-refined system.  A free sub-vertex of a patch
+has its whole hat support inside the patch, so every patch system is a
+principal submatrix of the operator on the red-refined mesh.  Red-refined
+sub-triangles are similar to their parent, so the refined block of a parent
+T is sum_k cot(theta_k) S_k + kappa^2 |T| M with reference blocks S_k, M
+fixed per depth, and its loads are reference loads scaled per parent.
+Sub-vertices are numbered topologically per patch (vertices, then face id
+with the dyadic index from the face's lower endpoint, then element
+interiors), and `_patch_energies` gathers the parent blocks and loads into
+each patch's free set.  Patches with equal free count are solved by one
+stacked dense solve; patches above `_DENSE_MAX` free sub-vertices are solved
+together by one sparse solve of their block-diagonal system, so no memory
+grows with the square of a patch's size.  `discrete_dual_norm` prices vertex
+stars in chunks of bounded size, so memory does not grow with the mesh
+either; `global_dual_norm` prices the whole domain as one patch.
 """
 
 import numpy as np
@@ -45,10 +45,10 @@ from . import quadrature
 from .galerkin import (PiecewiseFunctional, SourceFunctional, _p1_mass_sq,
                        energy_error_sq_elements, grad_jumps, load_vector,
                        residual_source)
-from .mesh import MeshError, bary_grads, signed_areas
+from .mesh import MeshError
 from .quadrature import DEFAULT_DEGREE
 
-_DENSE_MAX = 220  # star systems up to this size are solved densely
+_DENSE_MAX = 220  # patch systems up to this size are solved densely
 # Work entries (matrix entries plus gathered block entries and quadrature
 # values) per batch of stars; bounds the memory of one batch.
 _CHUNK_ENTRIES = 2**17
@@ -199,7 +199,8 @@ class _RefBlocks:
     pattern (`rows`, `cols`).  Loads per unit parent area come from
     `mass_bary` for P1 densities and from the sparse (node, point) matrix
     `field_weights` for field values at the points `quad_bary` (every
-    quadrature point of every sub-triangle).  Nothing here is stored dense
+    quadrature point of every sub-triangle); line sources load through
+    `face_line`, per unit face length.  Nothing here is stored dense
     in the node count squared, so deep templates stay small.
     """
 
@@ -240,6 +241,11 @@ class _RefBlocks:
               np.repeat(point, 3).ravel())),
             shape=(nt, len(self.quad_bary)))
 
+        # integral of every sub-hat over parent face i, per unit face length
+        self.face_line = np.zeros((3, nt))
+        for i, edges in enumerate(tpl.face_edges):
+            np.add.at(self.face_line[i], edges.ravel(), 0.5 / 2**depth)
+
         # topological class of every template vertex
         face = tpl.face_of >= 0
         self.corner_cols = np.nonzero(tpl.corner_of >= 0)[0]
@@ -262,122 +268,6 @@ def _ref_blocks(depth, quad_degree):
     return _ref_blocks_cache[key]
 
 
-class PatchSpace:
-    """P1 space with zero boundary values on a red-refined element patch.
-
-    Sub-vertices shared between parent elements are identified topologically
-    (by parent vertex, or by face id and the exact dyadic parameter along the
-    face), never by coordinate lookup.
-    """
-
-    def __init__(self, mesh, elements, depth):
-        self.mesh = mesh
-        self.parents = np.asarray(elements, dtype=np.int64)
-        self.depth = int(depth)
-        tpl = _template(self.depth)
-        self.tpl = tpl
-        npar = len(self.parents)
-        ntv = len(tpl.bary)
-
-        index = {}
-        coords = []
-        vert_map = np.empty((npar, ntv), dtype=np.int64)
-        for p, e in enumerate(self.parents):
-            tri = mesh.elements[e]
-            efaces = mesh.elem_faces[e]
-            phys = tpl.bary @ mesh.vertices[tri]
-            for tv in range(ntv):
-                i = tpl.corner_of[tv]
-                if i >= 0:
-                    key = ("v", int(tri[i]))
-                else:
-                    i = tpl.face_of[tv]
-                    if i >= 0:
-                        a, b = int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])
-                        t = float(tpl.face_param[tv])  # parameter toward b
-                        if a > b:
-                            t = 1.0 - t
-                        key = ("f", int(efaces[i]), t)
-                    else:
-                        key = ("e", p, tv)
-                g = index.get(key)
-                if g is None:
-                    g = len(coords)
-                    index[key] = g
-                    coords.append(phys[tv])
-                vert_map[p, tv] = g
-        self.coords = np.array(coords)
-        self.vert_map = vert_map
-        self.tris = vert_map[:, tpl.tris].reshape(-1, 3)
-        self.tri_parent = np.repeat(self.parents, len(tpl.tris))
-
-        p = self.coords[self.tris]
-        self.areas = signed_areas(p)
-        self.grads = bary_grads(p)
-
-        pairs = np.sort(self.tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        boundary = np.zeros(len(self.coords), dtype=bool)
-        boundary[uniq[counts == 1].ravel()] = True
-        self.free = np.nonzero(~boundary)[0]
-
-    def operator(self, kappa):
-        """Stiffness + kappa^2 mass over all patch vertices (CSR)."""
-        local = (np.einsum("eix,ejx->eij", self.grads, self.grads)
-                 * self.areas[:, None, None])
-        local += kappa**2 * (np.ones((3, 3)) + np.eye(3))[None] * (
-            self.areas / 12.0)[:, None, None]
-        rows = np.repeat(self.tris, 3, axis=1).ravel()
-        cols = np.tile(self.tris, (1, 3)).ravel()
-        n = len(self.coords)
-        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-    def load(self, g, quad_degree=DEFAULT_DEGREE):
-        """<g, hat> for every patch vertex; g is a SourceFunctional."""
-        out = np.zeros(len(self.coords))
-        if g.field is not None:
-            rule = quadrature.simplex_rule(quad_degree)
-            pts = quadrature.map_points(rule, self.coords[self.tris])
-            fv = np.asarray(g.field.value(pts[..., 0], pts[..., 1]), dtype=float)
-            contrib = 2.0 * self.areas[:, None] * ((fv * rule.weights) @ rule.points)
-            np.add.at(out, self.tris, g.field_weight * contrib)
-        if g.piecewise is not None:
-            self._load_piecewise(g.piecewise, out)
-        return out
-
-    def _load_piecewise(self, g, out):
-        tpl = self.tpl
-        # volume densities: value of the parent P1 density at each sub-vertex
-        dens_at = np.einsum("pz,vz->pv", g.cell_density[self.parents], tpl.bary)
-        vals = dens_at[:, tpl.tris].reshape(-1, 3)  # per sub-tri vertex
-        contrib = (self.areas[:, None] / 12.0) * (vals + vals.sum(axis=1, keepdims=True))
-        np.add.at(out, self.tris, contrib)
-        # face line sources: every mesh face of the patch is visited once
-        seen = {}
-        for p, e in enumerate(self.parents):
-            for i, face in enumerate(self.mesh.elem_faces[e]):
-                if g.face_density[face] != 0.0 and int(face) not in seen:
-                    seen[int(face)] = (p, i)
-        for face, (p, i) in seen.items():
-            c = g.face_density[face]
-            sub_len = self.mesh.face_len[face] / 2**self.depth
-            ids = self.vert_map[p, tpl.face_edges[i]]
-            np.add.at(out, ids.ravel(), 0.5 * c * sub_len)
-
-    def dual_norm(self, g, kappa, quad_degree=DEFAULT_DEGREE):
-        """Energy norm of the Riesz representative of g in the patch space."""
-        free = self.free
-        if len(free) == 0:
-            return 0.0
-        A = self.operator(kappa)[free][:, free].tocsc()
-        b = self.load(g, quad_degree)[free]
-        if len(free) <= _DENSE_MAX:
-            w = np.linalg.solve(A.toarray(), b)
-        else:
-            w = spla.spsolve(A, b)
-        return float(np.sqrt(max(w @ (A @ w), 0.0)))
-
-
 def _as_source(mesh, g):
     if isinstance(g, SourceFunctional):
         return g
@@ -391,16 +281,14 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
 
     Entry i is the energy norm of the Riesz representative of g in the P1
     space with zero boundary values on the star of vertices[i], red-refined
-    `depth` times: the value of `PatchSpace(...).dual_norm` up to rounding,
-    and monotone nondecreasing in `depth` (the spaces are nested).  A star
-    without free sub-vertices gets exactly 0.
+    `depth` times; it is monotone nondecreasing in `depth` (the spaces are
+    nested).  A star without free sub-vertices gets exactly 0.
     """
     vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
     if vertices.size and (vertices.min() < 0 or vertices.max() >= mesh.n_vertices):
         raise MeshError("star vertex out of range")
     g = _as_source(mesh, g)
-    depth = int(depth)
-    ref = _ref_blocks(depth, int(quad_degree))
+    ref = _ref_blocks(int(depth), int(quad_degree))
     starts = mesh.vertex_starts
 
     # stars in the order of their lowest element, so that a batch shares
@@ -420,13 +308,42 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
         spent = cost[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(cost, spent + _CHUNK_ENTRIES,
                                                   side="right")))
-        out[perm[start:stop]] = _star_batch(mesh, vertices[start:stop], g, kappa,
-                                            depth, ref)
+        out[perm[start:stop]] = _star_batch(mesh, vertices[start:stop], g, kappa, ref)
         start = stop
     return out
 
 
-def _star_batch(mesh, centers, g, kappa, depth, ref):
+def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
+    """Same surrogate on the whole domain with zero trace on its boundary.
+
+    The domain is one patch: the free vertices first, then the sub-vertices
+    of every interior face, then the element interiors.
+    """
+    g = _as_source(mesh, g)
+    ref = _ref_blocks(int(depth), int(quad_degree))
+    m, n_int = ref.face_dofs, ref.inner_dofs
+    free, inner = ~mesh.boundary_vertex, mesh.interior_face
+    n_v, n_f, ne = int(free.sum()), int(inner.sum()), mesh.n_elements
+    local = np.empty((ne, ref.n_nodes), dtype=np.int64)
+    local[:, ref.corner_cols] = np.where(free, np.cumsum(free) - 1, -1)[
+        mesh.elements[:, ref.corner_local]]
+    f = mesh.elem_faces[:, ref.face_local]
+    on_face = n_v + (np.cumsum(inner) - 1)[f] * m + _face_steps(mesh.elements, ref)
+    local[:, ref.face_cols] = np.where(inner[f], on_face, -1)
+    local[:, ref.inner_cols] = n_v + n_f * m + np.arange(ne * n_int).reshape(ne, n_int)
+    energy = _patch_energies(mesh, g, kappa, ref, np.zeros(ne, dtype=np.int64),
+                             np.arange(ne), local, np.array([n_v + n_f * m + ne * n_int]))
+    return float(np.sqrt(energy[0]))
+
+
+def _face_steps(tri, ref):
+    """Index of every face sub-vertex along its face, from the lower endpoint."""
+    fl = ref.face_local
+    flip = tri[:, (fl + 1) % 3] > tri[:, (fl + 2) % 3]
+    return np.where(flip, ref.face_dofs + 1 - ref.face_step, ref.face_step) - 1
+
+
+def _star_batch(mesh, centers, g, kappa, ref):
     """Dual norms of g on the stars of `centers` (one batch)."""
     starts = mesh.vertex_starts
     ns = len(centers)
@@ -436,7 +353,6 @@ def _star_batch(mesh, centers, g, kappa, depth, ref):
     np.cumsum(k, out=first[1:])
     rank = np.arange(len(star)) - first[star]
     elem, iz = np.divmod(mesh.vertex_slots[starts[centers][star] + rank], 3)
-    tri = mesh.elements[elem]
     ef = mesh.elem_faces[elem]
 
     # interior faces through the center, numbered per star in face-id order
@@ -456,38 +372,39 @@ def _star_batch(mesh, centers, g, kappa, depth, ref):
     local[:, ref.corner_cols] = np.where(
         (ref.corner_local == iz[:, None]) & (center[star] == 1)[:, None], 0, -1)
     fl = ref.face_local
-    flip = tri[:, (fl + 1) % 3] > tri[:, (fl + 2) % 3]
-    step = np.where(flip, 2**depth - ref.face_step, ref.face_step)
     local[:, ref.face_cols] = np.where(
-        through[:, fl], center[star][:, None] + slot[:, fl] * m + step - 1, -1)
+        through[:, fl],
+        center[star][:, None] + slot[:, fl] * m + _face_steps(mesh.elements[elem], ref),
+        -1)
     local[:, ref.inner_cols] = ((center + n_if * m)[star][:, None]
                                 + rank[:, None] * n_int + np.arange(n_int))
+    return np.sqrt(_patch_energies(mesh, g, kappa, ref, star, elem, local, n))
 
+
+def _patch_energies(mesh, g, kappa, ref, patch, elem, local, n):
+    """Energies of the Riesz representatives of g on red-refined patches.
+
+    Pair i puts the parent element elem[i] into patch patch[i]; local[i] is
+    the patch-local index of each of its template vertices (-1: not free),
+    and n the free count of every patch.  A patch without free sub-vertices
+    gets exactly 0.
+    """
+    n_patch = len(n)
     parents, parent_of = np.unique(elem, return_inverse=True)
-    base = np.zeros(ns + 1, dtype=np.int64)
+    base = np.zeros(n_patch + 1, dtype=np.int64)
     np.cumsum(n, out=base[1:])
     free = local >= 0
-    rhs = np.zeros(base[-1])
-    rhs += np.bincount((base[star][:, None] + local)[free],
-                       weights=_parent_loads(mesh, g, parents, ref)[parent_of][free],
-                       minlength=base[-1])
-    if g.piecewise is not None:
-        # line sources: c |F| / 2^d on each free sub-vertex of F, half that
-        # on the center from the first sub-edge
-        s_f, f = np.divmod(faces, nf)
-        c = g.piecewise.face_density[f] * mesh.face_len[f] / 2**depth
-        on_face = base[s_f] + center[s_f] + (np.arange(len(faces)) - bounds[s_f]) * m
-        rhs[on_face[:, None] + np.arange(m)] += c[:, None]
-        on = center[s_f] == 1
-        np.add.at(rhs, base[s_f][on], 0.5 * c[on])
+    rhs = np.bincount((base[patch][:, None] + local)[free],
+                      weights=_parent_loads(mesh, g, parents, ref)[parent_of][free],
+                      minlength=base[-1])
 
     rows, cols = local[:, ref.rows], local[:, ref.cols]
     vals = _parent_weights(mesh, parents, kappa)[parent_of] @ ref.values
     keep = (rows >= 0) & (cols >= 0)
-    energy = np.zeros(ns)
+    energy = np.zeros(n_patch)
 
-    # small stars: matrices grouped by size in one buffer, one stacked dense
-    # solve per size
+    # small patches: matrices grouped by size in one buffer, one stacked
+    # dense solve per size
     is_small = (n > 0) & (n <= _DENSE_MAX)
     small = np.nonzero(is_small)[0]
     by_size = small[np.argsort(n[small], kind="stable")]
@@ -495,12 +412,12 @@ def _star_batch(mesh, centers, g, kappa, depth, ref):
                                         return_counts=True)
     offset = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(counts * sizes**2, out=offset[1:])
-    at = np.zeros(ns, dtype=np.int64)
+    at = np.zeros(n_patch, dtype=np.int64)
     at[by_size] = (np.repeat(offset[:-1], counts)
                    + (np.arange(len(by_size)) - np.repeat(first_of, counts))
                    * n[by_size] ** 2)
-    pick = keep & is_small[star][:, None]
-    flat = (at[star][:, None] + rows * n[star][:, None] + cols)[pick]
+    pick = keep & is_small[patch][:, None]
+    flat = (at[patch][:, None] + rows * n[patch][:, None] + cols)[pick]
     matrices = np.bincount(flat, weights=vals[pick], minlength=offset[-1])
     for i, size in enumerate(sizes):
         members = by_size[first_of[i]:first_of[i] + counts[i]]
@@ -509,22 +426,22 @@ def _star_batch(mesh, centers, g, kappa, depth, ref):
         w = np.linalg.solve(A, b[..., None])[..., 0]
         energy[members] = (w * (A @ w[..., None])[..., 0]).sum(axis=1)
 
-    # large stars: one sparse solve of their block-diagonal system, assembled
-    # from the gathered entries without a dense matrix
+    # large patches: one sparse solve of their block-diagonal system,
+    # assembled from the gathered entries without a dense matrix
     is_large = n > _DENSE_MAX
     large = np.nonzero(is_large)[0]
     if large.size:
-        shift = np.zeros(ns, dtype=np.int64)
+        shift = np.zeros(n_patch, dtype=np.int64)
         shift[large] = np.cumsum(n[large]) - n[large]
         total = int(n[large].sum())
-        pick = keep & is_large[star][:, None]
-        at = shift[star][:, None]
+        pick = keep & is_large[patch][:, None]
+        at = shift[patch][:, None]
         A = sp.csc_matrix((vals[pick], ((at + rows)[pick], (at + cols)[pick])),
                           shape=(total, total))
         w = spla.spsolve(A, rhs[np.repeat(base[large] - shift[large], n[large])
                                 + np.arange(total)])
         energy[large] = np.add.reduceat(w * (A @ w), shift[large])
-    return np.sqrt(np.maximum(energy, 0.0))
+    return np.maximum(energy, 0.0)
 
 
 def _parent_weights(mesh, parents, kappa):
@@ -538,7 +455,11 @@ def _parent_weights(mesh, parents, kappa):
 
 
 def _parent_loads(mesh, g, parents, ref):
-    """<g, sub-hat> for every template vertex of every parent, without line sources."""
+    """<g, sub-hat> for every template vertex of every parent.
+
+    Each side of a face carries half of the face's line source, so a face
+    inside a patch gets all of it.
+    """
     area = mesh.areas[parents]
     out = np.zeros((len(parents), ref.n_nodes))
     if g.field is not None:
@@ -549,13 +470,9 @@ def _parent_loads(mesh, g, parents, ref):
         out += g.field_weight * area[:, None] * (ref.field_weights @ fv.T).T
     if g.piecewise is not None:
         out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
+        ef = mesh.elem_faces[parents]
+        out += (0.5 * g.piecewise.face_density[ef] * mesh.face_len[ef]) @ ref.face_line
     return out
-
-
-def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
-    """Same surrogate on the whole domain with zero trace on its boundary."""
-    space = PatchSpace(mesh, np.arange(mesh.n_elements), depth)
-    return space.dual_norm(_as_source(mesh, g), kappa, quad_degree)
 
 
 # -- oscillation -----------------------------------------------------------------

@@ -104,7 +104,9 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must be an (ne, 3) array")
-        if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
+        if not len(elements):
+            raise MeshError("mesh has no elements")
+        if elements.min() < 0 or elements.max() >= len(vertices):
             raise MeshError("element vertex index out of range")
         nonfinite = _nonfinite_vertex(vertices)
         if nonfinite is not None:
@@ -367,7 +369,10 @@ def load_mesh(path):
     if (areas <= 0).any():
         bad = int(np.nonzero(areas <= 0)[0][0])
         raise MeshError(f"{path}: element {bad} is not counter-clockwise")
-    mesh = Mesh(vertices, elements, ref_edge_policy="longest")
+    try:
+        mesh = Mesh(vertices, elements, ref_edge_policy="longest")
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
     mesh.audit()
     return mesh
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import galerkin
 from .dual_system import get_dual_system, project_pi, theta_factor
-from .estimator import PatchSpace, localize_check
+from .estimator import discrete_dual_norm, localize_check
 from .galerkin import (DiscreteFunction, PiecewiseFunctional, ScalarField,
                        SourceFunctional, apply_operator)
 from .mesh import MeshError, bary_grads, signed_areas
@@ -319,13 +319,11 @@ def stability_samples(mesh, kappa, rng, vertices, depth=2,
 
         g = ScalarField(field, name="stability-sample")
         pig = project_pi(mesh, kappa, g, quad_degree)
-        space = PatchSpace(mesh, star.elements, depth)
-        gsrc = SourceFunctional(mesh, field=g)
-        pigsrc = SourceFunctional(mesh, piecewise=pig)
-        denom = space.dual_norm(gsrc, kappa, quad_degree)
+        denom = discrete_dual_norm(mesh, [z], g, kappa, depth, quad_degree)[0]
         if denom == 0.0:
             continue
-        worst = max(worst, space.dual_norm(pigsrc, kappa, quad_degree) / denom)
+        num = discrete_dual_norm(mesh, [z], pig, kappa, depth, quad_degree)[0]
+        worst = max(worst, num / denom)
     return worst
 
 

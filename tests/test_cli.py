@@ -136,6 +136,16 @@ def test_missing_mesh_file_names_path(tmp_path, capsys):
     assert "nope.msh" in capsys.readouterr().err
 
 
+def test_mesh_without_elements_is_a_bad_mesh(tmp_path, capsys):
+    path = tmp_path / "none.msh"
+    path.write_text("0 0\n")
+    code = run_cli("solve", "--mesh", str(path), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_USAGE == 2
+    err = capsys.readouterr().err
+    assert "bad mesh" in err and "none.msh: mesh has no elements" in err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run_cli("solve", "--preset", "bogus",
                    "--out", str(tmp_path)) == cli.EXIT_USAGE

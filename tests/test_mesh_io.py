@@ -229,6 +229,20 @@ def test_load_mesh_names_the_non_finite_line(tmp_path, token):
         load_mesh(str(path))
 
 
+def test_mesh_refuses_no_elements():
+    with pytest.raises(MeshError, match=r"^mesh has no elements$"):
+        Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "3 0\n0 0\n1 0\n0 1\n"],
+                         ids=["empty", "vertices_only"])
+def test_load_mesh_refuses_no_elements(tmp_path, text):
+    path = tmp_path / "none.msh"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=r"none\.msh: mesh has no elements$"):
+        load_mesh(str(path))
+
+
 def test_cli_solve_refuses_non_finite_mesh(tmp_path, capsys):
     path = tmp_path / "nf.msh"
     path.write_text(SQUARE.replace("1 1\n", "1 nan\n"))

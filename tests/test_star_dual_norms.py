@@ -1,4 +1,5 @@
-"""Batched star dual norms against the one-star-at-a-time PatchSpace oracle."""
+"""Batched star and global dual norms against the one-patch-at-a-time
+PatchSpace oracle."""
 
 import pathlib
 import tracemalloc
@@ -10,6 +11,8 @@ from rdafem import estimator as est
 from rdafem import galerkin as g
 from rdafem import mesh as mesh_mod
 from rdafem.dual_system import project_pi
+
+from patch_oracle import PatchSpace
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 KAPPAS = (1e-8, 1.0, 1e4, 1e10)
@@ -74,9 +77,11 @@ def _assert_matches(got, ref, label):
 def test_batched_matches_patch_space(label, mesh, depth):
     rng = np.random.default_rng(depth)
     vertices = np.arange(mesh.n_vertices)
-    spaces = [est.PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
+    spaces = [PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
+    whole = PatchSpace(mesh, np.arange(mesh.n_elements), depth)
     for kappa in KAPPAS:
-        for name, src in _sources(mesh, kappa, rng):
+        sources = _sources(mesh, kappa, rng)
+        for name, src in sources:
             got = est.discrete_dual_norm(mesh, vertices, src, kappa, depth)
             oracle = est._as_source(mesh, src)
             ref = np.array([space.dual_norm(oracle, kappa) for space in spaces])
@@ -84,6 +89,21 @@ def test_batched_matches_patch_space(label, mesh, depth):
             if depth == 0:
                 # a boundary star has no free sub-vertex at depth zero
                 assert (got[mesh.boundary_vertex] == 0.0).all()
+        # the whole domain as one patch, for the data above plus the sinsin
+        # field and its residual; the residual nearly vanishes at depth zero
+        # (Galerkin orthogonality), so the values of one kappa are compared
+        # as one set
+        problem = g.make_problem(mesh, kappa, "sinsin")
+        sources += [("field", problem.rhs),
+                    ("residual", g.residual_source(problem, g.solve(problem)))]
+        got = np.array([est.global_dual_norm(mesh, src, kappa, depth)
+                        for _, src in sources])
+        ref = np.array([whole.dual_norm(est._as_source(mesh, src), kappa)
+                        for _, src in sources])
+        _assert_matches(got, ref, (label, depth, kappa, "global"))
+        if label == "square2" and depth == 0:
+            # no vertex of two triangles is free
+            assert (got == 0.0).all()
 
 
 def test_corpus_covers_every_star_kind():
@@ -99,7 +119,7 @@ def test_corpus_covers_every_star_kind():
                 kinds.add("boundary")
     assert kinds == {"interior", "boundary", "corner"}
     # some depth-3 star is too large for the dense solve
-    big = max(len(est.PatchSpace(mesh, mesh.star(z).elements, 3).free)
+    big = max(len(PatchSpace(mesh, mesh.star(z).elements, 3).free)
               for _, mesh in MESHES for z in range(mesh.n_vertices))
     assert big > est._DENSE_MAX
 
@@ -129,7 +149,7 @@ def test_localize_check_local_norms_match_patch_space(label):
         U = g.solve(problem)
         rep = est.localize_check(problem, U, depth=2)
         src = g.residual_source(problem, U)
-        ref = np.array([est.PatchSpace(mesh, mesh.star(z).elements, 2)
+        ref = np.array([PatchSpace(mesh, mesh.star(z).elements, 2)
                         .dual_norm(src, kappa) for z in range(mesh.n_vertices)])
         _assert_matches(rep.local_norms, ref, (label, kappa))
 
@@ -172,7 +192,7 @@ def test_deep_stars_match_patch_space_in_bounded_memory(depth, monkeypatch):
     assert valence[cases[1][1]].min() == 8
     rng = np.random.default_rng(depth)
     for mesh, vertices in cases:
-        spaces = [est.PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
+        spaces = [PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
         for name, src in _sources(mesh, 1.0, rng):
             if name not in ("sinsin", "mixed"):
                 continue
