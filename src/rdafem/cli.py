@@ -217,6 +217,7 @@ def cmd_solve(opts, outdir):
     if problem.exact is not None and problem.exact.grad is not None:
         summary["error"] = galerkin.energy_error(problem, U,
                                                  quad_degree=opts["quad_degree"])
+    summary.update(U.solver_stats)
     write_json(os.path.join(outdir, "solve.json"), summary)
     return EXIT_OK
 

@@ -52,6 +52,9 @@ class DiscreteFunction:
         self.mesh = mesh
         self.values = values
 
+    # set by `solve`: {"cg_iterations", "cg_residual", "preconditioner"}
+    solver_stats = None
+
     def element_values(self):
         """(ne, 3) vertex values per element."""
         return self.values[self.mesh.elements]
@@ -299,31 +302,158 @@ def load_vector(problem, quad_degree=DEFAULT_DEGREE):
 
 
 def solve(problem, tol=1e-10, quad_degree=DEFAULT_DEGREE, system=None):
-    """Galerkin solution by Jacobi-preconditioned conjugate gradients.
+    """Galerkin solution by preconditioned conjugate gradients.
 
-    Raises SolverError if CG does not converge within 10 * dof iterations or
-    the final residual misses the tolerance.
+    Large diffusion-dominated systems are preconditioned by a
+    smoothed-aggregation V-cycle, all others by Jacobi
+    (`_preconditioner_kind`).  If CG does not converge within 10 * dof
+    iterations, a system of at most `_DIRECT_MAX_DOFS` unknowns is solved by
+    sparse LU instead and a larger one raises SolverError; so does a final
+    residual above 100 * tol * |b| on any path.  The result carries
+    `solver_stats`: `cg_iterations`, `cg_residual` (final |Ax - b| / |b|) and
+    `preconditioner` ("jacobi", "sa", or "direct" for the LU fallback).
     """
     if system is None:
         system = assemble(problem.mesh, problem.kappa)
-    b_full = load_vector(problem, quad_degree)
-    b = b_full[system.free]
-    values = np.zeros(problem.mesh.n_vertices)
+    b = load_vector(problem, quad_degree)[system.free]
     n = len(b)
-    if n == 0:
-        return DiscreteFunction(problem.mesh, values)
-    diag = system.matrix.diagonal()
-    precond = spla.LinearOperator((n, n), matvec=lambda r: r / diag)
-    x, info = spla.cg(system.matrix, b, rtol=tol, atol=0.0,
-                      maxiter=max(10 * n, 50), M=precond)
-    if info != 0:
-        raise SolverError(f"CG failed to converge (info={info}, n={n})")
-    resid = np.linalg.norm(system.matrix @ x - b)
+    A = system.matrix
+    kind = _preconditioner_kind(system)
+    if kind == "sa":
+        precond = _sa_preconditioner(A)
+    else:
+        diag = A.diagonal()
+        precond = spla.LinearOperator((n, n), matvec=lambda r: r / diag)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=max(10 * n, 50),
+                      M=precond, callback=count)
     bnorm = np.linalg.norm(b)
+    scale = bnorm if bnorm > 0 else 1.0
+    if info != 0:
+        if n > _DIRECT_MAX_DOFS:
+            raise SolverError(
+                f"CG failed to converge (info={info}, n={n}) after {iterations} "
+                f"iterations, relative residual "
+                f"{np.linalg.norm(A @ x - b) / scale:.3e}")
+        x = spla.splu(A.tocsc()).solve(b)
+        kind = "direct"
+    resid = np.linalg.norm(A @ x - b)
     if bnorm > 0 and resid > 100.0 * tol * bnorm:
         raise SolverError(f"CG residual {resid:.3e} exceeds tolerance against {bnorm:.3e}")
+    values = np.zeros(problem.mesh.n_vertices)
     values[system.free] = x
-    return DiscreteFunction(problem.mesh, values)
+    U = DiscreteFunction(problem.mesh, values)
+    U.solver_stats = {"cg_iterations": iterations,
+                      "cg_residual": float(resid / scale), "preconditioner": kind}
+    return U
+
+
+# -- smoothed-aggregation multigrid ------------------------------------------
+#
+# Plain smoothed aggregation (Vanek, Mandel and Brezina, Computing 56, 1996)
+# with aggregates grown from a distance-2 maximal independent set built by
+# array operations (Bell, Dalton and Olson, SIAM J. Sci. Comput. 34, 2012).
+# Every step is deterministic, so one matrix always gives one hierarchy.
+
+_SA_STRENGTH = 0.08     # strong coupling: |a_ij| >= this * sqrt(a_ii a_jj)
+_SA_COARSE = 400        # levels of at most this many unknowns are factored
+_SA_MIN_DOFS = 20_000   # below this size Jacobi-PCG is as fast
+# above this smallest share of a_zz from the kappa^2 mass term Jacobi-PCG
+# needs few enough iterations to be faster than building the hierarchy
+_SA_MAX_MASS_SHARE = 3e-4
+_DIRECT_MAX_DOFS = 100_000  # CG failure falls back to sparse LU up to here
+
+
+def _preconditioner_kind(system):
+    """"sa" for a large system whose diagonal is dominated by the stiffness
+    everywhere, "jacobi" otherwise."""
+    if len(system.free) < _SA_MIN_DOFS:
+        return "jacobi"
+    mesh = system.mesh
+    # the P1 mass matrix has |T|/6 on the diagonal of each corner of T
+    mass = np.bincount(mesh.elements.ravel(), np.repeat(mesh.areas / 6.0, 3),
+                       minlength=mesh.n_vertices)[system.free]
+    share = system.kappa**2 * mass / system.matrix.diagonal()
+    return "sa" if share.min() < _SA_MAX_MASS_SHARE else "jacobi"
+
+
+def _row_max(indptr, indices, v):
+    """Largest v over each row's pattern (every row holds its diagonal)."""
+    return np.maximum.reduceat(v[indices], indptr[:-1])
+
+
+def _sa_aggregates(A):
+    """Aggregate index of every unknown of the SPD CSR matrix A."""
+    n = A.shape[0]
+    d = A.diagonal()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    keep = (rows == A.indices) | (
+        np.abs(A.data) >= _SA_STRENGTH * np.sqrt(d[rows] * d[A.indices]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    indices = A.indices[keep]
+    # fixed ranks: the unknowns ordered by a multiplicative hash of the index
+    h = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(h, kind="stable")] = np.arange(n)
+    # distance-2 MIS: an undecided unknown becomes a root where its key is
+    # the largest within distance 2, and drops out where a root's key is
+    state = np.ones(n, dtype=np.int64)  # 0 out, 1 undecided, 2 root
+    while (state == 1).any():
+        key = state * n + rank
+        top = _row_max(indptr, indices, _row_max(indptr, indices, key))
+        undecided = state == 1
+        state[undecided & (top == key)] = 2
+        state[undecided & (top >= 2 * n)] = 0
+    root = state == 2
+    # join the highest-ranked root at distance 1, else one at distance 2
+    near = _row_max(indptr, indices, np.where(root, rank, -1))
+    near = np.where(near >= 0, near, _row_max(indptr, indices, near))
+    root_of_rank = np.argsort(rank)
+    return (np.cumsum(root) - 1)[root_of_rank[near]]
+
+
+def _sa_levels(A):
+    """[(A, omega / diag(A), P), ...] from the finest level down, and the
+    coarsest matrix."""
+    levels = []
+    while A.shape[0] > _SA_COARSE:
+        n = A.shape[0]
+        agg = _sa_aggregates(A)
+        n_coarse = int(agg.max()) + 1
+        if 2 * n_coarse > n:  # coarsening stalls where the mass term dominates
+            break
+        tentative = sp.csr_matrix((np.ones(n), (np.arange(n), agg)),
+                                  shape=(n, n_coarse))
+        dinv = 1.0 / A.diagonal()
+        rho = (abs(A) @ np.ones(n) * dinv).max()  # Gershgorin bound on D^-1 A
+        wdinv = 4.0 / (3.0 * rho) * dinv
+        P = (tentative - sp.diags(wdinv) @ (A @ tentative)).tocsr()
+        levels.append((A, wdinv, P))
+        A = (P.T @ (A @ P)).tocsr()
+    return levels, A
+
+
+def _sa_preconditioner(A):
+    """Symmetric V(1,1) cycle with damped Jacobi smoothing and an exact
+    coarsest solve, as a LinearOperator (SPD, so fit for CG)."""
+    levels, coarse = _sa_levels(A)
+    lu = spla.splu(coarse.tocsc())
+
+    def cycle(level, b):
+        if level == len(levels):
+            return lu.solve(b)
+        A, wdinv, P = levels[level]
+        x = wdinv * b
+        x += P @ cycle(level + 1, P.T @ (b - A @ x))
+        return x + wdinv * (b - A @ x)
+
+    return spla.LinearOperator(A.shape, matvec=lambda r: cycle(0, r))
 
 
 # -- operator application ------------------------------------------------------

@@ -95,9 +95,12 @@ class Mesh:
         "longest" rotates each triple so the longest edge sits at (v0, v1);
         "asis" trusts the given order (used by bisect, whose children already
         encode their refinement edges).
+    areas : (ne,) float array, optional
+        `signed_areas(vertices[elements])` of the triples as given, when the
+        caller has already computed it.
     """
 
-    def __init__(self, vertices, elements, ref_edge_policy="longest"):
+    def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         elements = np.ascontiguousarray(elements, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -112,19 +115,23 @@ class Mesh:
         if nonfinite is not None:
             raise MeshError(nonfinite[1])
 
-        areas = signed_areas(vertices[elements])
+        if areas is None:
+            areas = signed_areas(vertices[elements])
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
             raise MeshError(f"element {bad[0]} has non-positive area (not counter-clockwise)")
 
         if ref_edge_policy == "longest":
-            elements = self._rotate_longest(vertices, elements)
+            elements, turned = self._rotate_longest(vertices, elements)
+            # rotated corners can round the area differently in the last bit
+            areas = areas.copy()
+            areas[turned] = signed_areas(vertices[elements[turned]])
         elif ref_edge_policy != "asis":
             raise ValueError("ref_edge_policy must be 'longest' or 'asis'")
 
         self.vertices = vertices
         self.elements = elements
-        self.areas = signed_areas(vertices[elements])
+        self.areas = areas
         self._build_topology()
         self._build_geometry()
         for arr in (self.vertices, self.elements, self.faces, self.face_elems,
@@ -134,6 +141,8 @@ class Mesh:
 
     @staticmethod
     def _rotate_longest(vertices, elements):
+        """The triples rotated so the longest edge comes first, and a mask of
+        the rotated ones."""
         p = vertices[elements]
         d = np.stack([
             np.linalg.norm(p[:, 1] - p[:, 0], axis=1),  # edge (0,1)
@@ -144,7 +153,7 @@ class Mesh:
         rotated = elements.copy()
         rotated[k == 1] = elements[k == 1][:, [1, 2, 0]]
         rotated[k == 2] = elements[k == 2][:, [2, 0, 1]]
-        return rotated
+        return rotated, k != 0
 
     def _build_topology(self):
         elements = self.elements
@@ -268,7 +277,7 @@ class Mesh:
 
     def audit(self):
         """Exhaustive conformity audit; raises MeshError on any defect."""
-        if (signed_areas(self.vertices[self.elements]) <= 0).any():
+        if (self.areas <= 0).any():
             raise MeshError("inverted element")
         if _has_duplicate_rows(np.sort(self.elements, axis=1)):
             raise MeshError("duplicate element")
@@ -370,7 +379,7 @@ def load_mesh(path):
         bad = int(np.nonzero(areas <= 0)[0][0])
         raise MeshError(f"{path}: element {bad} is not counter-clockwise")
     try:
-        mesh = Mesh(vertices, elements, ref_edge_policy="longest")
+        mesh = Mesh(vertices, elements, ref_edge_policy="longest", areas=areas)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
     mesh.audit()

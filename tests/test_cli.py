@@ -34,6 +34,21 @@ def test_solve_artifacts(tmp_path):
     assert summary["error"] > 0
 
 
+def test_solve_json_reports_solver_numerics(tmp_path):
+    from rdafem import galerkin as g
+    from rdafem.mesh import load_mesh
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "meshes", "square_64.msh")
+    assert run_cli("solve", "--mesh", path, "--out", str(tmp_path)) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "solve.json").read_text())
+    assert set(summary) == {
+        "command", "mesh", "preset", "kappa", "n_vertices", "n_elements", "dofs",
+        "energy_norm", "error", "cg_iterations", "cg_residual", "preconditioner"}
+    U = g.solve(g.make_problem(load_mesh(path), 1.0, "sinsin"))
+    assert {key: summary[key] for key in U.solver_stats} == U.solver_stats
+    assert summary["preconditioner"] == "jacobi"
+
+
 def test_solution_floats_roundtrip(tmp_path):
     # values are printed with enough digits to reproduce the exact float
     from rdafem import galerkin as g

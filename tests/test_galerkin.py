@@ -259,3 +259,61 @@ def test_problem_on_mesh():
     bound = g.Problem(m, 1.0, pw)
     with pytest.raises(TypeError):
         bound.on_mesh(fine)
+
+
+# -- solver statistics and the CG failure path ----------------------------------
+
+
+def test_solve_reports_its_numerics():
+    problem = g.make_problem(uniform_refine(unit_square_crisscross(), 6), 1.0, "sinsin")
+    stats = g.solve(problem).solver_stats
+    assert list(stats) == ["cg_iterations", "cg_residual", "preconditioner"]
+    assert stats["preconditioner"] == "jacobi"
+    assert stats["cg_iterations"] > 0
+    assert 0.0 < stats["cg_residual"] <= 1e-10
+    # no unknowns: nothing to iterate on
+    empty = g.solve(g.make_problem(unit_square_2tri(), 1.0, "sinsin")).solver_stats
+    assert empty == {"cg_iterations": 0, "cg_residual": 0.0, "preconditioner": "jacobi"}
+
+
+def failing_cg(steps):
+    """Stand-in for scipy's cg that stops after `steps` iterations, info > 0."""
+    def cg(A, b, callback=None, **kwargs):
+        x = np.zeros_like(b)
+        for _ in range(steps):
+            callback(x)
+        return x, steps
+    return cg
+
+
+def test_failed_cg_falls_back_to_sparse_lu(monkeypatch):
+    problem = g.make_problem(uniform_refine(unit_square_crisscross(), 6), 1.0, "sinsin")
+    reference = g.solve(problem, tol=1e-12)
+    monkeypatch.setattr(g.spla, "cg", failing_cg(3))
+    U = g.solve(problem)
+    assert U.solver_stats["preconditioner"] == "direct"
+    assert U.solver_stats["cg_iterations"] == 3
+    assert U.solver_stats["cg_residual"] <= 1e-10
+    assert np.allclose(U.values, reference.values, rtol=0.0, atol=1e-10)
+
+
+def test_failed_cg_above_the_direct_cap_raises(monkeypatch):
+    problem = g.make_problem(uniform_refine(unit_square_crisscross(), 4), 1.0, "sinsin")
+    n = len(problem.mesh.free_vertices())
+    monkeypatch.setattr(g.spla, "cg", failing_cg(4))
+    monkeypatch.setattr(g, "_DIRECT_MAX_DOFS", n - 1)
+    with pytest.raises(g.SolverError,
+                       match=rf"n={n}\) after 4 iterations, relative residual 1\.000e\+00"):
+        g.solve(problem)
+
+
+def test_residual_check_covers_the_fallback(monkeypatch):
+    class WrongLU:
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    problem = g.make_problem(uniform_refine(unit_square_crisscross(), 4), 1.0, "sinsin")
+    monkeypatch.setattr(g.spla, "cg", failing_cg(2))
+    monkeypatch.setattr(g.spla, "splu", lambda A: WrongLU())
+    with pytest.raises(g.SolverError, match="exceeds tolerance"):
+        g.solve(problem)

@@ -281,3 +281,28 @@ def test_audit_catches_rotated_duplicate_element():
              np.array([[0, 1, 2], [1, 2, 0]]), ref_edge_policy="asis")
     with pytest.raises(MeshError, match=r"^duplicate element$"):
         m.audit()
+
+
+def test_areas_are_those_of_the_stored_corners(tmp_path):
+    # load_mesh hands its areas to the Mesh, which recomputes only those of
+    # rotated triples; every array must equal that of a fresh build
+    # a sheared copy, so that areas round and the corner order can matter
+    refined = uniform_refine(l_shape(), 3)
+    base = Mesh(refined.vertices @ np.array([[1.0, 0.3], [0.1, 0.9]]) + 0.123,
+                refined.elements)
+    shift = np.arange(base.n_elements)[:, None] % 3
+    stored = np.take_along_axis(base.elements, (np.arange(3) + shift) % 3, axis=1)
+    turned = tmp_path / "turned.msh"
+    with open(turned, "w") as fh:
+        fh.write(f"{base.n_vertices} {base.n_elements}\n")
+        fh.writelines(f"{x!r} {y!r}\n" for x, y in base.vertices.tolist())
+        fh.writelines(f"{i} {j} {k}\n" for i, j, k in stored.tolist())
+    # two in three triples are stored turned, and the reader turns them back
+    assert np.array_equal(load_mesh(str(turned)).elements, base.elements)
+    for path in [*MESH_FILES, turned]:
+        mesh = load_mesh(str(path))
+        fresh = Mesh(mesh.vertices, mesh.elements, ref_edge_policy="asis")
+        assert np.array_equal(mesh.areas, signed_areas(mesh.vertices[mesh.elements]))
+        for name, value in vars(fresh).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(mesh, name), value), name
