@@ -77,16 +77,26 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     Oscillation surrogates are priced every `osc_every`-th iteration
     (0 switches them off).  A solver failure ends the run with the partial
     report; the report's stop_reason says why the loop ended.
+
+    Each refined mesh takes the rows of the elements and faces bisection
+    kept from the previous mesh's cached arrays (the `DualSystem`, the load
+    rows and element means of the data, the field parts of the
+    interpolation) and computes only the new rows; `repriced_elements` and
+    `repriced_faces` count those of the dual system.
     """
-    from .dual_system import project_pi, theta_factor
+    from .dual_system import get_dual_system, project_pi, theta_factor
 
     if isinstance(problem.rhs, galerkin.PiecewiseFunctional):
         raise TypeError("adaptive refinement needs data that can move to "
                         "refined meshes; a mesh-bound right-hand side cannot")
     report = RunReport(problem.kappa, theta_mark)
     kappa = problem.kappa
+    mesh = None
     for it in range(max_iter):
-        mesh = problem.mesh
+        # the previous mesh is held until the arrays cached on this mesh (the
+        # data rows in the solve, the dual system and the field parts of Pi)
+        # have taken their kept rows from it
+        parent, mesh = mesh, problem.mesh
         t0 = time.perf_counter()
         system = galerkin.assemble(mesh, kappa)
         dofs = int(len(system.free))
@@ -97,6 +107,8 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             report.stop_reason = f"solver failure: {exc}"
             break
         interpolated = project_pi(mesh, kappa, problem.rhs, quad_degree)
+        duals = get_dual_system(mesh, kappa, quad_degree)
+        del parent
         rd = residuals(problem, U, interpolated)
         E = vertex_indicators(rd)
         estimator = float(np.sqrt((E**2).sum()))
@@ -115,6 +127,8 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             "kappa": kappa,
             "theta_mark": theta_mark,
             "theta_min": float(theta_factor(mesh.h_elem, kappa).min()),
+            "repriced_elements": duals.n_new_elements,
+            "repriced_faces": duals.n_new_faces,
             "n_marked_vertices": 0,
             "n_marked_elements": 0,
             "seconds": 0.0,

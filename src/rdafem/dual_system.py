@@ -31,7 +31,9 @@ import weakref
 import numpy as np
 
 from . import quadrature
-from .galerkin import PiecewiseFunctional, SourceFunctional
+from .galerkin import (PiecewiseFunctional, SourceFunctional, field_rows,
+                       node_values)
+from .mesh import carry_rows
 from .quadrature import DEFAULT_DEGREE
 
 GAMMA_DEGREE = 4  # the gamma integrand on the squeezed triangle is cubic
@@ -45,6 +47,16 @@ def theta_factor(h, kappa):
 # -- assembled system and the interpolation -----------------------------------
 
 
+def _parts(f):
+    """(field, field weight, piecewise part) of a functional; absent parts
+    are None."""
+    if isinstance(f, SourceFunctional):
+        return f.field, f.field_weight, f.piecewise
+    if isinstance(f, PiecewiseFunctional):
+        return None, 1.0, f
+    return f, 1.0, None
+
+
 class DualSystem:
     """All dual functions of one (mesh, kappa) pair, in array form.
 
@@ -52,6 +64,13 @@ class DualSystem:
     data is stored per side s in {0, 1} (lower/higher adjacent element):
     squeeze factors, squeezed vertex coordinates, barycentric coordinates of
     the squeezed vertices in the parent element, and the gamma coefficients.
+
+    Every row depends only on its element, or on its face and the face's two
+    elements, and on kappa.  On a mesh made by `bisect` the rows of kept
+    elements and faces are therefore taken from the parent mesh's cached
+    system, while that mesh is alive, and only the new rows are computed;
+    `n_new_elements` and `n_new_faces` count them.  The same holds for the
+    pairings of a field with the duals, which are cached per field.
 
     The system holds its mesh weakly: `get_dual_system` caches it on the
     mesh, and a strong reference back would make a cycle that only the
@@ -62,8 +81,19 @@ class DualSystem:
         self._mesh = weakref.ref(mesh)
         self.kappa = float(kappa)
         self.quad_degree = int(quad_degree)
-        self._build_elements()
-        self._build_faces()
+        self.key = _system_key(kappa, quad_degree)
+        self.iface = np.nonzero(mesh.interior_face)[0]
+        self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
+        self.face_pos[self.iface] = np.arange(len(self.iface))
+        self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
+        old, self._element_sources = mesh.inherited(self.key)
+        self._face_sources = self._faces_in(old)
+        self._build_elements(old)
+        self._build_faces(old)
+        # field -> its pairings with the element duals (ne, 3) and with the
+        # face bubbles psi_F (nfi,)
+        self._element_pairs = {}
+        self._face_pairs = {}
 
     @property
     def mesh(self):
@@ -72,8 +102,20 @@ class DualSystem:
             raise ReferenceError("the mesh of this DualSystem has been freed")
         return mesh
 
-    def _build_elements(self):
+    def _faces_in(self, old):
+        """Row in the arrays of `old`, the parent mesh's system, of each
+        interior face bisection kept; -1 for a new face, and for every face
+        when old is None."""
+        sources = np.full(len(self.iface), -1, dtype=np.int64)
+        if old is not None:
+            parent = self.mesh.parent_faces[self.iface]
+            kept = parent >= 0
+            sources[kept] = old.face_pos[parent[kept]]
+        return sources
+
+    def _build_elements(self, old):
         mesh = self.mesh
+        new = np.nonzero(self._element_sources < 0)[0]
         expo = np.ones((3, 3, 3), dtype=int)
         for y in range(3):
             for z in range(3):
@@ -83,24 +125,23 @@ class DualSystem:
         for y in range(3):
             for z in range(3):
                 base[y, z] = quadrature.integrate_barycentric(1.0, expo[y, z])
-        gram = base[None, :, :] * mesh.areas[:, None, None]
-        self.psi = np.linalg.solve(gram, np.broadcast_to(
-            np.eye(3), (mesh.n_elements, 3, 3)).copy())
+        gram = base[None, :, :] * mesh.areas[new, None, None]
         # rows of the inverse Gram are the coefficient vectors (it is symmetric)
+        psi = np.linalg.solve(gram, np.broadcast_to(np.eye(3), gram.shape).copy())
+        self.psi = carry_rows(None if old is None else old.psi, self._element_sources, psi)
+        self.n_new_elements = len(new)
 
-    def _build_faces(self):
+    def _build_faces(self, old):
         mesh = self.mesh
-        kappa = self.kappa
-        self.iface = np.nonzero(mesh.interior_face)[0]
-        nfi = len(self.iface)
-        self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
-        self.face_pos[self.iface] = np.arange(nfi)
-        adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
-        self.adj = adj
-        self.thetas = theta_factor(mesh.h_elem[adj], kappa)  # (nfi, 2)
+        sources = self._face_sources
+        new = np.nonzero(sources < 0)[0]
+        nfi = len(new)
+        faces = self.iface[new]
+        adj = self.adj[new]
+        thetas = theta_factor(mesh.h_elem[adj], self.kappa)  # (nfi, 2)
 
         # local index of the face inside each adjacent element (apex index)
-        apex = np.argmax(mesh.elem_faces[adj] == self.iface[:, None, None], axis=2)
+        apex = np.argmax(mesh.elem_faces[adj] == faces[:, None, None], axis=2)
         v0_loc = (apex + 1) % 3
         v1_loc = (apex + 2) % 3
         tri = mesh.elements[adj]  # (nfi, 2, 3)
@@ -111,98 +152,129 @@ class DualSystem:
         p0 = mesh.vertices[v0]
         p1 = mesh.vertices[v1]
         pA = mesh.vertices[vA]
-        th = self.thetas[..., None]
-        self.sq_coords = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
+        th = thetas[..., None]
+        sq_coords = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
 
-        self.parent_bary = np.zeros((nfi, 2, 3, 3))
+        parent_bary = np.zeros((nfi, 2, 3, 3))
         s_idx = np.broadcast_to(np.arange(2)[None, :], (nfi, 2))
         f_idx = np.broadcast_to(take, (nfi, 2))
-        self.parent_bary[f_idx, s_idx, 0, v0_loc] = 1.0
-        self.parent_bary[f_idx, s_idx, 1, v1_loc] = 1.0
-        self.parent_bary[f_idx, s_idx, 2, v0_loc] = 1.0 - self.thetas
-        self.parent_bary[f_idx, s_idx, 2, apex] = self.thetas
+        parent_bary[f_idx, s_idx, 0, v0_loc] = 1.0
+        parent_bary[f_idx, s_idx, 1, v1_loc] = 1.0
+        parent_bary[f_idx, s_idx, 2, v0_loc] = 1.0 - thetas
+        parent_bary[f_idx, s_idx, 2, apex] = thetas
 
         rule = quadrature.simplex_rule(GAMMA_DEGREE)
         mu = rule.points
         bubble = mu[:, 0] * mu[:, 1]
-        inv_int = 6.0 / mesh.face_len[self.iface]  # 1 / (|F|/6)
-        lam_parent = quadrature.map_points(rule, self.parent_bary)  # (nfi, 2, nq, 3)
-        jac = 2.0 * self.thetas * mesh.areas[adj]  # (nfi, 2)
-        self.gammas = inv_int[:, None, None] * jac[:, :, None] * (
+        inv_int = 6.0 / mesh.face_len[faces]  # 1 / (|F|/6)
+        lam_parent = quadrature.map_points(rule, parent_bary)  # (nfi, 2, nq, 3)
+        jac = 2.0 * thetas * mesh.areas[adj]  # (nfi, 2)
+        gammas = inv_int[:, None, None] * jac[:, :, None] * (
             (rule.weights * bubble) @ lam_parent)
+
+        for name, rows in (("thetas", thetas), ("sq_coords", sq_coords),
+                           ("parent_bary", parent_bary), ("gammas", gammas)):
+            setattr(self, name, carry_rows(None if old is None else getattr(old, name),
+                                           sources, rows))
+        self.n_new_faces = nfi
+
+    def _pair_bubble(self, fv, rows):
+        """Quadrature of node values fv (n, 2, nq) on the squeezed triangles
+        against psi_F, on the interior-face rows `rows`, (n,)."""
+        mesh = self.mesh
+        rule = quadrature.simplex_rule(self.quad_degree)
+        bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
+        inv_int = 6.0 / mesh.face_len[self.iface[rows]]  # 1 / (|F|/6)
+        jac = 2.0 * self.thetas[rows] * mesh.areas[self.adj[rows]]
+        return inv_int * ((fv @ bubble_w) * jac).sum(axis=1)
 
     # -- bulk pairings --
 
+    def _carried(self, table, field, sources, fresh):
+        """table[field], built on first use: the rows kept by bisection
+        (`sources`) from the parent mesh's system while it is alive and has
+        them, fresh(new rows) for the others."""
+        cache = getattr(self, table)
+        if field not in cache:
+            old = self.mesh.inherited(self.key)[0]
+            old_rows = None if old is None else getattr(old, table).get(field)
+            if old_rows is None:
+                sources = np.full(len(sources), -1, dtype=np.int64)
+            rows = carry_rows(old_rows, sources, fresh(np.nonzero(sources < 0)[0]))
+            rows.setflags(write=False)
+            cache[field] = rows
+        return cache[field]
+
     def pair_elements(self, f):
         """<f, phi*_{z;T}> for all elements and local nodes, (ne, 3)."""
-        mesh = self.mesh
+        field, weight, piecewise = _parts(f)
+        out = np.zeros((self.mesh.n_elements, 3))
+        if field is not None:
+            out += weight * self._pair_elements_field(field)
+        if piecewise is not None:
+            rule = quadrature.simplex_rule(self.quad_degree)
+            # face line sources contribute nothing here: the element duals
+            # vanish identically on element boundaries
+            out += self._pair_psib(piecewise.cell_density @ rule.points.T,
+                                   slice(None))
+        return out
+
+    def _pair_elements_field(self, field):
+        """<field, psi_z b_T> per element and local node, cached per field."""
+        def fresh(new):
+            rows = field_rows(self.mesh, field, self.quad_degree)
+            # bisection made the same elements new for both, unless the
+            # parent mesh held only one of them
+            if np.array_equal(new, rows.new):
+                return self._pair_psib(rows.values, new)
+            return self._pair_psib(node_values(self.mesh, field, self.quad_degree, new), new)
+        return self._carried("_element_pairs", field, self._element_sources, fresh)
+
+    def _pair_psib(self, fv, rows):
+        """Quadrature of node values fv against psi_z b_T on the element rows
+        `rows`, (n, 3)."""
         rule = quadrature.simplex_rule(self.quad_degree)
-        # psi_z times the element bubble at the nodes, (ne, nq, 3)
-        psib = quadrature.map_points(rule, self.psi) * rule.points.prod(axis=1)[:, None]
-        out = np.zeros((mesh.n_elements, 3))
-        if isinstance(f, SourceFunctional):
-            if f.field is not None:
-                out += f.field_weight * self._pair_elements_field(f.field, rule, psib)
-            if f.piecewise is not None:
-                out += self._pair_elements_density(f.piecewise, rule, psib)
-            return out
-        if isinstance(f, PiecewiseFunctional):
-            return self._pair_elements_density(f, rule, psib)
-        return self._pair_elements_field(f, rule, psib)
-
-    def _pair_elements_field(self, field, rule, psib):
-        mesh = self.mesh
-        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
-        fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-        return self._pair_psib(fv, rule, psib)
-
-    def _pair_elements_density(self, g, rule, psib):
-        # face line sources contribute nothing here: the element duals vanish
-        # identically on element boundaries
-        return self._pair_psib(g.cell_density @ rule.points.T, rule, psib)
-
-    def _pair_psib(self, fv, rule, psib):
-        """Quadrature of node values fv (ne, nq) against psi_z b_T, (ne, 3)."""
+        # psi_z times the element bubble at the nodes, (n, nq, 3)
+        psib = (quadrature.map_points(rule, self.psi[rows])
+                * rule.points.prod(axis=1)[:, None])
         weighted = (fv * rule.weights)[:, None, :]
-        return 2.0 * self.mesh.areas[:, None] * (weighted @ psib)[:, 0, :]
+        return 2.0 * self.mesh.areas[rows, None] * (weighted @ psib)[:, 0, :]
 
     def pair_faces(self, f, elem_pairs):
         """<f, phi*_F> for all interior faces, given the element pairings."""
-        mesh = self.mesh
-        nfi = len(self.iface)
-        rule = quadrature.simplex_rule(self.quad_degree)
-        mu = rule.points
-        bubble_w = rule.weights * mu[:, 0] * mu[:, 1]  # weights x bubble values
-        inv_int = 6.0 / mesh.face_len[self.iface]
-        jac = 2.0 * self.thetas * mesh.areas[self.adj]
-        out = np.zeros(nfi)
-        if isinstance(f, SourceFunctional):
-            if f.field is not None:
-                out += f.field_weight * self._psi_pair_field(f.field, rule, bubble_w,
-                                                             inv_int, jac)
-            if f.piecewise is not None:
-                out += self._psi_pair_density(f.piecewise, rule, bubble_w, inv_int, jac)
-        elif isinstance(f, PiecewiseFunctional):
-            out += self._psi_pair_density(f, rule, bubble_w, inv_int, jac)
-        else:
-            out += self._psi_pair_field(f, rule, bubble_w, inv_int, jac)
+        field, weight, piecewise = _parts(f)
+        out = np.zeros(len(self.iface))
+        if field is not None:
+            out += weight * self._psi_pair_field(field)
+        if piecewise is not None:
+            out += self._psi_pair_density(piecewise)
         out -= np.einsum("fsz,fsz->f", self.gammas, elem_pairs[self.adj])
         return out
 
-    def _psi_pair_field(self, field, rule, bubble_w, inv_int, jac):
-        pts = quadrature.map_points(rule, self.sq_coords)
-        fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-        return inv_int * ((fv @ bubble_w) * jac).sum(axis=1)
+    def _psi_pair_field(self, field):
+        """<field, psi_F> per interior face, cached per field."""
+        def fresh(new):
+            rule = quadrature.simplex_rule(self.quad_degree)
+            pts = quadrature.map_points(rule, self.sq_coords[new])
+            fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
+            return self._pair_bubble(fv, new)
+        return self._carried("_face_pairs", field, self._face_sources, fresh)
 
-    def _psi_pair_density(self, g, rule, bubble_w, inv_int, jac):
+    def _psi_pair_density(self, g):
+        rule = quadrature.simplex_rule(self.quad_degree)
         lam_parent = quadrature.map_points(rule, self.parent_bary)
         dens = g.cell_density[self.adj]  # (nfi, 2, 3)
         fv = (lam_parent @ dens[..., None])[..., 0]  # (nfi, 2, nq)
-        out = inv_int * ((fv @ bubble_w) * jac).sum(axis=1)
+        out = self._pair_bubble(fv, slice(None))
         # the trace of psi_F integrates to exactly one over its own face and
         # vanishes on every other face of the patch
         out += g.face_density[self.iface]
         return out
+
+
+def _system_key(kappa, quad_degree=DEFAULT_DEGREE):
+    """The key of a DualSystem in its mesh's cache."""
+    return ("dual_system", float(kappa), int(quad_degree))
 
 
 def get_dual_system(mesh, kappa, quad_degree=DEFAULT_DEGREE):
@@ -211,13 +283,10 @@ def get_dual_system(mesh, kappa, quad_degree=DEFAULT_DEGREE):
     The cache lives on the mesh and its systems hold the mesh only weakly,
     so the cache goes with the mesh as soon as the last reference to it does.
     """
-    per_mesh = getattr(mesh, "_dual_systems", None)
-    if per_mesh is None:
-        per_mesh = mesh._dual_systems = {}
-    key = (float(kappa), int(quad_degree))
-    if key not in per_mesh:
-        per_mesh[key] = DualSystem(mesh, kappa, quad_degree)
-    return per_mesh[key]
+    key = _system_key(kappa, quad_degree)
+    if key not in mesh.cache:
+        mesh.cache[key] = DualSystem(mesh, kappa, quad_degree)
+    return mesh.cache[key]
 
 
 def project_pi(mesh, kappa, f, quad_degree=DEFAULT_DEGREE):

@@ -43,8 +43,8 @@ import scipy.sparse.linalg as spla
 
 from . import quadrature
 from .galerkin import (PiecewiseFunctional, SourceFunctional, _p1_mass_sq,
-                       energy_error_sq_elements, grad_jumps, load_vector,
-                       residual_source)
+                       energy_error_sq_elements, field_rows, grad_jumps,
+                       load_vector, residual_source)
 from .mesh import MeshError
 from .quadrature import DEFAULT_DEGREE
 
@@ -122,10 +122,7 @@ def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
     if isinstance(problem.rhs, PiecewiseFunctional):
         f_mean = problem.rhs.cell_density.mean(axis=1)
     else:
-        rule = quadrature.simplex_rule(quad_degree)
-        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
-        fv = np.asarray(problem.rhs.value(pts[..., 0], pts[..., 1]), dtype=float)
-        f_mean = 2.0 * (fv @ rule.weights)  # divided by |T| against the |T| Jacobian
+        f_mean = field_rows(mesh, problem.rhs, quad_degree).mean
     coeffs = f_mean[:, None] - kappa**2 * U.values[mesh.elements]
     vol = weight_elements(mesh, kappa) ** 2 * _p1_mass_sq(mesh.areas, coeffs)
     jumps_sq = grad_jumps(mesh, U) ** 2 * mesh.face_len * weight_faces(mesh, kappa)

@@ -18,10 +18,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .mesh import MeshError, bary_grads
+from .mesh import MeshError, bary_grads, carry_rows
 from .quadrature import DEFAULT_DEGREE
 
-_ERROR_BLOCK = 2**14  # elements per block of energy_error_sq_elements
+# elements per block of the quadrature-node evaluations (FieldRows and
+# energy_error_sq_elements): the (element, node) arrays of a whole fine mesh
+# would set the memory peak of a solve
+_ERROR_BLOCK = 2**14
 
 
 class SolverError(Exception):
@@ -211,21 +214,26 @@ def _layer1d(kappa):
     # decaying exponentials so kappa = 1e4 does not overflow
     pi = np.pi
     k = float(kappa)
+    scale = 1.0 + np.exp(-k)
+
+    def decays(x):
+        # exp(-k(1-x)) and exp(-k x); below -746 the exponential is exactly
+        # 0.0, and np.exp is an order of magnitude slower there
+        x = np.asarray(x, dtype=float)
+        return [np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
+                for arg in (-k * (1.0 - x), -k * x)]
 
     def ratio(x):
-        x = np.asarray(x, dtype=float)
-        return (np.exp(-k * (1.0 - x)) + np.exp(-k * x)) / (1.0 + np.exp(-k))
+        left, right = decays(x)
+        return (left + right) / scale
 
-    def dratio(x):
-        x = np.asarray(x, dtype=float)
-        return k * (np.exp(-k * (1.0 - x)) - np.exp(-k * x)) / (1.0 + np.exp(-k))
+    def grad(x, y):
+        left, right = decays(x)
+        return (-(k * (left - right) / scale) * np.sin(pi * y),
+                pi * (1.0 - (left + right) / scale) * np.cos(pi * y))
 
-    u = ScalarField(
-        lambda x, y: (1.0 - ratio(x)) * np.sin(pi * y),
-        lambda x, y: (-dratio(x) * np.sin(pi * y),
-                      pi * (1.0 - ratio(x)) * np.cos(pi * y)),
-        name="layer1d",
-    )
+    u = ScalarField(lambda x, y: (1.0 - ratio(x)) * np.sin(pi * y), grad,
+                    name="layer1d")
     f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - ratio(x))) * np.sin(pi * y),
                     name="layer1d-rhs")
     return f, u
@@ -283,15 +291,60 @@ def assemble(mesh, kappa):
     return GalerkinSystem(mesh, kappa, matrix, mesh.free_vertices())
 
 
+def node_values(mesh, field, quad_degree, rows):
+    """f at the nodes of the degree-`quad_degree` rule on the elements
+    `rows`, (len(rows), nq), evaluated in blocks of elements."""
+    rule = quadrature.simplex_rule(quad_degree)
+    out = np.empty((len(rows), len(rule.weights)))
+    for lo in range(0, len(rows), _ERROR_BLOCK):
+        block = rows[lo:lo + _ERROR_BLOCK]
+        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
+        out[lo:lo + len(block)] = field.value(pts[..., 0], pts[..., 1])
+    return out
+
+
+class FieldRows:
+    """One field at the element quadrature nodes of one mesh, and its integrals.
+
+    f is evaluated once, at the nodes of the elements bisection made new
+    (`new`, ascending; every element when the mesh has no live parent with
+    these rows): `values` holds those node values, which `dual_system`
+    pairs with the element duals.  `load[e, i] = <f, lam_i>_T` are the
+    contributions `field_load` scatters and `mean[e]` is the mean of f on T;
+    their rows of kept elements are the parent mesh's.  Use `field_rows`,
+    which caches them on the mesh.
+    """
+
+    def __init__(self, mesh, field, quad_degree, key):
+        old, sources = mesh.inherited(key)
+        rule = quadrature.simplex_rule(quad_degree)
+        self.new = np.nonzero(sources < 0)[0]
+        self.values = node_values(mesh, field, quad_degree, self.new)
+        fresh = {
+            "load": 2.0 * mesh.areas[self.new, None] * (
+                self.values @ (rule.weights[:, None] * rule.points)),
+            # the mean over |T|, against the 2|T| Jacobian
+            "mean": 2.0 * (self.values @ rule.weights),
+        }
+        for name, rows in fresh.items():
+            rows = carry_rows(None if old is None else getattr(old, name), sources, rows)
+            rows.setflags(write=False)
+            setattr(self, name, rows)
+        self.values.setflags(write=False)
+
+
+def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
+    """The FieldRows of (mesh, field, quad_degree), cached on the mesh."""
+    key = ("field_rows", field, int(quad_degree))
+    if key not in mesh.cache:
+        mesh.cache[key] = FieldRows(mesh, field, int(quad_degree), key)
+    return mesh.cache[key]
+
+
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
     """<f, hat_z> for every vertex z, by elementwise Gauss quadrature."""
-    rule = quadrature.simplex_rule(quad_degree)
-    pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
-    fvals = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-    contrib = 2.0 * mesh.areas[:, None] * ((fvals * rule.weights) @ rule.points)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements, contrib)
-    return out
+    load = field_rows(mesh, field, quad_degree).load
+    return np.bincount(mesh.elements.ravel(), load.ravel(), minlength=mesh.n_vertices)
 
 
 def load_vector(problem, quad_degree=DEFAULT_DEGREE):

@@ -11,7 +11,15 @@ Interior faces carry a unit normal oriented from the lower adjacent element
 index to the higher one; boundary faces point out of the domain.  Geometry
 helpers (signed areas, barycentric coordinates and their gradients) live here
 as well, since every other module needs them.
+
+Data derived from a mesh is cached on it (`Mesh.cache`).  `bisect` keeps
+every unrefined element as it was, so its output records which of its
+elements and faces are unchanged from the parent mesh; `Mesh.inherited` and
+`carry_rows` let a cached array of the child take those rows from the
+parent's array and compute only the new ones.
 """
+
+import weakref
 
 import numpy as np
 
@@ -61,6 +69,18 @@ def bary_grads(p):
     return g / (2.0 * signed_areas(p))[..., None, None]
 
 
+def _edge_lengths(vertices, elements):
+    """Length of the edge opposite each corner of every element, (ne, 3)."""
+    p = vertices[elements]
+    out = np.empty(elements.shape)
+    for i in range(3):
+        a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+        dx = b[:, 0] - a[:, 0]
+        dy = b[:, 1] - a[:, 1]
+        out[:, i] = np.sqrt(dx * dx + dy * dy)
+    return out
+
+
 def _nonfinite_vertex(vertices):
     """(index, diagnosis) of the first vertex with a nan or inf coordinate, or None."""
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
@@ -98,6 +118,10 @@ class Mesh:
     areas : (ne,) float array, optional
         `signed_areas(vertices[elements])` of the triples as given, when the
         caller has already computed it.
+
+    `cache` holds data derived from the mesh, keyed by the function that
+    builds it (`get_dual_system`, `field_rows`); nothing in it may hold the
+    mesh strongly, so the cache goes with the mesh.
     """
 
     def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):
@@ -121,8 +145,9 @@ class Mesh:
         if bad.size:
             raise MeshError(f"element {bad[0]} has non-positive area (not counter-clockwise)")
 
+        edge_len = _edge_lengths(vertices, elements)
         if ref_edge_policy == "longest":
-            elements, turned = self._rotate_longest(vertices, elements)
+            elements, turned, edge_len = self._rotate_longest(elements, edge_len)
             # rotated corners can round the area differently in the last bit
             areas = areas.copy()
             areas[turned] = signed_areas(vertices[elements[turned]])
@@ -132,28 +157,30 @@ class Mesh:
         self.vertices = vertices
         self.elements = elements
         self.areas = areas
+        self.cache = {}
         self._build_topology()
-        self._build_geometry()
+        self._build_geometry(edge_len)
         for arr in (self.vertices, self.elements, self.faces, self.face_elems,
                     self.elem_faces, self.normals, self.areas, self.vertex_slots,
                     self.vertex_starts):
             arr.setflags(write=False)
 
     @staticmethod
-    def _rotate_longest(vertices, elements):
-        """The triples rotated so the longest edge comes first, and a mask of
-        the rotated ones."""
-        p = vertices[elements]
-        d = np.stack([
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),  # edge (0,1)
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),  # edge (1,2)
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),  # edge (2,0)
-        ], axis=1)
-        k = np.argmax(d, axis=1)
-        rotated = elements.copy()
-        rotated[k == 1] = elements[k == 1][:, [1, 2, 0]]
-        rotated[k == 2] = elements[k == 2][:, [2, 0, 1]]
-        return rotated, k != 0
+    def _rotate_longest(elements, edge_len):
+        """The triples rotated so the longest edge comes first (the first
+        longest one on ties), a mask of the rotated ones, and their edge
+        lengths in the new corner order."""
+        # edges (0,1), (1,2), (2,0) are opposite corners 2, 0, 1
+        k = np.zeros(len(elements), dtype=np.int64)
+        longest = edge_len[:, 2]
+        for j, opposite in ((1, 0), (2, 1)):
+            longer = edge_len[:, opposite] > longest
+            k[longer] = j
+            longest = np.maximum(longest, edge_len[:, opposite])
+        # corner i of a rotated triple is corner (i + k) % 3 of the given one
+        turn = (np.arange(3) + k[:, None]) % 3
+        rotated = np.take_along_axis(elements, turn, axis=1)
+        return rotated, k != 0, np.take_along_axis(edge_len, turn, axis=1)
 
     def _build_topology(self):
         elements = self.elements
@@ -161,7 +188,8 @@ class Mesh:
         nv = len(self.vertices)
         # local face i is opposite local vertex i; slot 3e + i holds it
         pairs = elements[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-        key = pairs.min(axis=1) * nv + pairs.max(axis=1)
+        key = (np.minimum(pairs[:, 0], pairs[:, 1]) * nv
+               + np.maximum(pairs[:, 0], pairs[:, 1]))
         # keys sort the faces lexicographically; the sort is stable, so the
         # slots of one face, and so its owner elements, come out ascending
         order = np.argsort(key, kind="stable")
@@ -201,20 +229,15 @@ class Mesh:
         np.cumsum(np.bincount(flat, minlength=len(self.vertices)),
                   out=self.vertex_starts[1:])
 
-    def _build_geometry(self):
-        p = self.vertices[self.elements]
-        edge_len = np.stack([
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        ], axis=1)
-        self.h_elem = edge_len.max(axis=1)
+    def _build_geometry(self, edge_len):
+        a, b, c = edge_len.T
+        self.h_elem = np.maximum(np.maximum(a, b), c)
         # inscribed-ball diameter: 4|T| / perimeter
-        self.rho_elem = 4.0 * self.areas / edge_len.sum(axis=1)
+        self.rho_elem = 4.0 * self.areas / (a + b + c)
 
         fp = self.vertices[self.faces]
         tang = fp[:, 1] - fp[:, 0]
-        self.face_len = np.linalg.norm(tang, axis=1)
+        self.face_len = np.sqrt(tang[:, 0] * tang[:, 0] + tang[:, 1] * tang[:, 1])
         h_face = self.h_elem[self.face_elems[:, 0]]
         other = self.face_elems[:, 1]
         mask = other >= 0
@@ -224,10 +247,40 @@ class Mesh:
         normals = np.column_stack([tang[:, 1], -tang[:, 0]])
         normals /= self.face_len[:, None]
         mid = 0.5 * (fp[:, 0] + fp[:, 1])
-        centroid = self.vertices[self.elements[self.face_elems[:, 0]]].mean(axis=1)
+        owner = self.vertices[self.elements[self.face_elems[:, 0]]]
+        centroid = (owner[:, 0] + owner[:, 1] + owner[:, 2]) / 3.0
         flip = np.einsum("ij,ij->i", normals, mid - centroid) < 0.0
         normals[flip] *= -1.0
         self.normals = normals
+
+    # -- reuse along bisection --------------------------------------------
+
+    # `bisect` sets these on its output: the parent mesh, held weakly so that
+    # no mesh keeps its parent alive, and per element and per face the
+    # parent's element or face it equals (the same corners and, for a face,
+    # the same adjacent elements in the same order), or -1 where it is new
+    _parent = None
+    parent_elements = None
+    parent_faces = None
+
+    @property
+    def parent(self):
+        """The mesh this one was bisected from, while it is alive; else None."""
+        return None if self._parent is None else self._parent()
+
+    def inherited(self, key):
+        """The live parent's `cache` entry under key, and the element sources.
+
+        An element's source is the parent's row of an element bisection kept
+        and -1 for a new one (`parent_faces` gives the same for faces).
+        Without a live parent or without its entry, the entry is None and
+        every element is new.
+        """
+        parent = self.parent
+        entry = None if parent is None else parent.cache.get(key)
+        if entry is None:
+            return None, np.full(self.n_elements, -1, dtype=np.int64)
+        return entry, self.parent_elements
 
     # -- basic queries ----------------------------------------------------
 
@@ -454,21 +507,35 @@ def l_shape():
 # -- refinement --------------------------------------------------------------
 
 
+def carry_rows(old, sources, fresh):
+    """Rows of an array of a bisected mesh from the same array of its parent.
+
+    Row i is old[sources[i]] where sources[i] >= 0 (a row bisection kept)
+    and the next row of `fresh` where it is -1: fresh holds the new rows, in
+    order.  With every row new, fresh is the array and old is not read.
+    """
+    new = sources < 0
+    if new.all():
+        return fresh
+    out = old.take(np.maximum(sources, 0), axis=0)
+    out[new] = fresh
+    return out
+
+
 def bisect(mesh, marked_elements):
     """Newest-vertex bisection of the marked elements with conforming closure.
 
     Returns a new Mesh.  The new mesh carries `new_vertex_parents`, a (k, 2)
     array of parent vertex indices for every added midpoint (midpoints only
-    appear on parent faces, so both parents are original vertices), and
-    `n_parent_vertices`.
+    appear on parent faces, so both parents are original vertices),
+    `n_parent_vertices`, and the parent links of `Mesh.parent`: every
+    unrefined element keeps its triple, and old vertices keep their indices
+    and coordinates, so its rows of any element or face array are the
+    parent's.
     """
     marked_elements = np.asarray(marked_elements, dtype=np.int64)
-    if marked_elements.size == 0:
-        out = Mesh(mesh.vertices, mesh.elements, ref_edge_policy="asis")
-        out.new_vertex_parents = np.empty((0, 2), dtype=np.int64)
-        out.n_parent_vertices = mesh.n_vertices
-        return out
-    if marked_elements.min() < 0 or marked_elements.max() >= mesh.n_elements:
+    if marked_elements.size and (marked_elements.min() < 0
+                                 or marked_elements.max() >= mesh.n_elements):
         raise MeshError("marked element index out of range")
 
     ef = mesh.elem_faces
@@ -517,6 +584,18 @@ def bisect(mesh, marked_elements):
     out = Mesh(vertices, children, ref_edge_policy="asis")
     out.new_vertex_parents = mesh.faces[face_ids].copy()
     out.n_parent_vertices = mesh.n_vertices
+    out._parent = weakref.ref(mesh)
+    kept = np.nonzero(~cut)[0]
+    out.parent_elements = np.full(len(children), -1, dtype=np.int64)
+    out.parent_elements[left[kept]] = kept
+    # a kept element's local faces are its parent's; a face stays kept when
+    # no adjacent element is new
+    out.parent_faces = np.full(out.n_faces, -1, dtype=np.int64)
+    out.parent_faces[out.elem_faces[left[kept]]] = ef[kept]
+    fe = out.face_elems
+    out.parent_faces[((fe >= 0) & (out.parent_elements[fe] < 0)).any(axis=1)] = -1
+    out.parent_elements.setflags(write=False)
+    out.parent_faces.setflags(write=False)
     return out
 
 

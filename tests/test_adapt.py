@@ -6,7 +6,8 @@ import pytest
 
 from rdafem import adapt
 from rdafem import galerkin as g
-from rdafem.mesh import bisect, uniform_refine, unit_square_2tri, unit_square_crisscross
+from rdafem.mesh import (Mesh, bisect, uniform_refine, unit_square_2tri,
+                         unit_square_crisscross)
 
 
 def test_dorfler_equal_indicators():
@@ -142,6 +143,36 @@ def test_adaptive_loop_frees_its_meshes_without_the_gc(monkeypatch):
         gc.enable()
     assert len(alive_before) >= 3
     assert not any(any(alive) for alive in alive_before)
+
+
+def test_adaptive_loop_matches_parentless_rebuilds(monkeypatch):
+    # carrying kept rows from the previous mesh gives the records of a run
+    # whose every mesh is rebuilt without a parent, so priced in full
+    def run():
+        problem = g.make_problem(unit_square_crisscross(), 1e4, "layer1d")
+        return adapt.adaptive_loop(problem, max_dof=400, osc_every=3)
+
+    def parentless_bisect(mesh, marked):
+        out = bisect(mesh, marked)
+        return Mesh(out.vertices, out.elements, ref_edge_policy="asis")
+
+    carried = run()
+    monkeypatch.setattr(adapt, "bisect", parentless_bisect)
+    rebuilt = run()
+    assert len(carried.records) == len(rebuilt.records) >= 8
+    for got, want in zip(carried.records, rebuilt.records):
+        assert want["repriced_elements"] == want["n_elements"]
+        for key, value in want.items():
+            if key in ("seconds", "repriced_elements", "repriced_faces"):
+                continue
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            else:
+                assert got[key] == value, key
+    # later meshes keep most of their elements
+    assert all(r["repriced_elements"] < 0.5 * r["n_elements"]
+               for r in carried.records[-5:])
+    assert carried.records[0]["repriced_faces"] == rebuilt.records[0]["repriced_faces"]
 
 
 def test_adaptive_loop_stops_when_estimator_vanishes():

@@ -69,11 +69,13 @@ def loop_bisect(mesh, marked_elements):
     new_coords = 0.5 * (mesh.vertices[mesh.faces[face_ids, 0]]
                         + mesh.vertices[mesh.faces[face_ids, 1]])
     children = []
+    parent_elements = []  # the parent of a kept element, -1 for a new one
     for e in range(mesh.n_elements):
         v0, v1, v2 = mesh.elements[e]
         m2 = midpoint_of[ef[e, 2]]
         if m2 < 0:
             children.append((v0, v1, v2))
+            parent_elements.append(e)
             continue
         m0 = midpoint_of[ef[e, 0]]
         m1 = midpoint_of[ef[e, 1]]
@@ -87,11 +89,36 @@ def loop_bisect(mesh, marked_elements):
         else:
             children.append((m2, v1, m0))
             children.append((v2, m2, m0))
+        parent_elements += [-1] * (len(children) - len(parent_elements))
     out = LoopTopologyMesh(np.vstack([mesh.vertices, new_coords]),
                            np.asarray(children, dtype=np.int64),
                            ref_edge_policy="asis")
     out.new_vertex_parents = mesh.faces[face_ids].copy()
+    out.parent_elements = np.array(parent_elements, dtype=np.int64)
     return out
+
+
+def assert_parent_maps(child, parent):
+    """The child's element and face maps name parent rows with the same
+    triples and, for faces, the same vertex pair and adjacent elements."""
+    pe = child.parent_elements
+    kept = np.nonzero(pe >= 0)[0]
+    assert np.array_equal(child.elements[kept], parent.elements[pe[kept]])
+    # every kept parent appears once, in order; the new children are exactly
+    # those of the refined parents
+    assert np.all(np.diff(pe[kept]) > 0)
+    refined = np.setdiff1d(np.arange(parent.n_elements), pe[kept])
+    assert 2 * len(refined) <= (pe < 0).sum() <= 4 * len(refined)
+    parent_face = {tuple(f): i for i, f in enumerate(parent.faces.tolist())}
+    for f, (face, adj) in enumerate(zip(child.faces.tolist(), child.face_elems.tolist())):
+        adj = [e for e in adj if e >= 0]
+        if all(pe[e] >= 0 for e in adj):
+            want = parent_face[tuple(face)]
+            assert child.parent_faces[f] == want
+            assert parent.face_elems[want].tolist() == (
+                [pe[e] for e in adj] + [-1] * (2 - len(adj)))
+        else:
+            assert child.parent_faces[f] == -1
 
 
 ARRAYS = ("elements", "vertices", "faces", "face_elems", "elem_faces",
@@ -105,6 +132,8 @@ def assert_same_mesh(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     if hasattr(want, "new_vertex_parents"):
         assert np.array_equal(got.new_vertex_parents, want.new_vertex_parents)
+    if want.parent_elements is not None:
+        assert np.array_equal(got.parent_elements, want.parent_elements)
 
 
 def corpus():
@@ -123,13 +152,17 @@ def test_bisect_matches_loop_oracle(name):
     oracle = LoopTopologyMesh(mesh.vertices, mesh.elements, ref_edge_policy="asis")
     assert_same_mesh(mesh, oracle)
     rng = np.random.default_rng(sum(map(ord, name)))
-    for marks in (np.arange(mesh.n_elements), np.array([0]),
+    for marks in (np.arange(mesh.n_elements), np.array([0]), np.array([], dtype=int),
                   rng.choice(mesh.n_elements, mesh.n_elements // 3 + 1, replace=False)):
-        assert_same_mesh(bisect(mesh, marks), loop_bisect(oracle, marks))
+        child = bisect(mesh, marks)
+        assert_same_mesh(child, loop_bisect(oracle, marks))
+        assert_parent_maps(child, mesh)
     for _ in range(3):
         marks = rng.choice(mesh.n_elements, mesh.n_elements // 4 + 1, replace=False)
-        mesh, oracle = bisect(mesh, marks), loop_bisect(oracle, marks)
-        assert_same_mesh(mesh, oracle)
+        child, oracle = bisect(mesh, marks), loop_bisect(oracle, marks)
+        assert_same_mesh(child, oracle)
+        assert_parent_maps(child, mesh)
+        mesh = child
 
 
 def test_random_nvb_chain_matches_oracle_and_keeps_shape():
@@ -140,8 +173,10 @@ def test_random_nvb_chain_matches_oracle_and_keeps_shape():
     for _ in range(30):
         marks = rng.choice(mesh.n_elements, max(1, mesh.n_elements // 10),
                            replace=False)
-        mesh, oracle = bisect(mesh, marks), loop_bisect(oracle, marks)
-        assert_same_mesh(mesh, oracle)
+        child, oracle = bisect(mesh, marks), loop_bisect(oracle, marks)
+        assert_same_mesh(child, oracle)
+        assert_parent_maps(child, mesh)
+        mesh = child
         shapes.append(mesh.shape_metric)
     mesh.audit()
     assert mesh.n_elements > 500

@@ -1,0 +1,128 @@
+"""Rows carried along bisection chains against a fresh build.
+
+A mesh made by `bisect` takes the rows of its kept elements and faces from
+the arrays cached on its parent (the dual system, the data at the element
+quadrature nodes, the field parts of the interpolation) and computes only
+the new rows.  A parentless copy of the same mesh computes every row; both
+must agree, on random newest-vertex bisection chains over the corpus, for
+kappa across 1e-8 ... 1e10 and for smooth and layer data.
+"""
+
+import pathlib
+import weakref
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rdafem import galerkin
+from rdafem.dual_system import get_dual_system, project_pi
+from rdafem.mesh import (Mesh, bisect, l_shape, load_mesh, uniform_refine,
+                         unit_square_2tri, unit_square_crisscross)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+RTOL = 1e-13
+KAPPAS = (1e-8, 1.0, 1e4, 1e10)
+MESHES = {
+    "square2": unit_square_2tri,
+    "crisscross": unit_square_crisscross,
+    "lshape": l_shape,
+    "square_64": lambda: load_mesh(str(REPO / "meshes" / "square_64.msh")),
+    "lshape_24": lambda: load_mesh(str(REPO / "meshes" / "lshape_24.msh")),
+}
+# layer1d is posed on the unit square
+UNIT_SQUARE = ("square2", "crisscross", "square_64")
+SYSTEM_ARRAYS = ("psi", "thetas", "sq_coords", "parent_bary", "gammas")
+
+
+@st.composite
+def chains(draw):
+    name = draw(st.sampled_from(sorted(MESHES)))
+    data = draw(st.sampled_from(("sinsin", "layer1d") if name in UNIT_SQUARE
+                                else ("sinsin",)))
+    kappa = draw(st.sampled_from(KAPPAS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    fractions = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4))
+    return name, data, kappa, seed, fractions
+
+
+def price(mesh, kappa, field):
+    """The carried arrays of one mesh, computed through the public entry
+    points, and its dual system."""
+    system = get_dual_system(mesh, kappa)
+    pi = project_pi(mesh, kappa, field)
+    rows = galerkin.field_rows(mesh, field)
+    arrays = {name: getattr(system, name) for name in SYSTEM_ARRAYS}
+    arrays.update(load=rows.load, mean=rows.mean,
+                  field_load=galerkin.field_load(mesh, field),
+                  pi_cell=pi.cell_density, pi_face=pi.face_density)
+    return arrays, system
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chains())
+def test_carried_rows_equal_a_fresh_build(chain):
+    name, data, kappa, seed, fractions = chain
+    mesh = MESHES[name]()
+    field = galerkin.make_problem(mesh, kappa, data).rhs
+    price(mesh, kappa, field)
+    rng = np.random.default_rng(seed)
+    for fraction in fractions:
+        marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
+                           replace=False)
+        child = bisect(mesh, marks)
+        carried, system = price(child, kappa, field)
+        fresh, fresh_system = price(
+            Mesh(child.vertices, child.elements, ref_edge_policy="asis"), kappa, field)
+        assert system.n_new_elements == int((child.parent_elements < 0).sum())
+        rows = galerkin.field_rows(child, field)
+        assert np.array_equal(rows.new, np.nonzero(child.parent_elements < 0)[0])
+        assert fresh_system.n_new_elements == child.n_elements
+        assert fresh_system.n_new_faces == len(fresh_system.iface)
+        assert np.array_equal(system.adj, fresh_system.adj)
+        for key, want in fresh.items():
+            got = carried[key]
+            assert got.shape == want.shape, key
+            assert np.abs(got - want).max(initial=0.0) <= (
+                RTOL * np.abs(want).max(initial=0.0)), key
+        mesh = child
+
+
+def test_parent_map_keeps_kept_rows_and_counts_new_faces():
+    mesh = uniform_refine(unit_square_2tri(), 2)
+    field = galerkin.make_problem(mesh, 10.0, "sinsin").rhs
+    price(mesh, 10.0, field)
+    child = bisect(mesh, [0])
+    _, system = price(child, 10.0, field)
+    kept = child.parent_elements >= 0
+    assert 0 < system.n_new_elements == (~kept).sum() < child.n_elements
+    parent_iface = child.parent_faces[system.iface]
+    assert system.n_new_faces == (parent_iface < 0).sum() > 0
+    old = get_dual_system(mesh, 10.0)
+    assert np.array_equal(system.psi[kept], old.psi[child.parent_elements[kept]])
+    # a field the parent never paired is priced in full on the child, also
+    # where the parent holds its node values but no dual system for kappa
+    fresh = Mesh(child.vertices, child.elements, ref_edge_policy="asis")
+    other = galerkin.ScalarField(lambda x, y: np.exp(x - 2.0 * y))
+    galerkin.field_load(mesh, other)
+    for kappa in (10.0, 3.0):
+        got = project_pi(child, kappa, other)
+        want = project_pi(fresh, kappa, other)
+        assert np.abs(got.cell_density - want.cell_density).max() <= (
+            RTOL * np.abs(want.cell_density).max())
+        assert np.abs(got.face_density - want.face_density).max() <= (
+            RTOL * np.abs(want.face_density).max())
+
+
+def test_child_holds_its_parent_weakly():
+    mesh = uniform_refine(unit_square_2tri(), 1)
+    get_dual_system(mesh, 1.0)
+    child = bisect(mesh, [0])
+    assert child.parent is mesh
+    ref = weakref.ref(mesh)
+    del mesh
+    assert ref() is None and child.parent is None
+    # with the parent gone, every row is priced fresh
+    system = get_dual_system(child, 1.0)
+    assert system.n_new_elements == child.n_elements
+    assert system.n_new_faces == len(system.iface)
