@@ -79,10 +79,11 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     report; the report's stop_reason says why the loop ended.
 
     Each refined mesh takes the rows of the elements and faces bisection
-    kept from the previous mesh's cached arrays (the `DualSystem`, the load
-    rows and element means of the data, the field parts of the
-    interpolation) and computes only the new rows; `repriced_elements` and
-    `repriced_faces` count those of the dual system.
+    kept from the previous mesh's cached arrays (the face rows of the
+    `DualSystem` and of the field's face pairings, and the load rows,
+    element means and element-dual pairings of the data) and computes only
+    the new rows; `repriced_elements` and `repriced_faces` count those of
+    the dual system.
     """
     from .dual_system import get_dual_system, project_pi, theta_factor
 
@@ -94,7 +95,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     mesh = None
     for it in range(max_iter):
         # the previous mesh is held until the arrays cached on this mesh (the
-        # data rows in the solve, the dual system and the field parts of Pi)
+        # data rows in the solve, the dual system and its face pairings)
         # have taken their kept rows from it
         parent, mesh = mesh, problem.mesh
         t0 = time.perf_counter()

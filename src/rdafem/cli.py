@@ -6,6 +6,7 @@ environment before the numerics stack loads.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -114,23 +115,26 @@ def merge_options(args):
     if opts["preset"] not in PRESET_NAMES:
         raise UsageError(f"unknown preset {opts['preset']!r} "
                          f"(have: {', '.join(PRESET_NAMES)})")
-    if opts["kappa"] <= 0:
-        raise UsageError("--kappa must be positive")
+    if not 0.0 < opts["kappa"] < math.inf:
+        raise UsageError(f"--kappa must be positive and finite, got {opts['kappa']!r}")
     if not 0.0 < opts["theta_mark"] < 1.0:
         raise UsageError("--theta-mark must lie in (0, 1)")
     if opts["quad_degree"] < 1 or opts["quad_degree"] > 30:
         raise UsageError("--quad-degree out of range [1, 30]")
     if opts["dual_depth"] < 0 or opts["dual_depth"] > 6:
         raise UsageError("--dual-depth out of range [0, 6]")
-    if opts["max_dof"] < 0:
-        raise UsageError("--max-dof must be nonnegative")
+    for key in ("max_dof", "seed", "threads"):
+        if opts[key] < 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be nonnegative, "
+                             f"got {opts[key]}")
     if opts["kappas"] is not None:
         try:
             kappas = [float(part) for part in str(opts["kappas"]).split(",")]
         except ValueError:
             raise UsageError(f"--kappas: cannot parse {opts['kappas']!r}")
-        if not kappas or any(k <= 0 for k in kappas):
-            raise UsageError("--kappas must be a nonempty list of positive values")
+        if not kappas or not all(0.0 < k < math.inf for k in kappas):
+            raise UsageError("--kappas must be a nonempty list of positive, finite "
+                             f"values, got {opts['kappas']!r}")
         opts["kappas"] = kappas
     return opts
 
@@ -326,7 +330,7 @@ COMMANDS = {
 
 def run(args):
     opts = merge_options(args)
-    if opts["threads"] and opts["threads"] > 0:
+    if opts["threads"]:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(opts["threads"])

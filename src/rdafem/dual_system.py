@@ -7,7 +7,10 @@ ingredients:
 * element duals phi*_{z;T} = psi_z * b_T, with b_T the cubic element bubble
   and psi_z the P1 solution of the weighted Gram system
   int_T b_T psi_z lam_y = delta_zy; they vanish on the element boundary and
-  are L2-dual to the hats inside T;
+  are L2-dual to the hats inside T.  |T| psi_z is the same on every element
+  (`galerkin._PSI_UNIT`), so a pairing <f, phi*_{z;T}> is 2 (f at the rule's
+  nodes on T) @ one constant (nq, 3) matrix: for a field it is a row of
+  `galerkin.field_rows(...).dual`, for a P1 density a constant 3x3 map;
 * face duals phi*_F = psi_F - sum_{T in w_F} sum_z gamma_{z;T} phi*_{z;T},
   where psi_F is the face bubble of the patch squeezed toward F by
   theta_T = min(1, 1/(h_T kappa)) on each side, normalized to unit face
@@ -31,8 +34,8 @@ import weakref
 import numpy as np
 
 from . import quadrature
-from .galerkin import (PiecewiseFunctional, SourceFunctional, field_rows,
-                       node_values)
+from .galerkin import (_PSI_UNIT, PiecewiseFunctional, SourceFunctional,
+                       element_dual_weights, field_rows)
 from .mesh import carry_rows
 from .quadrature import DEFAULT_DEGREE
 
@@ -60,17 +63,19 @@ def _parts(f):
 class DualSystem:
     """All dual functions of one (mesh, kappa) pair, in array form.
 
-    psi[e, z] are the P1 coefficients of psi_z on element e.  Interior-face
-    data is stored per side s in {0, 1} (lower/higher adjacent element):
-    squeeze factors, squeezed vertex coordinates, barycentric coordinates of
-    the squeezed vertices in the parent element, and the gamma coefficients.
+    psi[e] = _PSI_UNIT / |T_e| holds the P1 coefficients of psi_z on
+    element e, in closed form.  Interior-face data is stored per side s in
+    {0, 1} (lower/higher adjacent element): squeeze factors, squeezed vertex
+    coordinates, barycentric coordinates of the squeezed vertices in the
+    parent element, and the gamma coefficients.
 
-    Every row depends only on its element, or on its face and the face's two
-    elements, and on kappa.  On a mesh made by `bisect` the rows of kept
-    elements and faces are therefore taken from the parent mesh's cached
-    system, while that mesh is alive, and only the new rows are computed;
-    `n_new_elements` and `n_new_faces` count them.  The same holds for the
-    pairings of a field with the duals, which are cached per field.
+    Every face row depends only on its face, the face's two elements and
+    kappa.  On a mesh made by `bisect` the rows of kept faces are therefore
+    taken from the parent mesh's cached system, while that mesh is alive,
+    and only the new rows are computed; `n_new_faces` counts them and
+    `n_new_elements` the elements without a row in that system.  The same
+    holds for the pairings of a field with the face bubbles, which are
+    cached per field.
 
     The system holds its mesh weakly: `get_dual_system` caches it on the
     mesh, and a strong reference back would make a cycle that only the
@@ -86,13 +91,12 @@ class DualSystem:
         self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.face_pos[self.iface] = np.arange(len(self.iface))
         self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
-        old, self._element_sources = mesh.inherited(self.key)
+        old, sources = mesh.inherited(self.key)
+        self.psi = _PSI_UNIT / mesh.areas[:, None, None]
+        self.n_new_elements = int((sources < 0).sum())
         self._face_sources = self._faces_in(old)
-        self._build_elements(old)
         self._build_faces(old)
-        # field -> its pairings with the element duals (ne, 3) and with the
-        # face bubbles psi_F (nfi,)
-        self._element_pairs = {}
+        # field -> its pairings with the face bubbles psi_F, (nfi,)
         self._face_pairs = {}
 
     @property
@@ -112,24 +116,6 @@ class DualSystem:
             kept = parent >= 0
             sources[kept] = old.face_pos[parent[kept]]
         return sources
-
-    def _build_elements(self, old):
-        mesh = self.mesh
-        new = np.nonzero(self._element_sources < 0)[0]
-        expo = np.ones((3, 3, 3), dtype=int)
-        for y in range(3):
-            for z in range(3):
-                expo[y, z, y] += 1
-                expo[y, z, z] += 1
-        base = np.empty((3, 3))
-        for y in range(3):
-            for z in range(3):
-                base[y, z] = quadrature.integrate_barycentric(1.0, expo[y, z])
-        gram = base[None, :, :] * mesh.areas[new, None, None]
-        # rows of the inverse Gram are the coefficient vectors (it is symmetric)
-        psi = np.linalg.solve(gram, np.broadcast_to(np.eye(3), gram.shape).copy())
-        self.psi = carry_rows(None if old is None else old.psi, self._element_sources, psi)
-        self.n_new_elements = len(new)
 
     def _build_faces(self, old):
         mesh = self.mesh
@@ -190,55 +176,20 @@ class DualSystem:
 
     # -- bulk pairings --
 
-    def _carried(self, table, field, sources, fresh):
-        """table[field], built on first use: the rows kept by bisection
-        (`sources`) from the parent mesh's system while it is alive and has
-        them, fresh(new rows) for the others."""
-        cache = getattr(self, table)
-        if field not in cache:
-            old = self.mesh.inherited(self.key)[0]
-            old_rows = None if old is None else getattr(old, table).get(field)
-            if old_rows is None:
-                sources = np.full(len(sources), -1, dtype=np.int64)
-            rows = carry_rows(old_rows, sources, fresh(np.nonzero(sources < 0)[0]))
-            rows.setflags(write=False)
-            cache[field] = rows
-        return cache[field]
-
     def pair_elements(self, f):
         """<f, phi*_{z;T}> for all elements and local nodes, (ne, 3)."""
         field, weight, piecewise = _parts(f)
         out = np.zeros((self.mesh.n_elements, 3))
         if field is not None:
-            out += weight * self._pair_elements_field(field)
+            out += weight * field_rows(self.mesh, field, self.quad_degree).dual
         if piecewise is not None:
+            # a P1 density d pairs to d @ one constant 3x3 map, the identity
+            # up to rounding for rules of degree 5 and up; face line sources
+            # contribute nothing, the element duals vanish on element
+            # boundaries
             rule = quadrature.simplex_rule(self.quad_degree)
-            # face line sources contribute nothing here: the element duals
-            # vanish identically on element boundaries
-            out += self._pair_psib(piecewise.cell_density @ rule.points.T,
-                                   slice(None))
+            out += piecewise.cell_density @ (2.0 * rule.points.T @ element_dual_weights(rule))
         return out
-
-    def _pair_elements_field(self, field):
-        """<field, psi_z b_T> per element and local node, cached per field."""
-        def fresh(new):
-            rows = field_rows(self.mesh, field, self.quad_degree)
-            # bisection made the same elements new for both, unless the
-            # parent mesh held only one of them
-            if np.array_equal(new, rows.new):
-                return self._pair_psib(rows.values, new)
-            return self._pair_psib(node_values(self.mesh, field, self.quad_degree, new), new)
-        return self._carried("_element_pairs", field, self._element_sources, fresh)
-
-    def _pair_psib(self, fv, rows):
-        """Quadrature of node values fv against psi_z b_T on the element rows
-        `rows`, (n, 3)."""
-        rule = quadrature.simplex_rule(self.quad_degree)
-        # psi_z times the element bubble at the nodes, (n, nq, 3)
-        psib = (quadrature.map_points(rule, self.psi[rows])
-                * rule.points.prod(axis=1)[:, None])
-        weighted = (fv * rule.weights)[:, None, :]
-        return 2.0 * self.mesh.areas[rows, None] * (weighted @ psib)[:, 0, :]
 
     def pair_faces(self, f, elem_pairs):
         """<f, phi*_F> for all interior faces, given the element pairings."""
@@ -252,13 +203,21 @@ class DualSystem:
         return out
 
     def _psi_pair_field(self, field):
-        """<field, psi_F> per interior face, cached per field."""
-        def fresh(new):
+        """<field, psi_F> per interior face, cached per field: the rows of
+        kept faces come from the parent mesh's system while it has them."""
+        if field not in self._face_pairs:
+            old = self.mesh.inherited(self.key)[0]
+            old_rows = None if old is None else old._face_pairs.get(field)
+            sources = self._face_sources if old_rows is not None else np.full_like(
+                self._face_sources, -1)
+            new = np.nonzero(sources < 0)[0]
             rule = quadrature.simplex_rule(self.quad_degree)
             pts = quadrature.map_points(rule, self.sq_coords[new])
             fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-            return self._pair_bubble(fv, new)
-        return self._carried("_face_pairs", field, self._face_sources, fresh)
+            rows = carry_rows(old_rows, sources, self._pair_bubble(fv, new))
+            rows.setflags(write=False)
+            self._face_pairs[field] = rows
+        return self._face_pairs[field]
 
     def _psi_pair_density(self, g):
         rule = quadrature.simplex_rule(self.quad_degree)

@@ -176,8 +176,8 @@ class Problem:
     """Mesh, reaction coefficient and data of one boundary value problem."""
 
     def __init__(self, mesh, kappa, rhs, exact=None, name=""):
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
         self.mesh = mesh
         self.kappa = float(kappa)
         self.rhs = rhs
@@ -291,46 +291,41 @@ def assemble(mesh, kappa):
     return GalerkinSystem(mesh, kappa, matrix, mesh.free_vertices())
 
 
-def node_values(mesh, field, quad_degree, rows):
-    """f at the nodes of the degree-`quad_degree` rule on the elements
-    `rows`, (len(rows), nq), evaluated in blocks of elements."""
-    rule = quadrature.simplex_rule(quad_degree)
-    out = np.empty((len(rows), len(rule.weights)))
-    for lo in range(0, len(rows), _ERROR_BLOCK):
-        block = rows[lo:lo + _ERROR_BLOCK]
-        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
-        out[lo:lo + len(block)] = field.value(pts[..., 0], pts[..., 1])
-    return out
-
-
 class FieldRows:
-    """One field at the element quadrature nodes of one mesh, and its integrals.
+    """One field integrated against the element quadrature of one mesh.
 
-    f is evaluated once, at the nodes of the elements bisection made new
-    (`new`, ascending; every element when the mesh has no live parent with
-    these rows): `values` holds those node values, which `dual_system`
-    pairs with the element duals.  `load[e, i] = <f, lam_i>_T` are the
-    contributions `field_load` scatters and `mean[e]` is the mean of f on T;
-    their rows of kept elements are the parent mesh's.  Use `field_rows`,
-    which caches them on the mesh.
+    f is evaluated once, in blocks of elements, at the nodes of the
+    elements bisection made new (`new`, ascending; every element when the
+    mesh has no live parent with these rows).  The node values give three
+    products and are then dropped: `load[e, i] = <f, lam_i>_T`, the
+    contributions `field_load` scatters; `mean[e]`, the mean of f on T; and
+    `dual[e, z] = <f, phi*_{z;T}>`, the pairings with the element duals of
+    `dual_system`.  Their rows of kept elements are the parent mesh's.  Use
+    `field_rows`, which caches them on the mesh.
     """
 
     def __init__(self, mesh, field, quad_degree, key):
         old, sources = mesh.inherited(key)
         rule = quadrature.simplex_rule(quad_degree)
         self.new = np.nonzero(sources < 0)[0]
-        self.values = node_values(mesh, field, quad_degree, self.new)
+        values = np.empty((len(self.new), len(rule.weights)))
+        for lo in range(0, len(self.new), _ERROR_BLOCK):
+            block = self.new[lo:lo + _ERROR_BLOCK]
+            pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
+            values[lo:lo + len(block)] = field.value(pts[..., 0], pts[..., 1])
+        # three matmuls over all new rows: a fused product, or one per block,
+        # rounds load and mean differently
         fresh = {
             "load": 2.0 * mesh.areas[self.new, None] * (
-                self.values @ (rule.weights[:, None] * rule.points)),
+                values @ (rule.weights[:, None] * rule.points)),
             # the mean over |T|, against the 2|T| Jacobian
-            "mean": 2.0 * (self.values @ rule.weights),
+            "mean": 2.0 * (values @ rule.weights),
+            "dual": 2.0 * (values @ element_dual_weights(rule)),
         }
         for name, rows in fresh.items():
             rows = carry_rows(None if old is None else getattr(old, name), sources, rows)
             rows.setflags(write=False)
             setattr(self, name, rows)
-        self.values.setflags(write=False)
 
 
 def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
@@ -544,6 +539,20 @@ def apply_operator(mesh, kappa, U):
 def _p1_mass_sq(areas, vals):
     # int_T (sum v_i lam_i)^2 = |T|/12 * (sum v_i^2 + (sum v_i)^2)
     return areas / 12.0 * ((vals**2).sum(axis=1) + vals.sum(axis=1) ** 2)
+
+
+# |T| psi_z for the element duals phi*_{z;T} = psi_z b_T, the same on every
+# element: int_T b_T lam_y lam_z = |T| (4 + 2 delta_yz) / 2520, whose inverse
+# is (1260 delta_yz - 360) / |T|
+_PSI_UNIT = 1260.0 * np.eye(3) - 360.0
+
+
+def element_dual_weights(rule):
+    """(nq, 3) weights with <f, phi*_{z;T}> = 2 (f at the nodes of T) @ them
+    on every element T: the Jacobian 2|T| cancels the 1/|T| of psi_z."""
+    # |T| psi_z times the element bubble at the nodes, then the weights
+    psib = (rule.points @ _PSI_UNIT) * rule.points.prod(axis=1)[:, None]
+    return psib * rule.weights[:, None]
 
 
 def energy_norm_sq_elements(mesh, kappa, v, quad_degree=DEFAULT_DEGREE):

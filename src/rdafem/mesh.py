@@ -120,8 +120,9 @@ class Mesh:
         caller has already computed it.
 
     `cache` holds data derived from the mesh, keyed by the function that
-    builds it (`get_dual_system`, `field_rows`); nothing in it may hold the
-    mesh strongly, so the cache goes with the mesh.
+    builds it (`get_dual_system`: the dual system; `field_rows`: the load
+    rows, means and element-dual pairings of a field); nothing in it may
+    hold the mesh strongly, so the cache goes with the mesh.
     """
 
     def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):

@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .mesh import signed_areas
+
 # Degree used for pairings with generic (non-polynomial) data.
 DEFAULT_DEGREE = 8
 
@@ -113,11 +115,7 @@ def map_to_triangle(rule, coords):
     """
     coords = np.asarray(coords, dtype=float)
     pts = map_points(rule, coords)
-    area = 0.5 * abs(
-        (coords[1, 0] - coords[0, 0]) * (coords[2, 1] - coords[0, 1])
-        - (coords[2, 0] - coords[0, 0]) * (coords[1, 1] - coords[0, 1])
-    )
-    return pts, rule.weights * 2.0 * area
+    return pts, rule.weights * 2.0 * abs(signed_areas(coords))
 
 
 def gauss_simplex(coords, degree, fn):

@@ -173,6 +173,42 @@ def test_usage_errors(tmp_path, capsys):
                    "--out", str(tmp_path)) == cli.EXIT_USAGE
 
 
+def test_non_finite_kappa_is_a_usage_error(tmp_path, capsys):
+    for value in ("nan", "inf"):
+        assert run_cli("estimate", "--kappa", value,
+                       "--out", str(tmp_path)) == cli.EXIT_USAGE
+        assert "--kappa must be positive and finite" in capsys.readouterr().err
+    assert run_cli("study", "--kappas", "1,nan", "--max-dof", "20",
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--kappas" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    for line in ("kappa = nan\n", "kappas = 1,inf\n"):
+        cfg.write_text(line)
+        assert run_cli("study", "--config", str(cfg),
+                       "--out", str(tmp_path)) == cli.EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.json").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    assert run_cli("verify", "--seed", "-1", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -4\n")
+    assert run_cli("verify", "--config", str(cfg), "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_negative_threads_is_a_usage_error(tmp_path, capsys):
+    assert run_cli("solve", "--threads", "-3", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--threads must be nonnegative" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = -1\n")
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--threads must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# study defaults\nkappa = 100\nmax-dof = 60\n")

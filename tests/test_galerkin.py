@@ -136,6 +136,14 @@ def test_presets_and_problem_validation():
         g.Problem(m, -1.0, None)
 
 
+def test_problem_refuses_non_finite_kappa():
+    m = unit_square_2tri()
+    for kappa in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            g.make_problem(m, kappa, "sinsin")
+    assert g.make_problem(m, 1e10, "sinsin").kappa == 1e10
+
+
 def test_grad_jumps_center_hat():
     m = unit_square_crisscross()
     U = g.DiscreteFunction(m, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))

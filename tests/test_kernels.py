@@ -13,7 +13,8 @@ import pytest
 from rdafem import dual_system as ds
 from rdafem import estimator as est
 from rdafem import galerkin as g
-from rdafem.mesh import l_shape, load_mesh, uniform_refine, unit_square_2tri
+from rdafem import verify
+from rdafem.mesh import bisect, l_shape, load_mesh, uniform_refine, unit_square_2tri
 from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -132,3 +133,30 @@ def test_kernels_match_einsum_references(name, kappa, monkeypatch):
     jumps_sq = g.grad_jumps(mesh, U) ** 2 * mesh.face_len * est.weight_faces(mesh, kappa)
     jump = 0.5 * jumps_sq[mesh.elem_faces] * mesh.interior_face[mesh.elem_faces]
     assert_close(est.classic_indicators(problem, U), vol + jump.sum(axis=1))
+
+
+@pytest.mark.parametrize("degree", [1, 4, 5, 8])
+def test_element_pairings_match_the_pointwise_oracle(degree):
+    # below degree 5 the rule pairs a P1 density with the element duals
+    # inexactly, so the constant density map is not the identity there
+    kappa = 10.0
+    parent = uniform_refine(l_shape(), 1)
+    # no symmetry of the mesh maps this field to itself
+    field = g.ScalarField(lambda x, y: np.exp(x - 2.0 * y) * np.sin(3.0 * x + y))
+    ds.get_dual_system(parent, kappa, degree).pair_elements(field)
+    # the parent stays alive: the child takes its kept rows from it
+    child = bisect(parent, np.arange(0, parent.n_elements, 3))
+    system = ds.get_dual_system(child, kappa, degree)
+    rng = np.random.default_rng(3)
+    density = g.PiecewiseFunctional(child, rng.standard_normal((child.n_elements, 3)),
+                                    np.zeros(child.n_faces))
+    for source in (field, density):
+        got = system.pair_elements(source)
+        want = np.array([[verify.pair(source, dual, degree)
+                          for dual in verify.element_duals(system, e)]
+                         for e in range(child.n_elements)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert 0 < len(g.field_rows(child, field, degree).new) < child.n_elements
+    # |T| psi_z is one matrix on every element
+    unit = system.psi * child.areas[:, None, None]
+    assert np.abs(unit - unit[0]).max() <= 1e-13 * np.abs(unit[0]).max()
