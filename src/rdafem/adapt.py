@@ -59,7 +59,12 @@ class RunReport:
 
     @property
     def final(self):
-        return self.records[-1]
+        return self.records[-1] if self.records else None
+
+    @property
+    def failed(self):
+        """Whether the run ended on a solver failure or a non-finite result."""
+        return (self.stop_reason or "").startswith(("solver", "numerical"))
 
 
 def decay_rate(dofs, values):
@@ -75,8 +80,8 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     """Solve, estimate, mark and refine until the dof count exceeds max_dof.
 
     Oscillation surrogates are priced every `osc_every`-th iteration
-    (0 switches them off).  A solver failure ends the run with the partial
-    report; the report's stop_reason says why the loop ended.
+    (0 switches them off).  A solver failure or a non-finite record (which
+    is dropped) ends the run, as `failed`; stop_reason says why it ended.
 
     Each refined mesh takes the rows of the elements and faces bisection
     kept from the previous mesh's cached arrays (the face rows of the
@@ -144,6 +149,11 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             record["error"] = err
             if err > 0.0:
                 record["effectivity"] = record["total"] / err
+        try:
+            galerkin.check_finite(record)
+        except SolverError as exc:
+            report.stop_reason = f"numerical failure: {exc}"
+            break
         report.records.append(record)
         if keep_meshes:
             report.meshes.append(mesh)
@@ -218,8 +228,8 @@ class StudyReport:
         per_kappa = {
             kappa: {
                 "iterations": len(run.records),
-                "final_dofs": run.final["dofs"],
-                "final_estimator": run.final["estimator"],
+                "final_dofs": (run.final or {}).get("dofs"),
+                "final_estimator": (run.final or {}).get("estimator"),
                 "final_effectivity": eff[kappa][-1] if eff[kappa] else None,
                 "stop_reason": run.stop_reason,
             }

@@ -44,6 +44,10 @@ class UsageError(Exception):
     pass
 
 
+def _valid_kappa(kappa):
+    return 0.0 < kappa and kappa * kappa < math.inf  # kappa^2 may underflow
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="rdafem",
@@ -115,8 +119,9 @@ def merge_options(args):
     if opts["preset"] not in PRESET_NAMES:
         raise UsageError(f"unknown preset {opts['preset']!r} "
                          f"(have: {', '.join(PRESET_NAMES)})")
-    if not 0.0 < opts["kappa"] < math.inf:
-        raise UsageError(f"--kappa must be positive and finite, got {opts['kappa']!r}")
+    if not _valid_kappa(opts["kappa"]):
+        raise UsageError(f"--kappa must be positive and finite, with a finite square, "
+                         f"got {opts['kappa']!r}")
     if not 0.0 < opts["theta_mark"] < 1.0:
         raise UsageError("--theta-mark must lie in (0, 1)")
     if opts["quad_degree"] < 1 or opts["quad_degree"] > 30:
@@ -132,9 +137,9 @@ def merge_options(args):
             kappas = [float(part) for part in str(opts["kappas"]).split(",")]
         except ValueError:
             raise UsageError(f"--kappas: cannot parse {opts['kappas']!r}")
-        if not kappas or not all(0.0 < k < math.inf for k in kappas):
+        if not kappas or not all(_valid_kappa(k) for k in kappas):
             raise UsageError("--kappas must be a nonempty list of positive, finite "
-                             f"values, got {opts['kappas']!r}")
+                             f"values with finite squares, got {opts['kappas']!r}")
         opts["kappas"] = kappas
     return opts
 
@@ -167,6 +172,9 @@ def write_csv(path, columns):
     """Write a CSV file from {header: column values}, one array or list each."""
     import csv
 
+    from .galerkin import check_finite
+
+    check_finite(columns)  # no NaN or infinity reaches an artefact
     cells = [format_column(values) for values in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -180,6 +188,9 @@ def record_columns(records, header):
 
 
 def write_json(path, payload):
+    from .galerkin import check_finite
+
+    check_finite(payload)  # no NaN or infinity reaches an artefact
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -237,10 +248,6 @@ def cmd_estimate(opts, outdir):
 
     report = build_report(problem, U, depth=opts["dual_depth"],
                           quad_degree=opts["quad_degree"])
-    star_sizes = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
-    write_csv(os.path.join(outdir, "indicators.csv"), dict(zip(INDICATOR_COLUMNS, (
-        np.arange(mesh.n_vertices), mesh.vertices[:, 0], mesh.vertices[:, 1],
-        report.E, report.osc, star_sizes))))
     summary = {
         "command": "estimate", "mesh": label, "preset": opts["preset"],
         "kappa": opts["kappa"], "estimator": report.estimator,
@@ -248,7 +255,12 @@ def cmd_estimate(opts, outdir):
         "classic": report.classic, "error": report.true_error,
         "effectivity": report.effectivity,
     }
+    # first, so that a non-finite result is named by its total
     write_json(os.path.join(outdir, "estimate.json"), summary)
+    star_sizes = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
+    write_csv(os.path.join(outdir, "indicators.csv"), dict(zip(INDICATOR_COLUMNS, (
+        np.arange(mesh.n_vertices), mesh.vertices[:, 0], mesh.vertices[:, 1],
+        report.E, report.osc, star_sizes))))
     return EXIT_OK
 
 
@@ -267,11 +279,10 @@ def cmd_adapt(opts, outdir):
         "command": "adapt", "mesh": label, "preset": opts["preset"],
         "kappa": opts["kappa"], "theta_mark": opts["theta_mark"],
         "max_dof": opts["max_dof"], "iterations": len(report.records),
-        "stop_reason": report.stop_reason,
-        "final": report.records[-1] if report.records else None,
+        "stop_reason": report.stop_reason, "final": report.final,
     }
     write_json(os.path.join(outdir, "adapt.json"), summary)
-    if report.stop_reason and report.stop_reason.startswith("solver failure"):
+    if report.failed:
         print(f"rdafem adapt: {report.stop_reason}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -293,8 +304,7 @@ def cmd_study(opts, outdir):
                     "kappas": kappas})
     summary["per_kappa"] = {fmt(k): v for k, v in summary["per_kappa"].items()}
     write_json(os.path.join(outdir, "study.json"), summary)
-    failed = [run.stop_reason for run in report.runs.values()
-              if run.stop_reason and run.stop_reason.startswith("solver failure")]
+    failed = [run.stop_reason for run in report.runs.values() if run.failed]
     if failed:
         print(f"rdafem study: {failed[0]}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -43,8 +43,8 @@ import scipy.sparse.linalg as spla
 
 from . import quadrature
 from .galerkin import (PiecewiseFunctional, SourceFunctional, _p1_mass_sq,
-                       energy_error_sq_elements, field_rows, grad_jumps,
-                       load_vector, residual_source)
+                       as_source, energy_error_sq_elements, field_rows,
+                       grad_jumps, load_vector, residual_source)
 from .mesh import MeshError
 from .quadrature import DEFAULT_DEGREE
 
@@ -265,14 +265,6 @@ def _ref_blocks(depth, quad_degree):
     return _ref_blocks_cache[key]
 
 
-def _as_source(mesh, g):
-    if isinstance(g, SourceFunctional):
-        return g
-    if isinstance(g, PiecewiseFunctional):
-        return SourceFunctional(mesh, piecewise=g)
-    return SourceFunctional(mesh, field=g)
-
-
 def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
     """Lower bounds of the dual norm of g on the stars of `vertices`, one each.
 
@@ -284,7 +276,7 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
     if vertices.size and (vertices.min() < 0 or vertices.max() >= mesh.n_vertices):
         raise MeshError("star vertex out of range")
-    g = _as_source(mesh, g)
+    g = as_source(mesh, g)
     ref = _ref_blocks(int(depth), int(quad_degree))
     starts = mesh.vertex_starts
 
@@ -316,7 +308,7 @@ def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
     The domain is one patch: the free vertices first, then the sub-vertices
     of every interior face, then the element interiors.
     """
-    g = _as_source(mesh, g)
+    g = as_source(mesh, g)
     ref = _ref_blocks(int(depth), int(quad_degree))
     m, n_int = ref.face_dofs, ref.inner_dofs
     free, inner = ~mesh.boundary_vertex, mesh.interior_face

@@ -28,7 +28,20 @@ _ERROR_BLOCK = 2**14
 
 
 class SolverError(Exception):
-    """Raised when the linear solver fails to reach the requested tolerance."""
+    """Raised when the linear solver fails or a result is not finite."""
+
+
+def check_finite(value, name="value"):
+    """Raise SolverError naming the first NaN or infinity in nested dicts,
+    lists, arrays and numbers (by the dict key above it); the rest passes."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            check_finite(item, key)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            check_finite(item, name)
+    elif isinstance(value, (float, np.floating, np.ndarray)) and not np.isfinite(value).all():
+        raise SolverError(f"non-finite {name}")
 
 
 class ScalarField:
@@ -161,6 +174,15 @@ class SourceFunctional:
         return out
 
 
+def as_source(mesh, g):
+    """A field, PiecewiseFunctional or SourceFunctional as a SourceFunctional."""
+    if isinstance(g, SourceFunctional):
+        return g
+    if isinstance(g, PiecewiseFunctional):
+        return SourceFunctional(mesh, piecewise=g)
+    return SourceFunctional(mesh, field=g)
+
+
 def residual_source(problem, U):
     """The residual f - L(U) as a SourceFunctional."""
     lu = apply_operator(problem.mesh, problem.kappa, U)
@@ -176,10 +198,11 @@ class Problem:
     """Mesh, reaction coefficient and data of one boundary value problem."""
 
     def __init__(self, mesh, kappa, rhs, exact=None, name=""):
-        if not 0.0 < kappa < np.inf:
-            raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
         self.mesh = mesh
         self.kappa = float(kappa)
+        if not (0.0 < self.kappa and self.kappa * self.kappa < np.inf):
+            raise ValueError(f"kappa must be positive and finite, with a finite "
+                             f"square, got {kappa!r}")
         self.rhs = rhs
         self.exact = exact
         self.name = name
@@ -256,8 +279,9 @@ def make_problem(mesh, kappa, preset):
             x, y = mesh.vertices[outside[0]]
             raise MeshError(f"preset 'layer1d' is posed on the unit square, but vertex "
                             f"{outside[0]} at ({x:g}, {y:g}) lies outside [0, 1]^2")
-    rhs, exact = PRESETS[preset](kappa)
-    return Problem(mesh, kappa, rhs, exact, name=preset)
+    problem = Problem(mesh, kappa, None, name=preset)  # checks kappa first
+    problem.rhs, problem.exact = PRESETS[preset](problem.kappa)
+    return problem
 
 
 # -- assembly and solve --------------------------------------------------------

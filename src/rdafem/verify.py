@@ -6,9 +6,10 @@ ready for JSON serialization; randomized parts draw from one seeded
 generator so reruns reproduce bit-identical reports.
 
 The oracle evaluates the dual functions of a `DualSystem` pointwise and
-pairs them with functionals by quadrature, piece by piece.  It shares only
-the coefficient arrays with the bulk pairings behind the interpolation, so
-the checks and the tests use it as an independent cross-check.
+pairs them with functionals by quadrature, piece by piece.  Of the system
+it reads only theta and gamma; psi = `galerkin._PSI_UNIT` / |T|, the squeezed
+triangles and the face bubbles it builds from the mesh, so the checks and the
+tests use it as a cross-check of the bulk pairings behind the interpolation.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from .dual_system import get_dual_system, project_pi, theta_factor
 from .estimator import discrete_dual_norm, localize_check
 from .galerkin import (DiscreteFunction, PiecewiseFunctional, ScalarField,
                        SourceFunctional, apply_operator)
-from .mesh import MeshError, bary_grads, signed_areas
-from .quadrature import DEFAULT_DEGREE, gauss_edge, map_to_triangle, simplex_rule
+from .mesh import MeshError, bary_grads
+from .quadrature import (DEFAULT_DEGREE, gauss_edge, map_points, map_to_triangle,
+                         simplex_rule)
 
 IDENTITY_TOL = 1e-11
 INVARIANCE_TOL = 1e-9
@@ -30,13 +32,18 @@ LOCALIZE_WINDOW = (0.2, 20.0)
 # -- pointwise dual functions ----------------------------------------------------
 
 
+def _psi(areas):
+    """P1 coefficients of psi_z in column z, per element of the given areas."""
+    return galerkin._PSI_UNIT / np.asarray(areas)[..., None, None]
+
+
 class ElementDualFunction:
     """phi*_{z;T} = psi_z b_T: quartic bump on one element, L2-dual to its hats."""
 
     def __init__(self, system, element, local):
         self.mesh = system.mesh
         self.element = int(element)
-        self.psi = system.psi[element, :, local]
+        self.psi = _psi(self.mesh.areas[element])[:, local]
 
     def __call__(self, points):
         lam = self.mesh.barycentric(self.element, points)
@@ -50,25 +57,31 @@ def element_duals(system, element):
 
 
 class FaceDualFunction:
-    """phi*_F of an interior face, read off the arrays of a DualSystem.
+    """phi*_F of an interior face, with theta and gamma from a DualSystem.
 
     Side s is the adjacent element `elements[s]` (lower index first),
-    squeezed by `thetas[s]` to the triangle `sq_coords[s]` whose corners have
-    the parent barycentrics `parent_bary[s]`; `gammas[s]` weigh the element
-    duals of that side that are subtracted from the normalized bubble.
+    squeezed by `thetas[s]` to the triangle `sq_coords[s]` with corners v0,
+    v1 and (1 - theta) v0 + theta apex, F = v0 v1, whose barycentrics in the
+    element are `parent_bary[s]`; `gammas[s]` weigh the element duals of
+    that side that are subtracted from the normalized bubble.
     """
 
     def __init__(self, system, face):
         pos = system.face_pos[face]
         if pos < 0:
             raise MeshError(f"face {face} lies on the boundary; it carries no dual function")
-        self.mesh = system.mesh
+        mesh = self.mesh = system.mesh
         self.face = int(face)
-        self.elements = system.adj[pos]
+        self.elements = mesh.face_elems[face]
         self.thetas = system.thetas[pos]
-        self.sq_coords = system.sq_coords[pos]
-        self.parent_bary = system.parent_bary[pos]
         self.gammas = system.gammas[pos]
+        self.parent_bary = np.zeros((2, 3, 3))
+        for s, e in enumerate(self.elements):
+            apex = int(np.flatnonzero(~np.isin(mesh.elements[e], mesh.faces[face]))[0])
+            v0, v1 = (apex + 1) % 3, (apex + 2) % 3
+            self.parent_bary[s, [0, 1, 2, 2], [v0, v1, v0, apex]] = (
+                1.0, 1.0, 1.0 - self.thetas[s], self.thetas[s])
+        self.sq_coords = self.parent_bary @ mesh.vertices[mesh.elements[self.elements]]
         self.int_bubble = self.mesh.face_len[face] / 6.0  # exact value of int_F b_F
         self.element_duals = [element_duals(system, e) for e in self.elements]
 
@@ -122,7 +135,9 @@ def _pair_face_dual(f, phi, quad_degree):
     psi = rule.points[:, 0] * rule.points[:, 1] / phi.int_bubble
     total = 0.0
     for s, e in enumerate(phi.elements):
-        pts, w = map_to_triangle(rule, phi.sq_coords[s])
+        pts = map_points(rule, phi.sq_coords[s])
+        # the Jacobian 2 theta |T|: the area from the corners loses eps / theta
+        w = rule.weights * (2.0 * phi.thetas[s] * phi.mesh.areas[e])
         total += float(w @ (_volume_values(f, e, pts) * psi))
         for gz, dual in zip(phi.gammas[s], phi.element_duals[s]):
             total -= gz * _pair_element_dual(f, dual, quad_degree)
@@ -172,7 +187,7 @@ def element_dual_energy_norm(system, element, z, quad_degree=DEFAULT_DEGREE):
     """Energy norm of phi*_{z;T}; scales like |T|^(-1/2) max(1/h_T, kappa)."""
     mesh = system.mesh
     rule = simplex_rule(quad_degree)
-    val, grad = _bump_eval(system.psi[element, :, z], rule.points,
+    val, grad = _bump_eval(_psi(mesh.areas[element])[:, z], rule.points,
                            bary_grads(mesh.element_coords(element)))
     dens = (grad**2).sum(axis=1) + system.kappa**2 * val**2
     return float(np.sqrt(2.0 * mesh.areas[element] * (rule.weights @ dens)))
@@ -187,7 +202,7 @@ def face_dual_energy_norm(system, face, quad_degree=DEFAULT_DEGREE):
     total = 0.0
     for s, e in enumerate(phi.elements):
         grads = bary_grads(mesh.element_coords(e))
-        c = -(system.psi[e] @ phi.gammas[s])  # corrected part is -(lam.c) b on all of T
+        c = -(_psi(mesh.areas[e]) @ phi.gammas[s])  # -(lam.c) b on all of T
         val, grad = _bump_eval(c, lam_q, grads)
         dens = (grad**2).sum(axis=1) + kappa2 * val**2
         total += 2.0 * mesh.areas[e] * (rule.weights @ dens)
@@ -199,7 +214,7 @@ def face_dual_energy_norm(system, face, quad_degree=DEFAULT_DEGREE):
                            + lam_q[:, 0, None] * g_sq[1]) / phi.int_bubble
         dens = ((g_full**2).sum(axis=1) - (grad_c**2).sum(axis=1)
                 + kappa2 * (v_full**2 - val_c**2))
-        total += 2.0 * signed_areas(phi.sq_coords[s]) * (rule.weights @ dens)
+        total += 2.0 * phi.thetas[s] * mesh.areas[e] * (rule.weights @ dens)
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -228,10 +243,9 @@ def _hat_functional(mesh, vertex):
 
 def element_duality_residual(mesh):
     """max |<lam_y, phi*_z>_T - delta_yz| over all elements."""
-    system = get_dual_system(mesh, 1.0)
     off = 1.0 / 630.0
     gram = ((1.0 / 420.0 - off) * np.eye(3) + off)[None] * mesh.areas[:, None, None]
-    res = np.einsum("eyx,exz->eyz", gram, system.psi) - np.eye(3)[None]
+    res = np.einsum("eyx,exz->eyz", gram, _psi(mesh.areas)) - np.eye(3)[None]
     return float(np.abs(res).max())
 
 

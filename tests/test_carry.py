@@ -32,7 +32,7 @@ MESHES = {
 }
 # layer1d is posed on the unit square
 UNIT_SQUARE = ("square2", "crisscross", "square_64")
-SYSTEM_ARRAYS = ("psi", "thetas", "sq_coords", "parent_bary", "gammas")
+SYSTEM_ARRAYS = ("thetas", "gammas")
 
 
 @st.composite
@@ -99,7 +99,9 @@ def test_parent_map_keeps_kept_rows_and_counts_new_faces():
     parent_iface = child.parent_faces[system.iface]
     assert system.n_new_faces == (parent_iface < 0).sum() > 0
     old = get_dual_system(mesh, 10.0)
-    assert np.array_equal(system.psi[kept], old.psi[child.parent_elements[kept]])
+    kept_faces = parent_iface >= 0
+    assert np.array_equal(system.gammas[kept_faces],
+                          old.gammas[old.face_pos[parent_iface[kept_faces]]])
     # a field the parent never paired is priced in full on the child, also
     # where the parent holds its node values but no dual system for kappa
     fresh = Mesh(child.vertices, child.elements, ref_edge_policy="asis")

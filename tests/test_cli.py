@@ -190,6 +190,63 @@ def test_non_finite_kappa_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "estimate.json").exists()
 
 
+def test_kappa_with_overflowing_square_is_a_usage_error(tmp_path, capsys):
+    assert run_cli("estimate", "--kappa", "1e155", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--kappa must be positive and finite, with a finite square" in (
+        capsys.readouterr().err)
+    assert run_cli("study", "--kappas", "1,1e155", "--max-dof", "20",
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "finite squares" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa = 1e155\n")
+    assert run_cli("adapt", "--config", str(cfg), "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "finite square" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def assert_finite_artifacts(outdir):
+    """Every number in the JSON and CSV files of outdir is finite."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a JSON artefact")
+
+    for path in outdir.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=refuse)
+        elif path.suffix == ".csv":
+            for row in read_csv(path)[1]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(value), (path.name, row)
+
+
+@pytest.mark.parametrize("command", ["estimate", "adapt", "study"])
+def test_non_finite_results_are_numerical_failures(tmp_path, capsys, command):
+    # kappa^2 U overflows in the squared residual norms
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run_cli(command, "--mesh", "crisscross", "--kappa", "1e100",
+                       "--max-dof", "30", "--out", str(tmp_path))
+    assert code == cli.EXIT_NUMERICAL
+    assert "numerical failure: non-finite estimator" in capsys.readouterr().err
+    assert_finite_artifacts(tmp_path)
+    if command == "adapt":
+        summary = json.loads((tmp_path / "adapt.json").read_text())
+        assert summary["stop_reason"] == "numerical failure: non-finite estimator"
+        assert summary["iterations"] == 0 and summary["final"] is None
+        assert read_csv(tmp_path / "run.csv") == (list(cli.RUN_COLUMNS), [])
+    if command == "estimate":
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "adapt"])
+def test_kappa_whose_square_underflows_still_runs(tmp_path, command):
+    assert run_cli(command, "--mesh", "crisscross", "--kappa", "1e-300",
+                   "--max-dof", "30", "--out", str(tmp_path)) == cli.EXIT_OK
+    assert_finite_artifacts(tmp_path)
+
+
 def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert run_cli("verify", "--seed", "-1", "--out", str(tmp_path)) == cli.EXIT_USAGE
     assert "--seed must be nonnegative" in capsys.readouterr().err

@@ -144,6 +144,31 @@ def test_problem_refuses_non_finite_kappa():
     assert g.make_problem(m, 1e10, "sinsin").kappa == 1e10
 
 
+def test_problem_refuses_kappa_with_overflowing_square():
+    m = unit_square_2tri()
+    for kappa in (1e155, 1.5e154):
+        with pytest.raises(ValueError, match="finite square"):
+            g.make_problem(m, kappa, "sinsin")
+        with pytest.raises(ValueError, match="finite square"):
+            g.Problem(m, kappa, None)
+    # a square that underflows to zero is fine
+    problem = g.make_problem(uniform_refine(m, 2), 1e-300, "sinsin")
+    assert problem.kappa == 1e-300
+    U = g.solve(problem)
+    assert np.isfinite(U.values).all() and np.isfinite(g.energy_error(problem, U))
+
+
+def test_check_finite_names_the_first_non_finite_quantity():
+    g.check_finite({"estimator": 1.0, "E": np.ones(3), "dofs": 3, "error": None,
+                    "final": {"total": 2.0}, "stop_reason": "max_dof reached"})
+    for payload, name in (({"estimator": 1.0, "effectivity": np.inf}, "effectivity"),
+                          ({"E": np.array([1.0, np.nan])}, "E"),
+                          ({"final": {"total": float("nan")}}, "total"),
+                          ({"classic": [1.0, None, -np.inf]}, "classic")):
+        with pytest.raises(g.SolverError, match=f"non-finite {name}$"):
+            g.check_finite(payload)
+
+
 def test_grad_jumps_center_hat():
     m = unit_square_crisscross()
     U = g.DiscreteFunction(m, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))

@@ -3,6 +3,11 @@
 Every quadrature-point map and DualSystem contraction goes through
 `quadrature.map_points` and matmuls; the einsum forms below are the
 reference.  Only the summation order differs, so results agree to rounding.
+The reference of the interpolation builds its own squeezed triangles and psi
+and is evaluated in long double: the face densities of a smooth field are
+cancellation residues, so a float64 reference would be as far from the exact
+value as the kernels are.  Where `np.longdouble` is float64, it is float64
+against float64.
 """
 
 import pathlib
@@ -19,6 +24,7 @@ from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 RTOL = 1e-13
+LD = np.longdouble
 
 
 def meshes():
@@ -34,8 +40,9 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
 
 
-def element_points(mesh, rule):
-    return np.einsum("qi,eix->eqx", rule.points, mesh.vertices[mesh.elements])
+def element_points(mesh, rule, dtype=float):
+    return np.einsum("qi,eix->eqx", rule.points.astype(dtype),
+                     mesh.vertices.astype(dtype)[mesh.elements])
 
 
 def ref_field_load(mesh, field):
@@ -49,44 +56,66 @@ def ref_field_load(mesh, field):
     return out
 
 
-def ref_gammas(system, mesh):
-    rule = simplex_rule(ds.GAMMA_DEGREE)
-    mu = rule.points
-    lam_parent = np.einsum("qm,fsmz->fsqz", mu, system.parent_bary)
-    jac = 2.0 * system.thetas * mesh.areas[system.adj]
-    inv_int = 6.0 / mesh.face_len[system.iface]
+def ref_parent_bary(system, mesh, dtype=float):
+    """(nfi, 2, 3, 3): per interior face and side, the barycentrics in the
+    element of the squeezed corners v0, v1 and (1 - theta) v0 + theta apex,
+    F = v0 v1; the apex is the element vertex that is no vertex of F."""
+    tri = mesh.elements[system.adj]
+    on_face = (tri[..., None] == mesh.faces[system.iface][:, None, None, :]).any(axis=3)
+    apex = np.argmin(on_face, axis=2)
+    v0, v1 = (apex + 1) % 3, (apex + 2) % 3
+    eye = np.eye(3, dtype=dtype)
+    theta = system.thetas.astype(dtype)[..., None]
+    return np.stack([eye[v0], eye[v1], (1 - theta) * eye[v0] + theta * eye[apex]],
+                    axis=2)
+
+
+def ref_gammas(system, mesh, dtype=float):
+    """gamma_{z;T} = int_{T_theta} lam_z psi_F by a degree-4 rule, exact for
+    the cubic integrand."""
+    rule = simplex_rule(4)
+    mu, w = rule.points.astype(dtype), rule.weights.astype(dtype)
+    lam_parent = np.einsum("qm,fsmz->fsqz", mu, ref_parent_bary(system, mesh, dtype))
+    jac = 2 * system.thetas.astype(dtype) * mesh.areas.astype(dtype)[system.adj]
+    inv_int = 6 / mesh.face_len.astype(dtype)[system.iface]
     return inv_int[:, None, None] * jac[:, :, None] * np.einsum(
-        "q,q,fsqz->fsz", rule.weights, mu[:, 0] * mu[:, 1], lam_parent)
+        "q,q,fsqz->fsz", w, mu[:, 0] * mu[:, 1], lam_parent)
 
 
 def ref_project_pi(system, mesh, source):
-    """Cell and face densities of Pi(source) by the einsum contractions."""
+    """Cell and face densities of Pi(source) by the einsum contractions, in
+    long double."""
     rule = simplex_rule(DEFAULT_DEGREE)
-    lam, w = rule.points, rule.weights
-    psib = np.einsum("ecz,qc->ezq", system.psi, lam) * lam.prod(axis=1)
+    lam, w = rule.points.astype(LD), rule.weights.astype(LD)
+    areas = mesh.areas.astype(LD)
+    psi = g._PSI_UNIT.astype(LD) / areas[:, None, None]
+    psib = np.einsum("ecz,qc->ezq", psi, lam) * lam.prod(axis=1)
     bubble_w = w * lam[:, 0] * lam[:, 1]
-    inv_int = 6.0 / mesh.face_len[system.iface]
-    jac = 2.0 * system.thetas * mesh.areas[system.adj]
-    cell = np.zeros((mesh.n_elements, 3))
-    face = np.zeros(len(system.iface))
+    inv_int = 6 / mesh.face_len.astype(LD)[system.iface]
+    jac = 2 * system.thetas.astype(LD) * areas[system.adj]
+    parent_bary = ref_parent_bary(system, mesh, LD)
+    cell = np.zeros((mesh.n_elements, 3), dtype=LD)
+    face = np.zeros(len(system.iface), dtype=LD)
     if source.field is not None:
-        pts = element_points(mesh, rule)
+        pts = element_points(mesh, rule, LD)
         fv = source.field.value(pts[..., 0], pts[..., 1])
-        cell += source.field_weight * 2.0 * mesh.areas[:, None] * np.einsum(
+        cell += source.field_weight * 2 * areas[:, None] * np.einsum(
             "q,eq,ezq->ez", w, fv, psib)
-        pts = np.einsum("qm,fsmx->fsqx", lam, system.sq_coords)
+        sq_coords = np.einsum("fsmz,fszx->fsmx", parent_bary,
+                              mesh.vertices.astype(LD)[mesh.elements[system.adj]])
+        pts = np.einsum("qm,fsmx->fsqx", lam, sq_coords)
         fv = source.field.value(pts[..., 0], pts[..., 1])
         face += source.field_weight * inv_int * np.einsum("fs,fsq,q->f", jac, fv,
                                                           bubble_w)
     if source.piecewise is not None:
-        dens = source.piecewise.cell_density
+        dens = source.piecewise.cell_density.astype(LD)
         fv = np.einsum("ez,qz->eq", dens, lam)
-        cell += 2.0 * mesh.areas[:, None] * np.einsum("q,eq,ezq->ez", w, fv, psib)
-        lam_parent = np.einsum("qm,fsmz->fsqz", lam, system.parent_bary)
+        cell += 2 * areas[:, None] * np.einsum("q,eq,ezq->ez", w, fv, psib)
+        lam_parent = np.einsum("qm,fsmz->fsqz", lam, parent_bary)
         fv = np.einsum("fsqz,fsz->fsq", lam_parent, dens[system.adj])
         face += inv_int * np.einsum("fs,fsq,q->f", jac, fv, bubble_w)
         face += source.piecewise.face_density[system.iface]
-    face -= np.einsum("fsz,fsz->f", ref_gammas(system, mesh), cell[system.adj])
+    face -= np.einsum("fsz,fsz->f", ref_gammas(system, mesh, LD), cell[system.adj])
     return cell, face
 
 
@@ -157,6 +186,45 @@ def test_element_pairings_match_the_pointwise_oracle(degree):
                          for e in range(child.n_elements)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert 0 < len(g.field_rows(child, field, degree).new) < child.n_elements
-    # |T| psi_z is one matrix on every element
-    unit = system.psi * child.areas[:, None, None]
-    assert np.abs(unit - unit[0]).max() <= 1e-13 * np.abs(unit[0]).max()
+
+
+@pytest.mark.parametrize("kappa", [1e-8, 1.0, 1e4, 1e10])
+def test_face_pairings_match_the_pointwise_oracle(kappa):
+    parent = uniform_refine(l_shape(), 1)
+    # no symmetry of the mesh maps this field to itself
+    field = g.ScalarField(lambda x, y: np.exp(x - 2.0 * y) * np.sin(3.0 * x + y))
+    ds.project_pi(parent, kappa, field)
+    # the parent stays alive: the child takes its kept rows from it
+    child = bisect(parent, np.arange(0, parent.n_elements, 3))
+    system = ds.get_dual_system(child, kappa)
+    assert 0 < system.n_new_faces < len(system.iface)
+
+    # the closed-form gamma against quadrature over the oracle's geometry
+    rule = simplex_rule(4)
+    mu = rule.points
+    for pos, face in enumerate(system.iface):
+        fd = verify.FaceDualFunction(system, face)
+        jac = 2.0 * fd.thetas * child.areas[fd.elements]
+        want = (6.0 / child.face_len[face]) * jac[:, None] * (
+            (rule.weights * mu[:, 0] * mu[:, 1]) @ (mu @ fd.parent_bary))
+        assert np.abs(system.gammas[pos] - want).max() <= 1e-13 * np.abs(want).max()
+
+    # the face densities of a field, against the oracle, relative to the
+    # terms that cancel in them: <f, psi_F> and gamma <f, phi*_{z;T}>
+    elem = system.pair_elements(field)
+    got = ds.project_pi(child, kappa, field).face_density[system.iface]
+    want = np.array([verify.pair(field, verify.FaceDualFunction(system, face))
+                     for face in system.iface])
+    moments = np.einsum("fsz,fsz->f", system.gammas, elem[system.adj])
+    terms = np.abs(want + moments) + np.einsum(
+        "fsz,fsz->f", np.abs(system.gammas), np.abs(elem[system.adj]))
+    assert np.abs(got - want).max() <= 1e-12 * terms.max()
+
+    # a P1 density plus line sources is reproduced
+    rng = np.random.default_rng(5)
+    density = g.PiecewiseFunctional(
+        child, rng.standard_normal((child.n_elements, 3)),
+        np.where(child.interior_face, rng.standard_normal(child.n_faces), 0.0))
+    back = ds.project_pi(child, kappa, density)
+    assert (back - density).coeff_scale() <= verify.INVARIANCE_TOL * max(
+        1.0, density.coeff_scale())

@@ -6,6 +6,7 @@ from rdafem.dual_system import get_dual_system
 from rdafem.mesh import (Mesh, MeshError, bary_grads, bisect, l_shape, load_mesh,
                          save_mesh, signed_areas, uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
+from rdafem.verify import FaceDualFunction
 
 
 def test_square2_topology():
@@ -202,17 +203,18 @@ def test_load_mesh_comments_and_blank_lines(tmp_path):
 
 
 def test_squeeze_element_geometry():
-    # the squeezed triangles of the dual system, every interior face and side
+    # the oracle's squeezed triangles, every interior face and side
     m = unit_square_crisscross()
     for kappa in (1.0, 4.0, 1e3):
         system = get_dual_system(m, kappa)
         for pos, face in enumerate(system.iface):
+            fd = FaceDualFunction(system, face)
             for s, e in enumerate(system.adj[pos]):
-                coords = system.sq_coords[pos, s]
-                theta = system.thetas[pos, s]
+                coords = fd.sq_coords[s]
+                theta = fd.thetas[s]
                 assert np.isclose(signed_areas(coords), theta * m.areas[e], rtol=1e-12)
-                # squeezed coords come from the parent via the stored barycentrics
-                assert np.allclose(coords, system.parent_bary[pos, s] @ m.element_coords(e),
+                # squeezed coords come from the parent via the barycentrics
+                assert np.allclose(coords, fd.parent_bary[s] @ m.element_coords(e),
                                    atol=1e-15)
                 # the face itself stays put
                 fv = set(map(tuple, m.vertices[m.faces[face]].tolist()))

@@ -83,7 +83,7 @@ def test_batched_matches_patch_space(label, mesh, depth):
         sources = _sources(mesh, kappa, rng)
         for name, src in sources:
             got = est.discrete_dual_norm(mesh, vertices, src, kappa, depth)
-            oracle = est._as_source(mesh, src)
+            oracle = g.as_source(mesh, src)
             ref = np.array([space.dual_norm(oracle, kappa) for space in spaces])
             _assert_matches(got, ref, (label, depth, kappa, name))
             if depth == 0:
@@ -98,7 +98,7 @@ def test_batched_matches_patch_space(label, mesh, depth):
                     ("residual", g.residual_source(problem, g.solve(problem)))]
         got = np.array([est.global_dual_norm(mesh, src, kappa, depth)
                         for _, src in sources])
-        ref = np.array([whole.dual_norm(est._as_source(mesh, src), kappa)
+        ref = np.array([whole.dual_norm(g.as_source(mesh, src), kappa)
                         for _, src in sources])
         _assert_matches(got, ref, (label, depth, kappa, "global"))
         if label == "square2" and depth == 0:
@@ -206,6 +206,6 @@ def test_deep_stars_match_patch_space_in_bounded_memory(depth, monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak < bound, (depth, name, peak)
-            oracle = est._as_source(mesh, src)
+            oracle = g.as_source(mesh, src)
             ref = np.array([space.dual_norm(oracle, 1.0) for space in spaces])
             _assert_matches(got, ref, (depth, name))
