@@ -87,8 +87,9 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     kept from the previous mesh's cached arrays (the face rows of the
     `DualSystem` and of the field's face pairings, and the load rows,
     element means and element-dual pairings of the data) and computes only
-    the new rows; `repriced_elements` and `repriced_faces` count those of
-    the dual system.
+    the new rows, and so does the exact solution's part of the energy error;
+    `repriced_elements` and `repriced_faces` count the new rows of the dual
+    system.
     """
     from .dual_system import get_dual_system, project_pi, theta_factor
 
@@ -100,8 +101,9 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     mesh = None
     for it in range(max_iter):
         # the previous mesh is held until the arrays cached on this mesh (the
-        # data rows in the solve, the dual system and its face pairings)
-        # have taken their kept rows from it
+        # data rows in the solve, the dual system and its face pairings, the
+        # exact solution's rows of the energy error) have taken their kept
+        # rows from it
         parent, mesh = mesh, problem.mesh
         t0 = time.perf_counter()
         system = galerkin.assemble(mesh, kappa)
@@ -114,6 +116,10 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             break
         interpolated = project_pi(mesh, kappa, problem.rhs, quad_degree)
         duals = get_dual_system(mesh, kappa, quad_degree)
+        err = None
+        if problem.exact is not None and problem.exact.grad is not None:
+            err = float(np.sqrt(energy_error_sq_elements(
+                problem, U, quad_degree).sum()))
         del parent
         rd = residuals(problem, U, interpolated)
         E = vertex_indicators(rd)
@@ -143,9 +149,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             osc = all_oscillations(problem, interpolated, depth, quad_degree)
             record["oscillation"] = float(np.sqrt((osc**2).sum()))
             record["total"] = float(np.sqrt((E**2).sum() + (osc**2).sum()))
-        if problem.exact is not None and problem.exact.grad is not None:
-            err = float(np.sqrt(energy_error_sq_elements(
-                problem, U, quad_degree).sum()))
+        if err is not None:
             record["error"] = err
             if err > 0.0:
                 record["effectivity"] = record["total"] / err

@@ -22,7 +22,7 @@ from .mesh import MeshError, bary_grads, carry_rows
 from .quadrature import DEFAULT_DEGREE
 
 # elements per block of the quadrature-node evaluations (FieldRows and
-# energy_error_sq_elements): the (element, node) arrays of a whole fine mesh
+# ErrorRows): the (element, node) arrays of a whole fine mesh
 # would set the memory peak of a solve
 _ERROR_BLOCK = 2**14
 
@@ -59,27 +59,43 @@ class ScalarField:
 
 class DiscreteFunction:
     """P1 function given by vertex values (boundary entries zero for members
-    of the homogeneous space)."""
+    of the homogeneous space).
+
+    The values are a copy of those given.  The element gradients and the
+    face jumps (`grad_jumps`) are computed once and cached; from the first
+    of them on the values are read-only, so neither can go stale.
+    """
 
     def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != (mesh.n_vertices,):
             raise ValueError("values must have one entry per vertex")
         self.mesh = mesh
-        self.values = values
+        self._values = values
+        self._gradients = None
+        self._jumps = None
 
     # set by `solve`: {"cg_iterations", "cg_residual", "preconditioner"}
     solver_stats = None
+
+    @property
+    def values(self):
+        """(nv,) vertex values."""
+        return self._values
 
     def element_values(self):
         """(ne, 3) vertex values per element."""
         return self.values[self.mesh.elements]
 
     def element_gradients(self):
-        """(ne, 2) constant gradient per element."""
-        mesh = self.mesh
-        return np.einsum("ei,eix->ex", self.element_values(),
-                         bary_grads(mesh.vertices[mesh.elements]))
+        """(ne, 2) constant gradient per element, read-only."""
+        if self._gradients is None:
+            self._values.setflags(write=False)
+            grads = np.einsum("ei,eix->ex", self.element_values(),
+                              element_bary_grads(self.mesh))
+            grads.setflags(write=False)
+            self._gradients = grads
+        return self._gradients
 
 
 # -- functionals --------------------------------------------------------------
@@ -302,9 +318,19 @@ class GalerkinSystem:
         self.matrix = matrix_full[free][:, free].tocsr()
 
 
+def element_bary_grads(mesh):
+    """`bary_grads` of every element, (ne, 3, 2), read-only; computed once
+    per mesh and cached on it."""
+    grads = mesh.cache.get("bary_grads")
+    if grads is None:
+        grads = mesh.cache["bary_grads"] = bary_grads(mesh.vertices[mesh.elements])
+        grads.setflags(write=False)
+    return grads
+
+
 def assemble(mesh, kappa):
     """Stiffness + kappa^2 * mass in sparse CSR form."""
-    g = bary_grads(mesh.vertices[mesh.elements])
+    g = element_bary_grads(mesh)
     stiff = np.einsum("eix,ejx->eij", g, g) * mesh.areas[:, None, None]
     mass = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (mesh.areas / 12.0)[:, None, None]
     local = stiff + kappa**2 * mass
@@ -536,14 +562,19 @@ def grad_jumps(mesh, U):
 
     Sign convention: (grad U|_lo - grad U|_hi) . n_F with n_F oriented from
     the lower adjacent element index to the higher.  Returns (nf,) with zeros
-    on boundary faces.
+    on boundary faces, read-only: it is computed once per U and cached there.
     """
-    grads = U.element_gradients()
-    out = np.zeros(mesh.n_faces)
-    idx = np.nonzero(mesh.interior_face)[0]
-    lo, hi = mesh.face_elems[idx, 0], mesh.face_elems[idx, 1]
-    out[idx] = np.einsum("fx,fx->f", grads[lo] - grads[hi], mesh.normals[idx])
-    return out
+    if mesh is not U.mesh:
+        raise ValueError("U lives on a different mesh")
+    if U._jumps is None:
+        grads = U.element_gradients()
+        out = np.zeros(mesh.n_faces)
+        idx = np.nonzero(mesh.interior_face)[0]
+        lo, hi = mesh.face_elems[idx, 0], mesh.face_elems[idx, 1]
+        out[idx] = np.einsum("fx,fx->f", grads[lo] - grads[hi], mesh.normals[idx])
+        out.setflags(write=False)
+        U._jumps = out
+    return U._jumps
 
 
 def apply_operator(mesh, kappa, U):
@@ -606,27 +637,83 @@ def energy_norm(mesh, kappa, v, region=None, quad_degree=DEFAULT_DEGREE):
     return float(np.sqrt(e2.sum()))
 
 
+class ErrorRows:
+    """The part of the energy error of u - U that does not depend on U, per
+    element of one mesh, for one exact solution u and one rule.
+
+    u and grad u are evaluated once, in blocks of elements, at the nodes of
+    the elements bisection made new (as in `FieldRows`), and split
+    orthogonally in the rule's inner product on each element T:
+
+    * `grad_mean[e]`, the rule-weighted mean m_T of grad u, and
+      `grad_spread[e]` = int_T |grad u - m_T|^2;
+    * `proj[e]`, the barycentric coefficients c_T of the rule's L2(T)
+      projection of u onto P1, and `proj_residual[e]` = int_T (u - c_T.lam)^2.
+
+    The rule's value of int_T |grad(u - U)|^2 + kappa^2 (u - U)^2 is then
+    grad_spread + |T| |m_T - grad U|^2 + kappa^2 (proj_residual +
+    int_T ((c_T - U).lam)^2): the cross terms vanish by the rule's own
+    orthogonality, and the rule integrates the P1 square exactly.  The four
+    terms are nonnegative, so nothing cancels where the error is small.
+    Rows of kept elements are the parent mesh's.  Use `error_rows`, which
+    caches them on the mesh.
+    """
+
+    def __init__(self, mesh, exact, rule, key):
+        old, sources = mesh.inherited(key)
+        new = np.nonzero(sources < 0)[0]
+        w = rule.weights
+        wsum = w.sum()
+        # c_T = u at the nodes @ proj: the rule's Gram matrix of the
+        # barycentrics, inverted, against the weighted barycentrics
+        lw = rule.points * w[:, None]
+        proj = np.linalg.solve(rule.points.T @ lw, lw.T).T
+        fresh = {"grad_mean": np.empty((len(new), 2)), "grad_spread": np.empty(len(new)),
+                 "proj": np.empty((len(new), 3)), "proj_residual": np.empty(len(new))}
+        for lo in range(0, len(new), _ERROR_BLOCK):
+            block = new[lo:lo + _ERROR_BLOCK]
+            rows = slice(lo, lo + len(block))
+            pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
+            x, y = pts[..., 0], pts[..., 1]
+            gx, gy = exact.grad(x, y)
+            mx, my = (gx @ w) / wsum, (gy @ w) / wsum
+            jac = 2.0 * mesh.areas[block]
+            fresh["grad_mean"][rows] = np.column_stack([mx, my])
+            fresh["grad_spread"][rows] = jac * (
+                ((gx - mx[:, None]) ** 2 + (gy - my[:, None]) ** 2) @ w)
+            u = exact.value(x, y)
+            c = u @ proj
+            fresh["proj"][rows] = c
+            fresh["proj_residual"][rows] = jac * ((u - c @ rule.points.T) ** 2 @ w)
+        for name, rows in fresh.items():
+            rows = carry_rows(None if old is None else getattr(old, name), sources, rows)
+            rows.setflags(write=False)
+            setattr(self, name, rows)
+
+
+def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
+    """The ErrorRows of (mesh, exact, quad_degree), cached on the mesh.
+
+    The rule is of degree 2 at least, which integrates P1^2 exactly.
+    """
+    degree = max(int(quad_degree), 2)
+    key = ("error_rows", exact, degree)
+    if key not in mesh.cache:
+        mesh.cache[key] = ErrorRows(mesh, exact, quadrature.simplex_rule(degree), key)
+    return mesh.cache[key]
+
+
 def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
-    """Squared energy norm of u - U per element, u the exact solution."""
+    """Squared energy norm of u - U per element, u the exact solution, by
+    the orthogonal split of `ErrorRows`."""
     if problem.exact is None or problem.exact.grad is None:
         raise ValueError("problem has no exact solution to compare against")
     mesh = problem.mesh
-    rule = quadrature.simplex_rule(quad_degree)
-    Ugrads = U.element_gradients()
-    Uvals = U.element_values() @ rule.points.T
-    out = np.empty(mesh.n_elements)
-    # in blocks of elements: about ten (element, node) arrays are live at
-    # once, which made this the memory peak of a solve on a fine mesh
-    for lo in range(0, mesh.n_elements, _ERROR_BLOCK):
-        e = slice(lo, lo + _ERROR_BLOCK)
-        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[e]])
-        x, y = pts[..., 0], pts[..., 1]
-        gx, gy = problem.exact.grad(x, y)
-        uvals = problem.exact.value(x, y)
-        dens = ((gx - Ugrads[e, None, 0]) ** 2 + (gy - Ugrads[e, None, 1]) ** 2
-                + problem.kappa**2 * (uvals - Uvals[e]) ** 2)
-        out[e] = 2.0 * mesh.areas[e] * (dens @ rule.weights)
-    return out
+    rows = error_rows(mesh, problem.exact, quad_degree)
+    dg = rows.grad_mean - U.element_gradients()
+    grad_part = rows.grad_spread + mesh.areas * (dg[:, 0] ** 2 + dg[:, 1] ** 2)
+    mass_part = rows.proj_residual + _p1_mass_sq(mesh.areas, rows.proj - U.element_values())
+    return grad_part + problem.kappa**2 * mass_part
 
 
 def energy_error(problem, U, region=None, quad_degree=DEFAULT_DEGREE):

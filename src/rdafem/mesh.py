@@ -121,8 +121,10 @@ class Mesh:
 
     `cache` holds data derived from the mesh, keyed by the function that
     builds it (`get_dual_system`: the dual system; `field_rows`: the load
-    rows, means and element-dual pairings of a field); nothing in it may
-    hold the mesh strongly, so the cache goes with the mesh.
+    rows, means and element-dual pairings of a field; `error_rows`: the
+    exact solution's part of the energy error; `element_bary_grads`: the
+    barycentric gradients); nothing in it may hold the mesh strongly, so
+    the cache goes with the mesh.
     """
 
     def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):

@@ -59,9 +59,10 @@ def element_duals(system, element):
 class FaceDualFunction:
     """phi*_F of an interior face, with theta and gamma from a DualSystem.
 
-    Side s is the adjacent element `elements[s]` (lower index first),
-    squeezed by `thetas[s]` to the triangle `sq_coords[s]` with corners v0,
-    v1 and (1 - theta) v0 + theta apex, F = v0 v1, whose barycentrics in the
+    Side s is the adjacent element `elements[s]` (lower index first), whose
+    corner off F has the local index `apex[s]`, squeezed by `thetas[s]` to
+    the triangle `sq_coords[s]` with corners v0, v1 and
+    (1 - theta) v0 + theta apex, F = v0 v1, whose barycentrics in the
     element are `parent_bary[s]`; `gammas[s]` weigh the element duals of
     that side that are subtracted from the normalized bubble.
     """
@@ -76,8 +77,9 @@ class FaceDualFunction:
         self.thetas = system.thetas[pos]
         self.gammas = system.gammas[pos]
         self.parent_bary = np.zeros((2, 3, 3))
-        for s, e in enumerate(self.elements):
-            apex = int(np.flatnonzero(~np.isin(mesh.elements[e], mesh.faces[face]))[0])
+        self.apex = [int(np.flatnonzero(~np.isin(mesh.elements[e], mesh.faces[face]))[0])
+                     for e in self.elements]
+        for s, apex in enumerate(self.apex):
             v0, v1 = (apex + 1) % 3, (apex + 2) % 3
             self.parent_bary[s, [0, 1, 2, 2], [v0, v1, v0, apex]] = (
                 1.0, 1.0, 1.0 - self.thetas[s], self.thetas[s])
@@ -206,12 +208,16 @@ def face_dual_energy_norm(system, face, quad_degree=DEFAULT_DEGREE):
         val, grad = _bump_eval(c, lam_q, grads)
         dens = (grad**2).sum(axis=1) + kappa2 * val**2
         total += 2.0 * mesh.areas[e] * (rule.weights @ dens)
-        # on the squeezed triangle psi_F = mu0 mu1 / int_bubble joins in
-        g_sq = bary_grads(phi.sq_coords[s])
+        # on the squeezed triangle psi_F = mu0 mu1 / int_bubble joins in;
+        # mu1 = lam_v1 and mu2 = lam_apex / theta, so their gradients come
+        # from those of T, not from corners theta h apart
+        apex = phi.apex[s]
+        g_mu1 = grads[(apex + 2) % 3]
+        g_mu0 = -g_mu1 - grads[apex] / phi.thetas[s]
         val_c, grad_c = _bump_eval(c, lam_q @ phi.parent_bary[s], grads)
         v_full = val_c + lam_q[:, 0] * lam_q[:, 1] / phi.int_bubble
-        g_full = grad_c + (lam_q[:, 1, None] * g_sq[0]
-                           + lam_q[:, 0, None] * g_sq[1]) / phi.int_bubble
+        g_full = grad_c + (lam_q[:, 1, None] * g_mu0
+                           + lam_q[:, 0, None] * g_mu1) / phi.int_bubble
         dens = ((g_full**2).sum(axis=1) - (grad_c**2).sum(axis=1)
                 + kappa2 * (v_full**2 - val_c**2))
         total += 2.0 * phi.thetas[s] * mesh.areas[e] * (rule.weights @ dens)

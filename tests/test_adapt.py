@@ -8,6 +8,7 @@ from rdafem import adapt
 from rdafem import galerkin as g
 from rdafem.mesh import (Mesh, bisect, uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
+from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
 
 def test_dorfler_equal_indicators():
@@ -271,3 +272,24 @@ def test_decay_rate_recovers_power_law():
     dofs = np.array([10.0, 100.0, 1000.0])
     vals = 5.0 * dofs**-0.5
     assert np.isclose(adapt.decay_rate(dofs, vals), -0.5, atol=1e-12)
+
+
+def test_loop_evaluates_the_exact_solution_at_new_elements_only():
+    # the energy error takes the rows of kept elements from the previous
+    # mesh, so grad u is evaluated at the nodes of new elements only
+    problem = g.make_problem(uniform_refine(unit_square_2tri(), 3), 10.0, "sinsin")
+    grad = problem.exact.grad
+    points = []
+
+    def counting(x, y):
+        points.append(np.size(x))
+        return grad(x, y)
+
+    problem.exact.grad = counting
+    report = adapt.adaptive_loop(problem, max_dof=300, osc_every=0)
+    assert len(report.records) > 2
+    new = [r["repriced_elements"] for r in report.records]
+    assert new[0] == report.records[0]["n_elements"] and sum(new[1:]) < sum(
+        r["n_elements"] for r in report.records[1:])
+    nq = len(simplex_rule(DEFAULT_DEGREE).weights)
+    assert sum(points) == nq * sum(new)

@@ -128,3 +128,34 @@ def test_child_holds_its_parent_weakly():
     system = get_dual_system(child, 1.0)
     assert system.n_new_elements == child.n_elements
     assert system.n_new_faces == len(system.iface)
+
+
+ERROR_ARRAYS = ("grad_mean", "grad_spread", "proj", "proj_residual")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(chains())
+def test_carried_error_rows_equal_a_fresh_build(chain):
+    name, data, kappa, seed, fractions = chain
+    mesh = MESHES[name]()
+    problem = galerkin.make_problem(mesh, kappa, data)
+    galerkin.error_rows(mesh, problem.exact)
+    rng = np.random.default_rng(seed)
+    for fraction in fractions:
+        marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
+                           replace=False)
+        child = bisect(mesh, marks)
+        carried = galerkin.error_rows(child, problem.exact)
+        fresh_mesh = Mesh(child.vertices, child.elements, ref_edge_policy="asis")
+        fresh = galerkin.error_rows(fresh_mesh, problem.exact)
+        for key in ERROR_ARRAYS:
+            got, want = getattr(carried, key), getattr(fresh, key)
+            assert got.shape == want.shape, key
+            assert np.abs(got - want).max(initial=0.0) <= (
+                RTOL * np.abs(want).max(initial=0.0)), key
+        # and the errors of one discrete function through both
+        values = rng.standard_normal(child.n_vertices)
+        got, want = (galerkin.energy_error_sq_elements(
+            problem.on_mesh(m), galerkin.DiscreteFunction(m, values)) for m in (child, fresh_mesh))
+        assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+        mesh = child

@@ -350,3 +350,26 @@ def test_residual_check_covers_the_fallback(monkeypatch):
     monkeypatch.setattr(g.spla, "splu", lambda A: WrongLU())
     with pytest.raises(g.SolverError, match="exceeds tolerance"):
         g.solve(problem)
+
+
+def test_cached_gradients_and_jumps_cannot_go_stale():
+    m = uniform_refine(unit_square_2tri(), 2)
+    values = np.arange(m.n_vertices, dtype=float)
+    U = g.DiscreteFunction(m, values)
+    values[0] = 5.0  # U holds a copy
+    assert U.values[0] == 0.0
+    U.values[1] = 2.0  # writable until a derived quantity is cached
+    want = np.einsum("ei,eix->ex", U.element_values(),
+                     mesh_mod.bary_grads(m.vertices[m.elements]))
+    grads = U.element_gradients()
+    assert np.array_equal(grads, want)
+    jumps = g.grad_jumps(m, U)
+    assert g.element_bary_grads(m) is g.element_bary_grads(m)
+    assert U.element_gradients() is grads and g.grad_jumps(m, U) is jumps
+    for cached in (U.values, grads, jumps, g.element_bary_grads(m)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
+    with pytest.raises(AttributeError):
+        U.values = values
+    with pytest.raises(ValueError, match="different mesh"):
+        g.grad_jumps(uniform_refine(m, 1), U)

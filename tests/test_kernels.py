@@ -19,7 +19,8 @@ from rdafem import dual_system as ds
 from rdafem import estimator as est
 from rdafem import galerkin as g
 from rdafem import verify
-from rdafem.mesh import bisect, l_shape, load_mesh, uniform_refine, unit_square_2tri
+from rdafem.mesh import (bary_grads, bisect, l_shape, load_mesh, uniform_refine,
+                         unit_square_2tri)
 from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -228,3 +229,92 @@ def test_face_pairings_match_the_pointwise_oracle(kappa):
     back = ds.project_pi(child, kappa, density)
     assert (back - density).coeff_scale() <= verify.INVARIANCE_TOL * max(
         1.0, density.coeff_scale())
+
+
+def ref_energy_error(problem, U):
+    """The rule's value of int_T |grad(u - U)|^2 + kappa^2 (u - U)^2 per
+    element, node by node."""
+    mesh = problem.mesh
+    rule = simplex_rule(DEFAULT_DEGREE)
+    pts = element_points(mesh, rule)
+    x, y = pts[..., 0], pts[..., 1]
+    gx, gy = problem.exact.grad(x, y)
+    grads = U.element_gradients()
+    uvals = np.einsum("ei,qi->eq", U.element_values(), rule.points)
+    dens = ((gx - grads[:, None, 0]) ** 2 + (gy - grads[:, None, 1]) ** 2
+            + problem.kappa**2 * (problem.exact.value(x, y) - uvals) ** 2)
+    return 2.0 * mesh.areas * np.einsum("q,eq->e", rule.weights, dens)
+
+
+@pytest.mark.parametrize("preset", ["sinsin", "layer1d"])
+@pytest.mark.parametrize("kappa", [1e-8, 1.0, 1e4, 1e10])
+def test_energy_error_split_matches_the_pointwise_formula(preset, kappa):
+    # a parentless mesh, then children that carry the exact solution's rows
+    # from a live parent
+    rng = np.random.default_rng(3)
+    parent, mesh = None, uniform_refine(unit_square_2tri(), 4)
+    problem = g.make_problem(mesh, kappa, preset)
+    for _ in range(3):
+        problem = problem.on_mesh(mesh)
+        U = g.solve(problem)
+        assert_close(g.energy_error_sq_elements(problem, U), ref_energy_error(problem, U))
+        if parent is not None:
+            assert mesh.parent is parent
+            assert ("error_rows", problem.exact, DEFAULT_DEGREE) in parent.cache
+            assert 0 < (mesh.parent_elements >= 0).sum() < mesh.n_elements
+        marks = rng.choice(mesh.n_elements, mesh.n_elements // 5, replace=False)
+        parent, mesh = mesh, bisect(mesh, marks)
+
+
+def test_energy_error_in_ragged_blocks_on_a_fresh_mesh(monkeypatch):
+    monkeypatch.setattr(g, "_ERROR_BLOCK", 7)
+    mesh = uniform_refine(l_shape(), 2)
+    assert mesh.n_elements % 7
+    problem = g.make_problem(mesh, 10.0, "sinsin")
+    U = g.solve(problem)
+    assert ("error_rows", problem.exact, DEFAULT_DEGREE) not in mesh.cache
+    assert_close(g.energy_error_sq_elements(problem, U), ref_energy_error(problem, U))
+
+
+def ref_face_dual_energy_sq(system, face):
+    """|phi*_F|_E^2 integrated over the squeezed triangle T_theta and over
+    the rest of T, the triangle (squeezed apex, v1, apex), with the gradients
+    of the squeezed barycentrics mu = lam inv(parent_bary)."""
+    phi = verify.FaceDualFunction(system, face)
+    mesh, kappa2 = system.mesh, system.kappa**2
+    rule = simplex_rule(DEFAULT_DEGREE)
+    total = 0.0
+    for s, e in enumerate(phi.elements):
+        grads = bary_grads(mesh.element_coords(e))
+        c = -(verify._psi(mesh.areas[e]) @ phi.gammas[s])
+        sq = phi.parent_bary[s]
+        apex, v1 = phi.apex[s], (phi.apex[s] + 2) % 3
+        rest = np.array([sq[2], np.eye(3)[v1], np.eye(3)[apex]])
+        theta = phi.thetas[s]
+        for corners, area, bubble in ((sq, theta * mesh.areas[e], True),
+                                      (rest, (1.0 - theta) * mesh.areas[e], False)):
+            lam = rule.points @ corners
+            lin = lam @ c
+            prods = np.stack([lam[:, 1] * lam[:, 2], lam[:, 0] * lam[:, 2],
+                              lam[:, 0] * lam[:, 1]], axis=1)
+            val = lin * lam.prod(axis=1)
+            grad = (c * lam.prod(axis=1)[:, None] + lin[:, None] * prods) @ grads
+            if bubble:
+                mu = rule.points
+                grad_mu = np.linalg.inv(sq).T @ grads
+                val = val + mu[:, 0] * mu[:, 1] / phi.int_bubble
+                grad = grad + (mu[:, 1, None] * grad_mu[0]
+                               + mu[:, 0, None] * grad_mu[1]) / phi.int_bubble
+            dens = (grad**2).sum(axis=1) + kappa2 * val**2
+            total += 2.0 * area * (rule.weights @ dens)
+    return total
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e10])
+def test_face_dual_energy_norm_against_a_split_reference(kappa):
+    mesh = uniform_refine(l_shape(), 1)
+    system = ds.get_dual_system(mesh, kappa)
+    for face in system.iface:
+        got = verify.face_dual_energy_norm(system, face)
+        want = np.sqrt(ref_face_dual_energy_sq(system, face))
+        assert abs(got - want) <= 1e-13 * want

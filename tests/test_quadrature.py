@@ -1,7 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from rdafem import quadrature as quad
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 TRI = np.array([[0.2, -0.1], [1.3, 0.4], [0.5, 1.7]])
 
@@ -83,3 +90,26 @@ def test_gauss_edge_length():
     a, b = np.array([1.0, 2.0]), np.array([4.0, 6.0])
     assert np.isclose(quad.gauss_edge(a, b, 1, lambda x, y: 1.0 + 0 * x), 5.0,
                       rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_gauss_rules_match_scipy(n):
+    # scipy.special is the oracle here only; rdafem does not import it.  Its
+    # Gauss-Jacobi weights are themselves up to about 310 ulps of the largest
+    # weight away from the exact ones at n = 16, so weights are compared at
+    # 1e-13 of the largest and nodes at 4 ulps
+    from scipy.special import roots_jacobi, roots_legendre
+
+    rules = {"jacobi": (quad._gauss_jacobi_10(n), roots_jacobi(n, 1.0, 0.0)),
+             "legendre": (quad.leggauss(n), roots_legendre(n))}
+    for name, ((x, w), (x_want, w_want)) in rules.items():
+        assert np.abs(x - x_want).max() <= 4 * np.spacing(np.abs(x_want).max()), name
+        assert np.abs(w - w_want).max() <= 1e-13 * w_want.max(), name
+        assert abs(w.sum() - 2.0) <= 4e-16 * n, name
+
+
+def test_import_path_leaves_out_scipy_special():
+    code = ("import sys, rdafem.cli, rdafem.adapt; "
+            "assert 'scipy.special' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
