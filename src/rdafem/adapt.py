@@ -5,8 +5,8 @@ import time
 import numpy as np
 
 from . import galerkin
-from .estimator import (all_oscillations, classic_indicators, residuals,
-                        vertex_indicators)
+from .estimator import (all_oscillations, classic_indicators, repriced_stars,
+                        residuals, vertex_indicators)
 from .galerkin import SolverError, energy_error_sq_elements, energy_norm, prolongate
 from .mesh import bisect
 from .quadrature import DEFAULT_DEGREE
@@ -89,7 +89,11 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     element means and element-dual pairings of the data) and computes only
     the new rows, and so does the exact solution's part of the energy error;
     `repriced_elements` and `repriced_faces` count the new rows of the dual
-    system.
+    system.  An iteration that prices oscillation right after one that did
+    prices only the stars of the vertices of new elements and takes every
+    other star's value from the previous iteration (`all_oscillations`); an
+    iteration after a skipped one prices every star.  `repriced_stars`
+    counts the stars priced, None where oscillation was not priced.
     """
     from .dual_system import get_dual_system, project_pi, theta_factor
 
@@ -98,7 +102,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
                         "refined meshes; a mesh-bound right-hand side cannot")
     report = RunReport(problem.kappa, theta_mark)
     kappa = problem.kappa
-    mesh = None
+    mesh = osc = None
     for it in range(max_iter):
         # the previous mesh is held until the arrays cached on this mesh (the
         # data rows in the solve, the dual system and its face pairings, the
@@ -141,14 +145,19 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             "theta_min": float(theta_factor(mesh.h_elem, kappa).min()),
             "repriced_elements": duals.n_new_elements,
             "repriced_faces": duals.n_new_faces,
+            "repriced_stars": None,
             "n_marked_vertices": 0,
             "n_marked_elements": 0,
             "seconds": 0.0,
         }
         if osc_every and it % osc_every == 0:
-            osc = all_oscillations(problem, interpolated, depth, quad_degree)
+            record["repriced_stars"] = len(repriced_stars(mesh, osc))
+            osc = all_oscillations(problem, interpolated, depth, quad_degree,
+                                   carried=osc)
             record["oscillation"] = float(np.sqrt((osc**2).sum()))
             record["total"] = float(np.sqrt((E**2).sum() + (osc**2).sum()))
+        else:
+            osc = None
         if err is not None:
             record["error"] = err
             if err > 0.0:

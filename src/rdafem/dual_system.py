@@ -36,7 +36,8 @@ import weakref
 import numpy as np
 
 from . import quadrature
-from .galerkin import PiecewiseFunctional, as_source, element_dual_weights, field_rows
+from .galerkin import (_ERROR_BLOCK, PiecewiseFunctional, as_source,
+                       element_dual_weights, field_rows)
 from .mesh import carry_rows
 from .quadrature import DEFAULT_DEGREE
 
@@ -160,20 +161,26 @@ class DualSystem:
             sources = self._face_sources if old_rows is not None else np.full_like(
                 self._face_sources, -1)
             new = np.nonzero(sources < 0)[0]
-            faces, adj, thetas = self.iface[new], self.adj[new], self.thetas[new]
-            # corners (v0, v1, apex) of each side, the apex squeezed toward F
-            apex = _apex(mesh, faces, adj)[..., None]
-            tri = np.take_along_axis(mesh.elements[adj], (apex + [1, 2, 0]) % 3, axis=2)
-            p0, p1, pA = np.moveaxis(mesh.vertices[tri], 2, 0)
-            th = thetas[..., None]
-            squeezed = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
             rule = quadrature.simplex_rule(self.quad_degree)
-            pts = quadrature.map_points(rule, squeezed)
-            fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
             # psi_F = mu0 mu1 / (|F|/6); a squeezed triangle's Jacobian is 2 theta |T|
             bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
-            jac = 2.0 * thetas * mesh.areas[adj]
-            fresh = 6.0 / mesh.face_len[faces] * ((fv @ bubble_w) * jac).sum(axis=1)
+            fresh = np.empty(len(new))
+            # f at the squeezed points, in blocks of faces, as in FieldRows
+            for lo in range(0, len(new), _ERROR_BLOCK):
+                block = new[lo:lo + _ERROR_BLOCK]
+                faces, adj, thetas = self.iface[block], self.adj[block], self.thetas[block]
+                # corners (v0, v1, apex) of each side, the apex squeezed toward F
+                apex = _apex(mesh, faces, adj)[..., None]
+                tri = np.take_along_axis(mesh.elements[adj], (apex + [1, 2, 0]) % 3,
+                                         axis=2)
+                p0, p1, pA = np.moveaxis(mesh.vertices[tri], 2, 0)
+                th = thetas[..., None]
+                squeezed = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
+                pts = quadrature.map_points(rule, squeezed)
+                fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
+                jac = 2.0 * thetas * mesh.areas[adj]
+                fresh[lo:lo + len(block)] = 6.0 / mesh.face_len[faces] * (
+                    (fv @ bubble_w) * jac).sum(axis=1)
             rows = carry_rows(old_rows, sources, fresh)
             rows.setflags(write=False)
             self._face_pairs[field] = rows

@@ -475,12 +475,41 @@ def oscillation_source(problem, interpolated):
                             piecewise=-1.0 * interpolated)
 
 
-def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE):
-    """Oscillation surrogate for every vertex star, (nv,)."""
+def repriced_stars(mesh, carried=None):
+    """The vertices whose stars `all_oscillations` prices, given `carried`.
+
+    These are the vertices of the elements bisection made new; every vertex
+    when nothing can be carried: no carried values, a mesh without a parent
+    map, or carried values that are not one per parent vertex.
+    """
+    if (carried is None or mesh.parent_elements is None
+            or len(carried) != mesh.n_parent_vertices):
+        return np.arange(mesh.n_vertices)
+    return np.unique(mesh.elements[mesh.parent_elements < 0])
+
+
+def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE,
+                     carried=None):
+    """Oscillation surrogate for every vertex star, (nv,).
+
+    `carried` may hold the values of the same problem (data, kappa, depth
+    and rule) on the mesh this mesh was bisected from, one per parent
+    vertex.  A star that contains no new element has the parent's elements,
+    and the faces through its center keep their rows of the interpolation,
+    so its value is the parent's: only the stars of `repriced_stars` are
+    priced, and every other value is copied by vertex id (`bisect` keeps
+    old vertex ids, and every new vertex belongs to a new element).
+    """
     g = oscillation_source(problem, interpolated)
     mesh = problem.mesh
-    return discrete_dual_norm(mesh, np.arange(mesh.n_vertices), g, problem.kappa,
-                              depth, quad_degree)
+    stars = repriced_stars(mesh, carried)
+    values = discrete_dual_norm(mesh, stars, g, problem.kappa, depth, quad_degree)
+    if len(stars) == mesh.n_vertices:
+        return values
+    out = np.empty(mesh.n_vertices)
+    out[:len(carried)] = carried
+    out[stars] = values
+    return out
 
 
 # -- localization of the residual norm -------------------------------------------

@@ -13,6 +13,8 @@ functional representations everything downstream is built on:
   terms f - Pf without committing to quadrature at construction time.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -21,9 +23,9 @@ from . import quadrature
 from .mesh import MeshError, bary_grads, carry_rows
 from .quadrature import DEFAULT_DEGREE
 
-# elements per block of the quadrature-node evaluations (FieldRows and
-# ErrorRows): the (element, node) arrays of a whole fine mesh
-# would set the memory peak of a solve
+# elements (faces, for Pi's face pairings) per block of the quadrature-node
+# evaluations (FieldRows, ErrorRows and DualSystem._psi_pair_field): the
+# (element, node) arrays of a whole fine mesh would set the memory peak
 _ERROR_BLOCK = 2**14
 
 
@@ -281,11 +283,21 @@ def _layer1d(kappa):
 PRESETS = {"sinsin": _sinsin, "const1": _const1, "layer1d": _layer1d}
 
 
+@functools.lru_cache(maxsize=64)
+def _preset_fields(preset, kappa):
+    """(rhs, exact) of a preset at a float kappa, the same objects per pair:
+    the rows cached on a mesh are keyed by the identity of the field."""
+    return PRESETS[preset](kappa)
+
+
 def make_problem(mesh, kappa, preset):
     """Build a Problem from a named right-hand-side preset.
 
-    `layer1d` is posed on the unit square, and its data overflow outside it,
-    so that preset refuses (MeshError) a mesh with a vertex outside [0, 1]^2.
+    The same (preset, float kappa) gives the same field objects, so a
+    problem posed afresh on a bisected mesh takes the rows its parent mesh
+    cached for them, as `Problem.on_mesh` does.  `layer1d` is posed on the
+    unit square, and its data overflow outside it, so that preset refuses
+    (MeshError) a mesh with a vertex outside [0, 1]^2.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset '{preset}' (have: {', '.join(sorted(PRESETS))})")
@@ -296,7 +308,7 @@ def make_problem(mesh, kappa, preset):
             raise MeshError(f"preset 'layer1d' is posed on the unit square, but vertex "
                             f"{outside[0]} at ({x:g}, {y:g}) lies outside [0, 1]^2")
     problem = Problem(mesh, kappa, None, name=preset)  # checks kappa first
-    problem.rhs, problem.exact = PRESETS[preset](problem.kappa)
+    problem.rhs, problem.exact = _preset_fields(preset, problem.kappa)
     return problem
 
 

@@ -149,31 +149,39 @@ def test_adaptive_loop_frees_its_meshes_without_the_gc(monkeypatch):
 def test_adaptive_loop_matches_parentless_rebuilds(monkeypatch):
     # carrying kept rows from the previous mesh gives the records of a run
     # whose every mesh is rebuilt without a parent, so priced in full
-    def run():
+    # (oscillation every third iteration, and every iteration, where the
+    # stars without a new element are carried too)
+    def run(osc_every):
         problem = g.make_problem(unit_square_crisscross(), 1e4, "layer1d")
-        return adapt.adaptive_loop(problem, max_dof=400, osc_every=3)
+        return adapt.adaptive_loop(problem, max_dof=400, osc_every=osc_every)
 
     def parentless_bisect(mesh, marked):
         out = bisect(mesh, marked)
         return Mesh(out.vertices, out.elements, ref_edge_policy="asis")
 
-    carried = run()
-    monkeypatch.setattr(adapt, "bisect", parentless_bisect)
-    rebuilt = run()
-    assert len(carried.records) == len(rebuilt.records) >= 8
-    for got, want in zip(carried.records, rebuilt.records):
-        assert want["repriced_elements"] == want["n_elements"]
-        for key, value in want.items():
-            if key in ("seconds", "repriced_elements", "repriced_faces"):
-                continue
-            if isinstance(value, float):
-                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
-            else:
-                assert got[key] == value, key
-    # later meshes keep most of their elements
-    assert all(r["repriced_elements"] < 0.5 * r["n_elements"]
-               for r in carried.records[-5:])
-    assert carried.records[0]["repriced_faces"] == rebuilt.records[0]["repriced_faces"]
+    for osc_every in (3, 1):
+        monkeypatch.setattr(adapt, "bisect", bisect)
+        carried = run(osc_every)
+        monkeypatch.setattr(adapt, "bisect", parentless_bisect)
+        rebuilt = run(osc_every)
+        assert len(carried.records) == len(rebuilt.records) >= 8
+        for got, want in zip(carried.records, rebuilt.records):
+            assert want["repriced_elements"] == want["n_elements"]
+            assert want["repriced_stars"] in (None, want["n_vertices"])
+            for key, value in want.items():
+                if key in ("seconds", "repriced_elements", "repriced_faces",
+                           "repriced_stars"):
+                    continue
+                if isinstance(value, float):
+                    assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+                else:
+                    assert got[key] == value, key
+        # later meshes keep most of their elements
+        assert all(r["repriced_elements"] < 0.5 * r["n_elements"]
+                   for r in carried.records[-5:])
+        assert carried.records[0]["repriced_faces"] == rebuilt.records[0]["repriced_faces"]
+    # and, pricing every iteration, most of their stars
+    assert all(r["repriced_stars"] < r["n_vertices"] for r in carried.records[-5:])
 
 
 def test_adaptive_loop_stops_when_estimator_vanishes():
@@ -218,6 +226,28 @@ def test_oscillation_pricing_interval():
     off = adapt.adaptive_loop(g.make_problem(m, 10.0, "sinsin"),
                               max_dof=100, osc_every=0)
     assert all(rec["oscillation"] is None for rec in off.records)
+
+
+def test_priced_iteration_after_a_skipped_one_reprices_every_star():
+    # a skipped iteration carries no oscillation forward
+    problem = g.make_problem(uniform_refine(unit_square_2tri(), 3), 10.0, "sinsin")
+    run = adapt.adaptive_loop(problem, max_dof=300, osc_every=2)
+    assert len(run.records) >= 4
+    for rec in run.records:
+        if rec["iteration"] % 2 == 0:
+            assert rec["repriced_stars"] == rec["n_vertices"]
+        else:
+            assert rec["repriced_stars"] is None
+
+
+def test_repriced_stars_are_the_vertices_of_new_elements():
+    problem = g.make_problem(uniform_refine(unit_square_2tri(), 3), 10.0, "sinsin")
+    run = adapt.adaptive_loop(problem, max_dof=300, keep_meshes=True)
+    assert len(run.records) >= 4
+    assert run.records[0]["repriced_stars"] == run.records[0]["n_vertices"]
+    for rec, mesh in zip(run.records[1:], run.meshes[1:]):
+        new = mesh.elements[mesh.parent_elements < 0]
+        assert rec["repriced_stars"] == len(set(new.ravel().tolist())) < mesh.n_vertices
 
 
 def test_study_rows_and_spread_with_exact_solution():
@@ -285,7 +315,8 @@ def test_loop_evaluates_the_exact_solution_at_new_elements_only():
         points.append(np.size(x))
         return grad(x, y)
 
-    problem.exact.grad = counting
+    # a field of its own: make_problem shares the preset's fields
+    problem.exact = g.ScalarField(problem.exact.value, counting)
     report = adapt.adaptive_loop(problem, max_dof=300, osc_every=0)
     assert len(report.records) > 2
     new = [r["repriced_elements"] for r in report.records]

@@ -3,9 +3,11 @@
 A mesh made by `bisect` takes the rows of its kept elements and faces from
 the arrays cached on its parent (the dual system, the data at the element
 quadrature nodes, the field parts of the interpolation) and computes only
-the new rows.  A parentless copy of the same mesh computes every row; both
-must agree, on random newest-vertex bisection chains over the corpus, for
-kappa across 1e-8 ... 1e10 and for smooth and layer data.
+the new rows; the star oscillations take the values of stars without a new
+element from the parent's.  A parentless copy of the same mesh computes
+every row; both must agree, on random newest-vertex bisection chains over
+the corpus, for kappa across 1e-8 ... 1e10 and for smooth and layer data.
+Discrete functions prolongate exactly along the same chains.
 """
 
 import pathlib
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from rdafem import galerkin
 from rdafem.dual_system import get_dual_system, project_pi
+from rdafem.estimator import all_oscillations
 from rdafem.mesh import (Mesh, bisect, l_shape, load_mesh, uniform_refine,
                          unit_square_2tri, unit_square_crisscross)
 
@@ -116,6 +119,22 @@ def test_parent_map_keeps_kept_rows_and_counts_new_faces():
             RTOL * np.abs(want.face_density).max())
 
 
+def test_make_problem_on_a_child_reprices_only_its_new_elements():
+    # the preset's fields are the same objects for the same float kappa, so
+    # a problem posed afresh on a child finds the rows its parent cached
+    mesh = uniform_refine(unit_square_2tri(), 3)
+    parent = galerkin.make_problem(mesh, 1e4, "layer1d")
+    price(mesh, 1e4, parent.rhs)
+    child = bisect(mesh, [0, 5])
+    problem = galerkin.make_problem(child, 10_000, "layer1d")
+    assert problem.rhs is parent.rhs and problem.exact is parent.exact
+    new = np.nonzero(child.parent_elements < 0)[0]
+    assert 0 < len(new) < child.n_elements
+    _, system = price(child, problem.kappa, problem.rhs)
+    assert system.n_new_elements == len(new)
+    assert np.array_equal(galerkin.field_rows(child, problem.rhs).new, new)
+
+
 def test_child_holds_its_parent_weakly():
     mesh = uniform_refine(unit_square_2tri(), 1)
     get_dual_system(mesh, 1.0)
@@ -159,3 +178,57 @@ def test_carried_error_rows_equal_a_fresh_build(chain):
             problem.on_mesh(m), galerkin.DiscreteFunction(m, values)) for m in (child, fresh_mesh))
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
         mesh = child
+
+
+def oscillations(mesh, kappa, field, depth, carried=None):
+    interpolated = project_pi(mesh, kappa, field)
+    return all_oscillations(galerkin.Problem(mesh, kappa, field), interpolated,
+                            depth, carried=carried)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(chains(), st.integers(1, 3))
+def test_carried_oscillations_equal_a_fresh_pricing(chain, depth):
+    # along a chain each child reprices only the stars of its new elements
+    # and takes the others from its parent's values; a parentless copy
+    # prices every star.  They agree to 1e-12 relative or 1e-13 of the
+    # largest value (the NOISE rule of the star tests)
+    name, data, kappa, seed, fractions = chain
+    mesh = MESHES[name]()
+    field = galerkin.make_problem(mesh, kappa, data).rhs
+    osc = oscillations(mesh, kappa, field, depth)
+    rng = np.random.default_rng(seed)
+    for fraction in fractions:
+        marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
+                           replace=False)
+        child = bisect(mesh, marks)
+        osc = oscillations(child, kappa, field, depth, carried=osc)
+        fresh = oscillations(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
+                             kappa, field, depth)
+        assert osc.shape == fresh.shape
+        noise = np.maximum(1e-12 * np.abs(fresh), 1e-13 * np.abs(fresh).max())
+        assert (np.abs(osc - fresh) <= noise).all(), np.abs(osc - fresh).max()
+        mesh = child
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(MESHES)), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4))
+def test_prolongate_is_exact_through_bisection_chains(name, seed, fractions):
+    mesh = MESHES[name]()
+    rng = np.random.default_rng(seed)
+    U = galerkin.DiscreteFunction(mesh, rng.standard_normal(mesh.n_vertices))
+    start = U.values.copy()
+    for fraction in fractions:
+        marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
+                           replace=False)
+        child = bisect(mesh, marks)
+        V = galerkin.prolongate(U, child)
+        n = mesh.n_vertices
+        assert np.array_equal(V.values[:n], U.values)
+        for i, (a, b) in enumerate(child.new_vertex_parents):
+            assert np.array_equal(child.vertices[n + i],
+                                  (mesh.vertices[a] + mesh.vertices[b]) / 2)
+            assert V.values[n + i] == (U.values[a] + U.values[b]) / 2
+        mesh, U = child, V
+    assert np.array_equal(U.values[:len(start)], start)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,22 @@ def test_face_duality_neighbour_scan_matches_full_scan(corpus, name):
     for kappa in (1.0, 1e4):
         got = verify.face_duality_residuals(mesh, kappa, faces)
         assert got == _full_scan_face_duality(mesh, kappa, faces)
+
+
+def test_project_pi_memory_bounded_on_a_fine_mesh():
+    # f is evaluated at the squeezed points of the face bubbles in blocks of
+    # faces: on a parentless 2^16-element square project_pi peaks at 53.9 MB,
+    # where evaluating every new face at once took 260.5 MB
+    bound = 64 * 2**20
+    mesh = uniform_refine(unit_square_2tri(), 15)
+    assert mesh.n_elements == 2**16
+    problem = g.make_problem(mesh, 1e4, "layer1d")
+    g.field_rows(mesh, problem.rhs)
+    ds.get_dual_system(mesh, 1e4)
+    tracemalloc.start()
+    try:
+        ds.project_pi(mesh, 1e4, problem.rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
