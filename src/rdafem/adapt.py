@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 from . import galerkin
-from .estimator import (all_oscillations, classic_indicators, repriced_stars,
+from .estimator import (all_oscillations, classic_indicators, oscillation_key,
                         residuals, vertex_indicators)
 from .galerkin import SolverError, energy_error_sq_elements, energy_norm, prolongate
 from .mesh import bisect
@@ -75,25 +75,22 @@ def decay_rate(dofs, values):
 
 
 def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
-                  quad_degree=DEFAULT_DEGREE, max_iter=100, solver_tol=1e-10,
-                  keep_meshes=False):
+                  quad_degree=DEFAULT_DEGREE, max_iter=100, keep_meshes=False):
     """Solve, estimate, mark and refine until the dof count exceeds max_dof.
 
     Oscillation surrogates are priced every `osc_every`-th iteration
     (0 switches them off).  A solver failure or a non-finite record (which
     is dropped) ends the run, as `failed`; stop_reason says why it ended.
 
-    Each refined mesh takes the rows of the elements and faces bisection
-    kept from the previous mesh's cached arrays (the face rows of the
-    `DualSystem` and of the field's face pairings, and the load rows,
-    element means and element-dual pairings of the data) and computes only
-    the new rows, and so does the exact solution's part of the energy error;
-    `repriced_elements` and `repriced_faces` count the new rows of the dual
-    system.  An iteration that prices oscillation right after one that did
-    prices only the stars of the vertices of new elements and takes every
-    other star's value from the previous iteration (`all_oscillations`); an
-    iteration after a skipped one prices every star.  `repriced_stars`
-    counts the stars priced, None where oscillation was not priced.
+    Each refined mesh takes the rows of the elements, faces and stars
+    bisection kept from the previous mesh's cached arrays (`cached_rows`:
+    the face rows of the `DualSystem` and of the field's face pairings, the
+    load rows, element means and element-dual pairings of the data, the
+    exact solution's part of the energy error and the star oscillations)
+    and computes only the new rows.  `repriced_elements` and
+    `repriced_faces` count the new rows of the dual system, and
+    `repriced_stars` the stars priced, None where oscillation was not
+    priced: an iteration after a skipped one prices every star.
     """
     from .dual_system import get_dual_system, project_pi, theta_factor
 
@@ -102,19 +99,18 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
                         "refined meshes; a mesh-bound right-hand side cannot")
     report = RunReport(problem.kappa, theta_mark)
     kappa = problem.kappa
-    mesh = osc = None
+    mesh = None
     for it in range(max_iter):
         # the previous mesh is held until the arrays cached on this mesh (the
         # data rows in the solve, the dual system and its face pairings, the
-        # exact solution's rows of the energy error) have taken their kept
-        # rows from it
+        # exact solution's rows of the energy error, the star oscillations)
+        # have taken their kept rows from it
         parent, mesh = mesh, problem.mesh
         t0 = time.perf_counter()
         system = galerkin.assemble(mesh, kappa)
         dofs = int(len(system.free))
         try:
-            U = galerkin.solve(problem, tol=solver_tol, quad_degree=quad_degree,
-                               system=system)
+            U = galerkin.solve(problem, quad_degree=quad_degree, system=system)
         except SolverError as exc:
             report.stop_reason = f"solver failure: {exc}"
             break
@@ -124,7 +120,6 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
         if problem.exact is not None and problem.exact.grad is not None:
             err = float(np.sqrt(energy_error_sq_elements(
                 problem, U, quad_degree).sum()))
-        del parent
         rd = residuals(problem, U, interpolated)
         E = vertex_indicators(rd)
         estimator = float(np.sqrt((E**2).sum()))
@@ -151,13 +146,12 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             "seconds": 0.0,
         }
         if osc_every and it % osc_every == 0:
-            record["repriced_stars"] = len(repriced_stars(mesh, osc))
-            osc = all_oscillations(problem, interpolated, depth, quad_degree,
-                                   carried=osc)
+            osc = all_oscillations(problem, interpolated, depth, quad_degree)
+            record["repriced_stars"] = len(
+                mesh.cache[oscillation_key(problem, depth, quad_degree)].new)
             record["oscillation"] = float(np.sqrt((osc**2).sum()))
             record["total"] = float(np.sqrt((E**2).sum() + (osc**2).sum()))
-        else:
-            osc = None
+        del parent
         if err is not None:
             record["error"] = err
             if err > 0.0:
@@ -252,10 +246,10 @@ class StudyReport:
                 "classic_spread": self.classic_spread()}
 
 
-def reference_errors(run, problem, quad_degree=DEFAULT_DEGREE, sweeps=2):
+def reference_errors(run, problem, quad_degree=DEFAULT_DEGREE):
     """Energy distances of the stored solutions to a refined reference solve.
 
-    The reference lives on a uniform refinement of the final mesh; every
+    The reference lives on the final mesh bisected uniformly twice; every
     stored solution prolongates there exactly (the meshes are nested), so
     this is the discrete stand-in for the true error when none is known.
     """
@@ -263,7 +257,7 @@ def reference_errors(run, problem, quad_degree=DEFAULT_DEGREE, sweeps=2):
         raise ValueError("run was not made with keep_meshes=True")
     chain = []
     mesh = run.meshes[-1]
-    for _ in range(sweeps):
+    for _ in range(2):
         mesh = bisect(mesh, np.arange(mesh.n_elements))
         chain.append(mesh)
     ref_mesh = chain[-1]

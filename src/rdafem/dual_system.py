@@ -9,7 +9,8 @@ ingredients:
   on the element boundary and are L2-dual to the hats inside T.  |T| psi_z
   is one constant matrix (`galerkin._PSI_UNIT`), so <f, phi*_{z;T}> is 2 (f
   at the rule's nodes on T) @ one constant (nq, 3) matrix: a row of
-  `galerkin.field_rows(...).dual` for a field, a 3x3 map of a P1 density;
+  `galerkin.field_rows(...).dual` for a field; a P1 density pairs to its
+  own coefficients;
 * face duals phi*_F = psi_F - sum_{T in w_F} sum_z gamma_{z;T} phi*_{z;T},
   where psi_F is the face bubble of the patch squeezed toward F by
   theta_T = min(1, 1/(h_T kappa)) on each side, normalized to unit face
@@ -36,9 +37,8 @@ import weakref
 import numpy as np
 
 from . import quadrature
-from .galerkin import (_ERROR_BLOCK, PiecewiseFunctional, as_source,
-                       element_dual_weights, field_rows)
-from .mesh import carry_rows
+from .galerkin import _ERROR_BLOCK, PiecewiseFunctional, as_source, field_rows
+from .mesh import cached_rows
 from .quadrature import DEFAULT_DEGREE
 
 
@@ -64,11 +64,11 @@ class DualSystem:
     need no array, psi is `galerkin._PSI_UNIT` / |T|.
 
     Every face row depends only on its face, the face's two elements and
-    kappa.  On a mesh made by `bisect` the rows of kept faces are therefore
-    taken from the parent mesh's cached system, while that mesh is alive,
-    and only the new rows are computed; `n_new_faces` counts them and
-    `n_new_elements` the elements without a row in that system.  So are the
-    pairings of a field with the face bubbles, cached per field.
+    kappa, so the face rows, and the pairings of a field with the face
+    bubbles, are cached on the mesh by `cached_rows`: on a mesh made by
+    `bisect` only the rows of new faces are computed while the parent mesh
+    lives.  `n_new_faces` counts them and `n_new_elements` the elements
+    without a row in the parent's system (every element without one).
 
     The system holds its mesh weakly: `get_dual_system` caches it on the
     mesh, and a strong reference back would make a cycle that only the
@@ -84,11 +84,13 @@ class DualSystem:
         self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.face_pos[self.iface] = np.arange(len(self.iface))
         self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
-        old, sources = mesh.inherited(self.key)
-        self.n_new_elements = int((sources < 0).sum())
-        self._build_faces(old)
-        # field -> its pairings with the face bubbles psi_F, (nfi,)
-        self._face_pairs = {}
+        parent = mesh.parent
+        self.n_new_elements = (int((mesh.parent_elements < 0).sum())
+                               if parent is not None and self.key in parent.cache
+                               else mesh.n_elements)
+        rows = cached_rows(mesh, ("dual_faces",) + self.key[1:], "faces", self._build_faces)
+        self.thetas, self.gammas = rows.thetas, rows.gammas
+        self.n_new_faces = len(rows.new)
 
     @property
     def mesh(self):
@@ -97,15 +99,9 @@ class DualSystem:
             raise ReferenceError("the mesh of this DualSystem has been freed")
         return mesh
 
-    def _build_faces(self, old):
+    def _build_faces(self, new):
+        """theta and gamma of the interior faces at rows `new`."""
         mesh = self.mesh
-        # row of each interior face in old, the parent's system; -1 if new
-        sources = self._face_sources = np.full(len(self.iface), -1, dtype=np.int64)
-        if old is not None:
-            parent = mesh.parent_faces[self.iface]
-            kept = parent >= 0
-            sources[kept] = old.face_pos[parent[kept]]
-        new = np.nonzero(sources < 0)[0]
         faces = self.iface[new]
         adj = self.adj[new]
         thetas = theta_factor(mesh.h_elem[adj], self.kappa)  # (nfi, 2)
@@ -114,11 +110,7 @@ class DualSystem:
         corner = scale[..., None] * np.stack(
             [3.0 - thetas, np.full_like(thetas, 2.0), thetas], axis=-1)
         order = (np.arange(3) - _apex(mesh, faces, adj)[..., None] + 2) % 3
-        gammas = np.take_along_axis(corner, order, axis=2)
-        for name, rows in (("thetas", thetas), ("gammas", gammas)):
-            setattr(self, name, carry_rows(None if old is None else getattr(old, name),
-                                           sources, rows))
-        self.n_new_faces = len(new)
+        return {"thetas": thetas, "gammas": np.take_along_axis(corner, order, axis=2)}
 
     # -- bulk pairings --
 
@@ -129,11 +121,9 @@ class DualSystem:
         if f.field is not None:
             out += f.field_weight * field_rows(self.mesh, f.field, self.quad_degree).dual
         if f.piecewise is not None:
-            # d pairs to d @ one constant 3x3 map (the identity up to rounding
-            # from degree 5); line sources meet the duals where they vanish
-            rule = quadrature.simplex_rule(self.quad_degree)
-            out += f.piecewise.cell_density @ (
-                2.0 * rule.points.T @ element_dual_weights(rule))
+            # a P1 density pairs to its own coefficients (bi-orthogonality);
+            # line sources meet the duals where they vanish
+            out += f.piecewise.cell_density
         return out
 
     def pair_faces(self, f, elem_pairs):
@@ -153,19 +143,15 @@ class DualSystem:
 
     def _psi_pair_field(self, field):
         """<field, psi_F> per interior face, by quadrature on the squeezed
-        triangles; cached per field, kept rows from the parent mesh's system."""
-        if field not in self._face_pairs:
-            mesh = self.mesh
-            old = mesh.inherited(self.key)[0]
-            old_rows = None if old is None else old._face_pairs.get(field)
-            sources = self._face_sources if old_rows is not None else np.full_like(
-                self._face_sources, -1)
-            new = np.nonzero(sources < 0)[0]
+        triangles; cached on the mesh per field."""
+        mesh = self.mesh
+
+        def build(new):
             rule = quadrature.simplex_rule(self.quad_degree)
             # psi_F = mu0 mu1 / (|F|/6); a squeezed triangle's Jacobian is 2 theta |T|
             bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
             fresh = np.empty(len(new))
-            # f at the squeezed points, in blocks of faces, as in FieldRows
+            # f at the squeezed points, in blocks of faces, as in `field_rows`
             for lo in range(0, len(new), _ERROR_BLOCK):
                 block = new[lo:lo + _ERROR_BLOCK]
                 faces, adj, thetas = self.iface[block], self.adj[block], self.thetas[block]
@@ -181,10 +167,9 @@ class DualSystem:
                 jac = 2.0 * thetas * mesh.areas[adj]
                 fresh[lo:lo + len(block)] = 6.0 / mesh.face_len[faces] * (
                     (fv @ bubble_w) * jac).sum(axis=1)
-            rows = carry_rows(old_rows, sources, fresh)
-            rows.setflags(write=False)
-            self._face_pairs[field] = rows
-        return self._face_pairs[field]
+            return {"pairs": fresh}
+
+        return cached_rows(mesh, ("psi_pairs", field) + self.key[1:], "faces", build).pairs
 
 
 def _system_key(kappa, quad_degree=DEFAULT_DEGREE):

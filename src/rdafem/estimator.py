@@ -45,7 +45,7 @@ from . import quadrature
 from .galerkin import (PiecewiseFunctional, SourceFunctional, _p1_mass_sq,
                        as_source, energy_error_sq_elements, field_rows,
                        grad_jumps, load_vector, residual_source)
-from .mesh import MeshError
+from .mesh import MeshError, cached_rows
 from .quadrature import DEFAULT_DEGREE
 
 _DENSE_MAX = 220  # patch systems up to this size are solved densely
@@ -475,41 +475,34 @@ def oscillation_source(problem, interpolated):
                             piecewise=-1.0 * interpolated)
 
 
-def repriced_stars(mesh, carried=None):
-    """The vertices whose stars `all_oscillations` prices, given `carried`.
-
-    These are the vertices of the elements bisection made new; every vertex
-    when nothing can be carried: no carried values, a mesh without a parent
-    map, or carried values that are not one per parent vertex.
-    """
-    if (carried is None or mesh.parent_elements is None
-            or len(carried) != mesh.n_parent_vertices):
-        return np.arange(mesh.n_vertices)
-    return np.unique(mesh.elements[mesh.parent_elements < 0])
+def oscillation_key(problem, depth=2, quad_degree=DEFAULT_DEGREE):
+    """The key of the star oscillations of a problem in its mesh's cache."""
+    return ("oscillation", problem.rhs, problem.kappa, int(depth), int(quad_degree))
 
 
-def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE,
-                     carried=None):
+def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE):
     """Oscillation surrogate for every vertex star, (nv,).
 
-    `carried` may hold the values of the same problem (data, kappa, depth
-    and rule) on the mesh this mesh was bisected from, one per parent
-    vertex.  A star that contains no new element has the parent's elements,
-    and the faces through its center keep their rows of the interpolation,
-    so its value is the parent's: only the stars of `repriced_stars` are
-    priced, and every other value is copied by vertex id (`bisect` keeps
-    old vertex ids, and every new vertex belongs to a new element).
+    `interpolated` is the interpolation of the problem's data at its kappa
+    and rule (`project_pi`).  The values of a field's data are cached on the
+    mesh under `oscillation_key` (`cached_rows`): a star that contains no
+    new element has the parent mesh's elements, and the faces through its
+    center keep their rows of the interpolation, so while the parent lives
+    its value is the parent's and only the other stars are priced.  Data
+    bound to the mesh (a PiecewiseFunctional) would keep the mesh alive
+    from its own cache, so it is priced in full on every call.
     """
     g = oscillation_source(problem, interpolated)
     mesh = problem.mesh
-    stars = repriced_stars(mesh, carried)
-    values = discrete_dual_norm(mesh, stars, g, problem.kappa, depth, quad_degree)
-    if len(stars) == mesh.n_vertices:
-        return values
-    out = np.empty(mesh.n_vertices)
-    out[:len(carried)] = carried
-    out[stars] = values
-    return out
+
+    def price(stars):
+        return {"values": discrete_dual_norm(mesh, stars, g, problem.kappa, depth,
+                                             quad_degree)}
+
+    if isinstance(problem.rhs, PiecewiseFunctional):
+        return price(np.arange(mesh.n_vertices))["values"]
+    return cached_rows(mesh, oscillation_key(problem, depth, quad_degree), "stars",
+                       price).values
 
 
 # -- localization of the residual norm -------------------------------------------
@@ -530,19 +523,19 @@ class LocalizeReport:
         return self.local_sum / self.global_norm
 
 
-def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE, ortho_tol=1e-6):
+def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
     """Compare the residual dual norm against the sum over vertex stars.
 
     The localization argument needs the residual to annihilate the discrete
     space; the check refuses to run (ValueError) when Galerkin orthogonality
-    is violated beyond `ortho_tol` relative to the load size.
+    is violated beyond 1e-6 relative to the load size.
     """
     mesh = problem.mesh
     g = residual_source(problem, U)
     pair_all = g.pair_hats(quad_degree)
     scale = max(1.0, float(np.abs(load_vector(problem, quad_degree)).max()))
     viol = float(np.abs(pair_all[mesh.free_vertices()]).max(initial=0.0))
-    if viol > ortho_tol * scale:
+    if viol > 1e-6 * scale:
         raise ValueError(
             f"residual is not orthogonal to the discrete space "
             f"(violation {viol:.3e} vs scale {scale:.3e})")
@@ -603,14 +596,12 @@ class IndicatorReport:
         return self.total / self.true_error
 
 
-def build_report(problem, U, interpolated=None, with_oscillation=True,
-                 depth=2, quad_degree=DEFAULT_DEGREE):
+def build_report(problem, U, with_oscillation=True, depth=2,
+                 quad_degree=DEFAULT_DEGREE):
     """Compute residuals, indicators and (optionally) oscillation in one go."""
     from .dual_system import project_pi
 
-    if interpolated is None:
-        interpolated = project_pi(problem.mesh, problem.kappa, problem.rhs,
-                                  quad_degree)
+    interpolated = project_pi(problem.mesh, problem.kappa, problem.rhs, quad_degree)
     rd = residuals(problem, U, interpolated)
     E = vertex_indicators(rd)
     osc = (all_oscillations(problem, interpolated, depth, quad_degree)

@@ -20,12 +20,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .mesh import MeshError, bary_grads, carry_rows
+from .mesh import MeshError, bary_grads, cached_rows
 from .quadrature import DEFAULT_DEGREE
 
 # elements (faces, for Pi's face pairings) per block of the quadrature-node
-# evaluations (FieldRows, ErrorRows and DualSystem._psi_pair_field): the
-# (element, node) arrays of a whole fine mesh would set the memory peak
+# evaluations (`field_rows`, `error_rows` and the face-bubble pairings of
+# `dual_system`): the (element, node) arrays of a whole fine mesh would set
+# the memory peak
 _ERROR_BLOCK = 2**14
 
 
@@ -124,10 +125,6 @@ class PiecewiseFunctional:
         self.mesh = mesh
         self.cell_density = cell_density
         self.face_density = face_density
-
-    @classmethod
-    def zero(cls, mesh):
-        return cls(mesh, np.zeros((mesh.n_elements, 3)), np.zeros(mesh.n_faces))
 
     def __add__(self, other):
         self._check(other)
@@ -353,49 +350,34 @@ def assemble(mesh, kappa):
     return GalerkinSystem(mesh, kappa, matrix, mesh.free_vertices())
 
 
-class FieldRows:
-    """One field integrated against the element quadrature of one mesh.
+def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
+    """One field integrated against the element quadrature of one mesh,
+    cached on it (`cached_rows`).
 
-    f is evaluated once, in blocks of elements, at the nodes of the
-    elements bisection made new (`new`, ascending; every element when the
-    mesh has no live parent with these rows).  The node values give three
-    products and are then dropped: `load[e, i] = <f, lam_i>_T`, the
-    contributions `field_load` scatters; `mean[e]`, the mean of f on T; and
-    `dual[e, z] = <f, phi*_{z;T}>`, the pairings with the element duals of
-    `dual_system`.  Their rows of kept elements are the parent mesh's.  Use
-    `field_rows`, which caches them on the mesh.
+    f is evaluated once, in blocks of elements, at the nodes of the rows
+    `new`.  The node values give three products and are then dropped:
+    `load[e, i] = <f, lam_i>_T`, the contributions `field_load` scatters;
+    `mean[e]`, the mean of f on T; and `dual[e, z] = <f, phi*_{z;T}>`, the
+    pairings with the element duals of `dual_system`.
     """
-
-    def __init__(self, mesh, field, quad_degree, key):
-        old, sources = mesh.inherited(key)
-        rule = quadrature.simplex_rule(quad_degree)
-        self.new = np.nonzero(sources < 0)[0]
-        values = np.empty((len(self.new), len(rule.weights)))
-        for lo in range(0, len(self.new), _ERROR_BLOCK):
-            block = self.new[lo:lo + _ERROR_BLOCK]
+    def build(new):
+        rule = quadrature.simplex_rule(int(quad_degree))
+        values = np.empty((len(new), len(rule.weights)))
+        for lo in range(0, len(new), _ERROR_BLOCK):
+            block = new[lo:lo + _ERROR_BLOCK]
             pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
             values[lo:lo + len(block)] = field.value(pts[..., 0], pts[..., 1])
         # three matmuls over all new rows: a fused product, or one per block,
         # rounds load and mean differently
-        fresh = {
-            "load": 2.0 * mesh.areas[self.new, None] * (
+        return {
+            "load": 2.0 * mesh.areas[new, None] * (
                 values @ (rule.weights[:, None] * rule.points)),
             # the mean over |T|, against the 2|T| Jacobian
             "mean": 2.0 * (values @ rule.weights),
             "dual": 2.0 * (values @ element_dual_weights(rule)),
         }
-        for name, rows in fresh.items():
-            rows = carry_rows(None if old is None else getattr(old, name), sources, rows)
-            rows.setflags(write=False)
-            setattr(self, name, rows)
 
-
-def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
-    """The FieldRows of (mesh, field, quad_degree), cached on the mesh."""
-    key = ("field_rows", field, int(quad_degree))
-    if key not in mesh.cache:
-        mesh.cache[key] = FieldRows(mesh, field, int(quad_degree), key)
-    return mesh.cache[key]
+    return cached_rows(mesh, ("field_rows", field, int(quad_degree)), "elements", build)
 
 
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
@@ -622,40 +604,32 @@ def element_dual_weights(rule):
     return psib * rule.weights[:, None]
 
 
-def energy_norm_sq_elements(mesh, kappa, v, quad_degree=DEFAULT_DEGREE):
-    """Squared energy norm per element: |grad v|^2 + kappa^2 |v|^2.
+def energy_norm_sq_elements(mesh, kappa, v):
+    """Squared energy norm per element of a DiscreteFunction v:
+    |grad v|^2 + kappa^2 |v|^2, exactly."""
+    grads = v.element_gradients()
+    e2 = mesh.areas * np.einsum("ex,ex->e", grads, grads)
+    return e2 + kappa**2 * _p1_mass_sq(mesh.areas, v.element_values())
 
-    Exact for DiscreteFunction; Gauss quadrature for a ScalarField (which must
-    provide a gradient).
-    """
-    if isinstance(v, DiscreteFunction):
-        grads = v.element_gradients()
-        e2 = mesh.areas * np.einsum("ex,ex->e", grads, grads)
-        return e2 + kappa**2 * _p1_mass_sq(mesh.areas, v.element_values())
-    if v.grad is None:
-        raise ValueError("energy norm of a field requires its gradient")
-    rule = quadrature.simplex_rule(quad_degree)
-    pts = quadrature.map_points(rule, mesh.vertices[mesh.elements])
-    gx, gy = v.grad(pts[..., 0], pts[..., 1])
-    vals = v.value(pts[..., 0], pts[..., 1])
-    dens = gx**2 + gy**2 + kappa**2 * vals**2
-    return 2.0 * mesh.areas * (dens @ rule.weights)
 
-def energy_norm(mesh, kappa, v, region=None, quad_degree=DEFAULT_DEGREE):
-    """Energy norm over the whole mesh or over the elements in `region`."""
-    e2 = energy_norm_sq_elements(mesh, kappa, v, quad_degree)
+def energy_norm(mesh, kappa, v, region=None):
+    """Energy norm of a DiscreteFunction over the whole mesh or over the
+    elements in `region`."""
+    e2 = energy_norm_sq_elements(mesh, kappa, v)
     if region is not None:
         e2 = e2[np.asarray(region, dtype=np.int64)]
     return float(np.sqrt(e2.sum()))
 
 
-class ErrorRows:
+def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
     """The part of the energy error of u - U that does not depend on U, per
-    element of one mesh, for one exact solution u and one rule.
+    element of one mesh, for one exact solution u and one rule of degree 2
+    at least (which integrates P1^2 exactly), cached on the mesh
+    (`cached_rows`).
 
     u and grad u are evaluated once, in blocks of elements, at the nodes of
-    the elements bisection made new (as in `FieldRows`), and split
-    orthogonally in the rule's inner product on each element T:
+    the rows `new`, and split orthogonally in the rule's inner product on
+    each element T:
 
     * `grad_mean[e]`, the rule-weighted mean m_T of grad u, and
       `grad_spread[e]` = int_T |grad u - m_T|^2;
@@ -667,13 +641,11 @@ class ErrorRows:
     int_T ((c_T - U).lam)^2): the cross terms vanish by the rule's own
     orthogonality, and the rule integrates the P1 square exactly.  The four
     terms are nonnegative, so nothing cancels where the error is small.
-    Rows of kept elements are the parent mesh's.  Use `error_rows`, which
-    caches them on the mesh.
     """
+    degree = max(int(quad_degree), 2)
 
-    def __init__(self, mesh, exact, rule, key):
-        old, sources = mesh.inherited(key)
-        new = np.nonzero(sources < 0)[0]
+    def build(new):
+        rule = quadrature.simplex_rule(degree)
         w = rule.weights
         wsum = w.sum()
         # c_T = u at the nodes @ proj: the rule's Gram matrix of the
@@ -697,27 +669,14 @@ class ErrorRows:
             c = u @ proj
             fresh["proj"][rows] = c
             fresh["proj_residual"][rows] = jac * ((u - c @ rule.points.T) ** 2 @ w)
-        for name, rows in fresh.items():
-            rows = carry_rows(None if old is None else getattr(old, name), sources, rows)
-            rows.setflags(write=False)
-            setattr(self, name, rows)
+        return fresh
 
-
-def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
-    """The ErrorRows of (mesh, exact, quad_degree), cached on the mesh.
-
-    The rule is of degree 2 at least, which integrates P1^2 exactly.
-    """
-    degree = max(int(quad_degree), 2)
-    key = ("error_rows", exact, degree)
-    if key not in mesh.cache:
-        mesh.cache[key] = ErrorRows(mesh, exact, quadrature.simplex_rule(degree), key)
-    return mesh.cache[key]
+    return cached_rows(mesh, ("error_rows", exact, degree), "elements", build)
 
 
 def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
     """Squared energy norm of u - U per element, u the exact solution, by
-    the orthogonal split of `ErrorRows`."""
+    the orthogonal split of `error_rows`."""
     if problem.exact is None or problem.exact.grad is None:
         raise ValueError("problem has no exact solution to compare against")
     mesh = problem.mesh

@@ -14,11 +14,12 @@ as well, since every other module needs them.
 
 Data derived from a mesh is cached on it (`Mesh.cache`).  `bisect` keeps
 every unrefined element as it was, so its output records which of its
-elements and faces are unchanged from the parent mesh; `Mesh.inherited` and
-`carry_rows` let a cached array of the child take those rows from the
-parent's array and compute only the new ones.
+elements and faces are unchanged from the parent mesh; `cached_rows` lets
+the arrays cached on the child take those rows from the parent's arrays
+and compute only the new ones.
 """
 
+import types
 import weakref
 
 import numpy as np
@@ -119,12 +120,15 @@ class Mesh:
         `signed_areas(vertices[elements])` of the triples as given, when the
         caller has already computed it.
 
-    `cache` holds data derived from the mesh, keyed by the function that
-    builds it (`get_dual_system`: the dual system; `field_rows`: the load
-    rows, means and element-dual pairings of a field; `error_rows`: the
-    exact solution's part of the energy error; `element_bary_grads`: the
-    barycentric gradients); nothing in it may hold the mesh strongly, so
-    the cache goes with the mesh.
+    `cache` holds data derived from the mesh: the dual systems
+    (`get_dual_system`), the barycentric gradients (`element_bary_grads`)
+    and the row arrays of `cached_rows`: per element the load rows, means
+    and element-dual pairings of a field (`field_rows`) and the exact
+    solution's part of the energy error (`error_rows`); per interior face
+    the squeeze factors and gamma coefficients of the face duals and the
+    pairings of a field with the face bubbles (`dual_system`); per vertex
+    the star oscillations (`estimator.all_oscillations`).  Nothing in it
+    may hold the mesh strongly, so the cache goes with the mesh.
     """
 
     def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):
@@ -270,20 +274,6 @@ class Mesh:
     def parent(self):
         """The mesh this one was bisected from, while it is alive; else None."""
         return None if self._parent is None else self._parent()
-
-    def inherited(self, key):
-        """The live parent's `cache` entry under key, and the element sources.
-
-        An element's source is the parent's row of an element bisection kept
-        and -1 for a new one (`parent_faces` gives the same for faces).
-        Without a live parent or without its entry, the entry is None and
-        every element is new.
-        """
-        parent = self.parent
-        entry = None if parent is None else parent.cache.get(key)
-        if entry is None:
-            return None, np.full(self.n_elements, -1, dtype=np.int64)
-        return entry, self.parent_elements
 
     # -- basic queries ----------------------------------------------------
 
@@ -523,6 +513,45 @@ def carry_rows(old, sources, fresh):
     out = old.take(np.maximum(sources, 0), axis=0)
     out[new] = fresh
     return out
+
+
+def cached_rows(mesh, key, kind, build):
+    """The row arrays cached on mesh under key, built on first use.
+
+    A row belongs to an element, an interior face (in face order) or a
+    vertex star: kind is "elements", "faces" or "stars".  build(new) returns
+    a dict name -> array of the rows listed in `new` (ascending).  While the
+    mesh this one was bisected from is alive and holds an entry under the
+    same key, `new` lists only the new elements, the faces next to one and
+    the stars that contain one, and every other row is the parent's: it
+    depends on its element, face or star alone, and `bisect` keeps those.
+    The entry holds the arrays, read-only, as attributes, and `new`.
+    """
+    rows = mesh.cache.get(key)
+    if rows is not None:
+        return rows
+    parent = mesh.parent
+    old = None if parent is None else parent.cache.get(key)
+    if old is None:
+        n = {"elements": mesh.n_elements, "faces": int(mesh.interior_face.sum()),
+             "stars": mesh.n_vertices}[kind]
+        sources = np.full(n, -1, dtype=np.int64)
+    elif kind == "elements":
+        sources = mesh.parent_elements
+    elif kind == "faces":
+        kept = mesh.parent_faces[mesh.interior_face]
+        sources = np.where(kept >= 0, (np.cumsum(parent.interior_face) - 1)[kept], -1)
+    else:
+        # old vertices keep their ids, and every new vertex is in a new element
+        sources = np.arange(mesh.n_vertices)
+        sources[mesh.elements[mesh.parent_elements < 0]] = -1
+    new = np.flatnonzero(sources < 0)
+    arrays = {name: carry_rows(getattr(old, name, None), sources, fresh)
+              for name, fresh in build(new).items()}
+    for array in arrays.values():
+        array.setflags(write=False)
+    rows = mesh.cache[key] = types.SimpleNamespace(new=new, **arrays)
+    return rows
 
 
 def bisect(mesh, marked_elements):

@@ -27,6 +27,10 @@ IDENTITY_TOL = 1e-11
 INVARIANCE_TOL = 1e-9
 STABILITY_BOUND = 100.0
 LOCALIZE_WINDOW = (0.2, 20.0)
+MAX_SAMPLE = 24  # faces and elements sampled per check, a quarter as many stars
+# a P1 density times a dual function is a quintic on each piece, and the
+# trace of phi*_F on F a quadratic: rules of this degree integrate them exactly
+P1_DEGREE = 5
 
 
 # -- pointwise dual functions ----------------------------------------------------
@@ -156,7 +160,8 @@ def pair(f, phi, quad_degree=DEFAULT_DEGREE):
     `f` may be a ScalarField, a PiecewiseFunctional, or a SourceFunctional;
     integration is split over the polynomial pieces (squeezed triangle,
     element, face), so results are exact for polynomial data up to the rule
-    degree.
+    degree, and for P1 densities and line sources at every degree (their
+    rule has degree `P1_DEGREE` at least).
     """
     if isinstance(f, SourceFunctional):
         val = 0.0
@@ -165,6 +170,8 @@ def pair(f, phi, quad_degree=DEFAULT_DEGREE):
         if f.piecewise is not None:
             val += pair(f.piecewise, phi, quad_degree)
         return val
+    if isinstance(f, PiecewiseFunctional):
+        quad_degree = max(quad_degree, P1_DEGREE)
     if isinstance(phi, ElementDualFunction):
         return _pair_element_dual(f, phi, quad_degree)
     if isinstance(phi, FaceDualFunction):
@@ -258,19 +265,20 @@ def element_duality_residual(mesh):
 def face_duality_residuals(mesh, kappa, faces, quad_degree=DEFAULT_DEGREE):
     """(diagonal, cross) residuals of the face Dirac pairings."""
     system = get_dual_system(mesh, kappa, quad_degree)
+    degree = max(quad_degree, P1_DEGREE)
     diag = 0.0
     cross = 0.0
     for face in faces:
         fd = FaceDualFunction(system, face)
-        diag = max(diag, abs(_edge_integral(mesh, face, fd, quad_degree) - 1.0))
+        diag = max(diag, abs(_edge_integral(mesh, face, fd, degree) - 1.0))
         # the other interior faces of the elements next to F, ascending
         adj = mesh.face_elems[face]
         near = np.unique(mesh.elem_faces[adj[adj >= 0]])
         for other in near[mesh.interior_face[near] & (near != face)]:
-            cross = max(cross, abs(_edge_integral(mesh, other, fd, quad_degree)))
+            cross = max(cross, abs(_edge_integral(mesh, other, fd, degree)))
         for duals in fd.element_duals:
             for dual in duals:
-                cross = max(cross, abs(_edge_integral(mesh, face, dual, quad_degree)))
+                cross = max(cross, abs(_edge_integral(mesh, face, dual, degree)))
     return diag, cross
 
 
@@ -367,13 +375,12 @@ def scaling_constants(mesh, kappa, elements, faces, quad_degree=DEFAULT_DEGREE):
 
 
 def run_verify(mesh, kappa, preset="sinsin", seed=0, depth=2,
-               quad_degree=DEFAULT_DEGREE, n_random=20, max_sample=24,
-               mesh_label=""):
+               quad_degree=DEFAULT_DEGREE, n_random=20, mesh_label=""):
     """Full property suite; returns a JSON-ready report dict."""
     rng = np.random.default_rng(seed)
     interior = np.nonzero(mesh.interior_face)[0]
-    faces = interior[_sample(rng, len(interior), max_sample)]
-    elements = _sample(rng, mesh.n_elements, max_sample)
+    faces = interior[_sample(rng, len(interior), MAX_SAMPLE)]
+    elements = _sample(rng, mesh.n_elements, MAX_SAMPLE)
     checks = [_check("element_duality", element_duality_residual(mesh),
                      IDENTITY_TOL)]
     if len(faces):
@@ -400,7 +407,7 @@ def run_verify(mesh, kappa, preset="sinsin", seed=0, depth=2,
                          INVARIANCE_TOL))
 
     free = np.nonzero(~mesh.boundary_vertex)[0]
-    stars = free[_sample(rng, len(free), max(4, max_sample // 4))]
+    stars = free[_sample(rng, len(free), max(4, MAX_SAMPLE // 4))]
     checks.append(_check("stability_sampled",
                          stability_samples(mesh, kappa, rng, stars, depth,
                                            quad_degree), STABILITY_BOUND))

@@ -118,9 +118,10 @@ def test_adaptive_loop_frees_its_meshes(monkeypatch):
     assert [ref() for ref in refined] == [None] * len(refined)
 
 
-def test_adaptive_loop_frees_its_meshes_without_the_gc(monkeypatch):
+@pytest.mark.parametrize("osc_every", [0, 1])
+def test_adaptive_loop_frees_its_meshes_without_the_gc(monkeypatch, osc_every):
     # no reference cycle holds a mesh: reference counting alone frees each
-    # one once the loop has moved past it
+    # one once the loop has moved past it, also past the oscillations
     refined = []
     alive_before = []
 
@@ -134,7 +135,7 @@ def test_adaptive_loop_frees_its_meshes_without_the_gc(monkeypatch):
     def run():
         start = uniform_refine(unit_square_2tri(), 2)
         problem = g.make_problem(start, 100.0, "sinsin")
-        return adapt.adaptive_loop(problem, max_dof=200, osc_every=0)
+        return adapt.adaptive_loop(problem, max_dof=200, osc_every=osc_every)
 
     monkeypatch.setattr(adapt, "bisect", recording_bisect)
     gc.disable()

@@ -4,7 +4,8 @@ A mesh made by `bisect` takes the rows of its kept elements and faces from
 the arrays cached on its parent (the dual system, the data at the element
 quadrature nodes, the field parts of the interpolation) and computes only
 the new rows; the star oscillations take the values of stars without a new
-element from the parent's.  A parentless copy of the same mesh computes
+element from the parent's, when the parent priced them at the same kappa
+and depth.  A parentless copy of the same mesh computes
 every row; both must agree, on random newest-vertex bisection chains over
 the corpus, for kappa across 1e-8 ... 1e10 and for smooth and layer data.
 Discrete functions prolongate exactly along the same chains.
@@ -14,12 +15,13 @@ import pathlib
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdafem import galerkin
+from rdafem import estimator, galerkin
 from rdafem.dual_system import get_dual_system, project_pi
-from rdafem.estimator import all_oscillations
+from rdafem.estimator import all_oscillations, discrete_dual_norm
 from rdafem.mesh import (Mesh, bisect, l_shape, load_mesh, uniform_refine,
                          unit_square_2tri, unit_square_crisscross)
 
@@ -180,10 +182,9 @@ def test_carried_error_rows_equal_a_fresh_build(chain):
         mesh = child
 
 
-def oscillations(mesh, kappa, field, depth, carried=None):
+def oscillations(mesh, kappa, field, depth):
     interpolated = project_pi(mesh, kappa, field)
-    return all_oscillations(galerkin.Problem(mesh, kappa, field), interpolated,
-                            depth, carried=carried)
+    return all_oscillations(galerkin.Problem(mesh, kappa, field), interpolated, depth)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -196,19 +197,46 @@ def test_carried_oscillations_equal_a_fresh_pricing(chain, depth):
     name, data, kappa, seed, fractions = chain
     mesh = MESHES[name]()
     field = galerkin.make_problem(mesh, kappa, data).rhs
-    osc = oscillations(mesh, kappa, field, depth)
+    oscillations(mesh, kappa, field, depth)
     rng = np.random.default_rng(seed)
     for fraction in fractions:
         marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
                            replace=False)
         child = bisect(mesh, marks)
-        osc = oscillations(child, kappa, field, depth, carried=osc)
+        osc = oscillations(child, kappa, field, depth)
         fresh = oscillations(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
                              kappa, field, depth)
         assert osc.shape == fresh.shape
         noise = np.maximum(1e-12 * np.abs(fresh), 1e-13 * np.abs(fresh).max())
         assert (np.abs(osc - fresh) <= noise).all(), np.abs(osc - fresh).max()
         mesh = child
+
+
+@pytest.mark.parametrize("kappa, depth, carried", [
+    (10.0, 2, True), (1.0, 2, False), (10.0, 1, False)])
+def test_oscillations_carry_only_from_the_same_kappa_and_depth(monkeypatch, kappa,
+                                                                depth, carried):
+    # the parent priced its stars at (kappa, depth); a child priced at
+    # kappa 10 and depth 2 takes values only from the same pair
+    mesh = uniform_refine(unit_square_crisscross(), 2)
+    field = galerkin.make_problem(mesh, 10.0, "sinsin").rhs
+    oscillations(mesh, kappa, field, depth)
+    child = bisect(mesh, [0, 5])
+    priced = []
+
+    def counting(mesh, vertices, *args):
+        priced.append(len(vertices))
+        return discrete_dual_norm(mesh, vertices, *args)
+
+    monkeypatch.setattr(estimator, "discrete_dual_norm", counting)
+    got = oscillations(child, 10.0, field, 2)
+    new_stars = len(np.unique(child.elements[child.parent_elements < 0]))
+    assert priced == [new_stars if carried else child.n_vertices]
+    assert new_stars < child.n_vertices
+    fresh = oscillations(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
+                         10.0, field, 2)
+    noise = np.maximum(1e-12 * np.abs(fresh), 1e-13 * np.abs(fresh).max())
+    assert (np.abs(got - fresh) <= noise).all(), np.abs(got - fresh).max()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -264,6 +264,15 @@ def test_face_duality_neighbour_scan_matches_full_scan(corpus, name):
         assert got == _full_scan_face_duality(mesh, kappa, faces)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("name", ["square2", "crisscross", "lshape"])
+def test_verify_passes_at_low_rule_degrees(corpus, name, degree):
+    # P1 densities pair with the duals by bi-orthogonality, not through the
+    # data rule, and the oracle integrates them exactly at every degree
+    report = verify.run_verify(dict(corpus)[name], 10.0, quad_degree=degree)
+    assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+
+
 def test_project_pi_memory_bounded_on_a_fine_mesh():
     # f is evaluated at the squeezed points of the face bubbles in blocks of
     # faces: on a parentless 2^16-element square project_pi peaks at 53.9 MB,

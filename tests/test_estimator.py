@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,25 @@ def test_report_aggregates():
     skipped = est.build_report(problem, U, with_oscillation=False)
     assert skipped.oscillation is None
     assert np.isclose(skipped.total, skipped.estimator, rtol=1e-14)
+
+
+def test_report_on_mesh_bound_data_leaves_the_mesh_to_reference_counting():
+    # a PiecewiseFunctional holds its mesh: cached on the mesh, it would
+    # make a cycle that only the cyclic garbage collector frees
+    m = uniform_refine(unit_square_2tri(), 2)
+    rng = np.random.default_rng(4)
+    f = g.PiecewiseFunctional(m, rng.standard_normal((m.n_elements, 3)),
+                              np.where(m.interior_face, rng.standard_normal(m.n_faces), 0.0))
+    problem = g.Problem(m, 5.0, f)
+    U = g.solve(problem)
+    assert est.build_report(problem, U).oscillation > 0.0
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m, f, problem, U
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_estimator_exact_on_operator_images():

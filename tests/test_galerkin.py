@@ -251,12 +251,14 @@ def test_residual_source_is_orthogonal_after_solve():
 
 
 def test_energy_norm_field_exact():
-    # |||(x, y) -> x||| with grad (1, 0): integral of 1 + kappa^2 x^2
+    # |||(x, y) -> x||| with grad (1, 0): integral of 1 + kappa^2 x^2, as the
+    # energy error of a zero U
     m = uniform_refine(unit_square_2tri(), 2)
     field = g.ScalarField(lambda x, y: x, lambda x, y: (np.ones_like(x),
                                                         np.zeros_like(x)))
+    zero = g.DiscreteFunction(m, np.zeros(m.n_vertices))
     for kappa in (1.0, 3.0):
-        val = g.energy_norm(m, kappa, field, quad_degree=4)
+        val = g.energy_error(g.Problem(m, kappa, None, exact=field), zero, quad_degree=4)
         assert np.isclose(val, np.sqrt(1.0 + kappa**2 / 3.0), rtol=1e-13)
 
 

@@ -167,8 +167,8 @@ def test_kernels_match_einsum_references(name, kappa, monkeypatch):
 
 @pytest.mark.parametrize("degree", [1, 4, 5, 8])
 def test_element_pairings_match_the_pointwise_oracle(degree):
-    # below degree 5 the rule pairs a P1 density with the element duals
-    # inexactly, so the constant density map is not the identity there
+    # a field pairs through the rule of each degree; a P1 density pairs to
+    # its own coefficients, and the oracle integrates it exactly at any degree
     kappa = 10.0
     parent = uniform_refine(l_shape(), 1)
     # no symmetry of the mesh maps this field to itself

@@ -160,6 +160,10 @@ def test_oscillation_memory_bounded_across_mesh_sizes():
     # pass needs several times this bound already at 2^11)
     bound = 5 * 2**20
     peaks = {}
+    # the template caches fill on a small mesh: the values of a mesh are
+    # cached on it, so a second call there would price nothing
+    small = g.make_problem(mesh_mod.unit_square_2tri(), 1.0, "sinsin")
+    est.all_oscillations(small, project_pi(small.mesh, 1.0, small.rhs), depth=2)
     mesh = mesh_mod.uniform_refine(mesh_mod.unit_square_2tri(), 10)
     for n_elements in (2**11, 2**13):
         if mesh.n_elements < n_elements:
@@ -167,7 +171,6 @@ def test_oscillation_memory_bounded_across_mesh_sizes():
         assert mesh.n_elements == n_elements
         problem = g.make_problem(mesh, 1.0, "sinsin")
         interp = project_pi(mesh, 1.0, problem.rhs)
-        est.all_oscillations(problem, interp, depth=2)  # template caches
         tracemalloc.start()
         try:
             est.all_oscillations(problem, interp, depth=2)
