@@ -84,13 +84,14 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
 
     Each refined mesh takes the rows of the elements, faces and stars
     bisection kept from the previous mesh's cached arrays (`cached_rows`:
-    the face rows of the `DualSystem` and of the field's face pairings, the
-    load rows, element means and element-dual pairings of the data, the
-    exact solution's part of the energy error and the star oscillations)
-    and computes only the new rows.  `repriced_elements` and
-    `repriced_faces` count the new rows of the dual system, and
-    `repriced_stars` the stars priced, None where oscillation was not
-    priced: an iteration after a skipped one prices every star.
+    the barycentric gradients, the face rows of the `DualSystem` and of the
+    field's face pairings, the load rows, element means and element-dual
+    pairings of the data, the exact solution's part of the energy error and
+    the star oscillations) and computes only the new rows.
+    `repriced_elements` counts the element rows of the data priced,
+    `repriced_faces` the face rows of the dual system, and `repriced_stars`
+    the stars priced, None where oscillation was not priced: an iteration
+    after a skipped one prices every star.
     """
     from .dual_system import get_dual_system, project_pi, theta_factor
 
@@ -102,9 +103,9 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     mesh = None
     for it in range(max_iter):
         # the previous mesh is held until the arrays cached on this mesh (the
-        # data rows in the solve, the dual system and its face pairings, the
-        # exact solution's rows of the energy error, the star oscillations)
-        # have taken their kept rows from it
+        # gradients and data rows in the solve, the dual system and its face
+        # pairings, the exact solution's rows of the energy error, the star
+        # oscillations) have taken their kept rows from it
         parent, mesh = mesh, problem.mesh
         t0 = time.perf_counter()
         system = galerkin.assemble(mesh, kappa)
@@ -115,7 +116,6 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             report.stop_reason = f"solver failure: {exc}"
             break
         interpolated = project_pi(mesh, kappa, problem.rhs, quad_degree)
-        duals = get_dual_system(mesh, kappa, quad_degree)
         err = None
         if problem.exact is not None and problem.exact.grad is not None:
             err = float(np.sqrt(energy_error_sq_elements(
@@ -138,8 +138,9 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             "kappa": kappa,
             "theta_mark": theta_mark,
             "theta_min": float(theta_factor(mesh.h_elem, kappa).min()),
-            "repriced_elements": duals.n_new_elements,
-            "repriced_faces": duals.n_new_faces,
+            "repriced_elements": len(galerkin.field_rows(mesh, problem.rhs,
+                                                         quad_degree).new),
+            "repriced_faces": get_dual_system(mesh, kappa, quad_degree).n_new_faces,
             "repriced_stars": None,
             "n_marked_vertices": 0,
             "n_marked_elements": 0,
@@ -276,8 +277,7 @@ def reference_errors(run, problem, quad_degree=DEFAULT_DEGREE):
 
 
 def robustness_study(family, kappas, max_dof=2000, theta_mark=0.5, depth=2,
-                     osc_every=1, quad_degree=DEFAULT_DEGREE, mesh=None,
-                     max_iter=100):
+                     quad_degree=DEFAULT_DEGREE, mesh=None):
     """Adaptive runs across a kappa sweep with per-iteration effectivities.
 
     `family` is either a preset name (then `mesh` provides the initial mesh)
@@ -295,8 +295,7 @@ def robustness_study(family, kappas, max_dof=2000, theta_mark=0.5, depth=2,
             problem = galerkin.make_problem(mesh, kappa, family)
         has_exact = problem.exact is not None and problem.exact.grad is not None
         run = adaptive_loop(problem, theta_mark=theta_mark, max_dof=max_dof,
-                            depth=depth, osc_every=osc_every,
-                            quad_degree=quad_degree, max_iter=max_iter,
+                            depth=depth, quad_degree=quad_degree,
                             keep_meshes=not has_exact)
         if not has_exact and run.solutions:
             errors = reference_errors(run, problem, quad_degree)

@@ -32,8 +32,6 @@ By construction it reproduces every functional of volume+face form.
 oracle that evaluates them for the cross-checks lives in `verify`.
 """
 
-import weakref
-
 import numpy as np
 
 from . import quadrature
@@ -59,45 +57,31 @@ class DualSystem:
     """All dual functions of one (mesh, kappa) pair, in array form.
 
     Per interior face and side s in {0, 1} (lower/higher adjacent element)
-    it stores the squeeze factors `thetas` (nfi, 2) and the gamma
+    it holds the squeeze factors `thetas` (nfi, 2) and the gamma
     coefficients `gammas` (nfi, 2, 3), in closed form; the element duals
     need no array, psi is `galerkin._PSI_UNIT` / |T|.
 
-    Every face row depends only on its face, the face's two elements and
-    kappa, so the face rows, and the pairings of a field with the face
-    bubbles, are cached on the mesh by `cached_rows`: on a mesh made by
-    `bisect` only the rows of new faces are computed while the parent mesh
-    lives.  `n_new_faces` counts them and `n_new_elements` the elements
-    without a row in the parent's system (every element without one).
-
-    The system holds its mesh weakly: `get_dual_system` caches it on the
-    mesh, and a strong reference back would make a cycle that only the
-    cyclic garbage collector frees, keeping finished meshes alive.
+    The system is a view: its arrays live in the mesh's cache, the view
+    does not, so it holds its mesh without a reference cycle.  Every face
+    row depends only on its face, the face's two elements and kappa, so the
+    face rows, and the pairings of a field with the face bubbles, are
+    `cached_rows` entries: on a mesh made by `bisect` only the rows of new
+    faces are computed while the parent mesh lives.  `n_new_faces` counts
+    the rows of theta and gamma the mesh computed.
     """
 
     def __init__(self, mesh, kappa, quad_degree=DEFAULT_DEGREE):
-        self._mesh = weakref.ref(mesh)
+        self.mesh = mesh
         self.kappa = float(kappa)
         self.quad_degree = int(quad_degree)
-        self.key = _system_key(kappa, quad_degree)
         self.iface = np.nonzero(mesh.interior_face)[0]
         self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.face_pos[self.iface] = np.arange(len(self.iface))
         self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
-        parent = mesh.parent
-        self.n_new_elements = (int((mesh.parent_elements < 0).sum())
-                               if parent is not None and self.key in parent.cache
-                               else mesh.n_elements)
-        rows = cached_rows(mesh, ("dual_faces",) + self.key[1:], "faces", self._build_faces)
+        rows = cached_rows(mesh, ("dual_faces", self.kappa, self.quad_degree), "faces",
+                           self._build_faces)
         self.thetas, self.gammas = rows.thetas, rows.gammas
         self.n_new_faces = len(rows.new)
-
-    @property
-    def mesh(self):
-        mesh = self._mesh()
-        if mesh is None:
-            raise ReferenceError("the mesh of this DualSystem has been freed")
-        return mesh
 
     def _build_faces(self, new):
         """theta and gamma of the interior faces at rows `new`."""
@@ -119,7 +103,7 @@ class DualSystem:
         f = as_source(self.mesh, f)
         out = np.zeros((self.mesh.n_elements, 3))
         if f.field is not None:
-            out += f.field_weight * field_rows(self.mesh, f.field, self.quad_degree).dual
+            out += field_rows(self.mesh, f.field, self.quad_degree).dual
         if f.piecewise is not None:
             # a P1 density pairs to its own coefficients (bi-orthogonality);
             # line sources meet the duals where they vanish
@@ -131,7 +115,7 @@ class DualSystem:
         f = as_source(self.mesh, f)
         out = np.zeros(len(self.iface))
         if f.field is not None:
-            out += f.field_weight * self._psi_pair_field(f.field)
+            out += self._psi_pair_field(f.field)
         if f.piecewise is not None:
             # a P1 density d pairs with psi_F to sum_z d_z gamma_{z;T}; the
             # trace of psi_F integrates to one over F and to zero elsewhere
@@ -169,24 +153,14 @@ class DualSystem:
                     (fv @ bubble_w) * jac).sum(axis=1)
             return {"pairs": fresh}
 
-        return cached_rows(mesh, ("psi_pairs", field) + self.key[1:], "faces", build).pairs
-
-
-def _system_key(kappa, quad_degree=DEFAULT_DEGREE):
-    """The key of a DualSystem in its mesh's cache."""
-    return ("dual_system", float(kappa), int(quad_degree))
+        return cached_rows(mesh, ("psi_pairs", field, self.kappa, self.quad_degree),
+                           "faces", build).pairs
 
 
 def get_dual_system(mesh, kappa, quad_degree=DEFAULT_DEGREE):
-    """Cached DualSystem per (mesh, kappa, quad_degree).
-
-    The cache lives on the mesh and its systems hold the mesh only weakly,
-    so the cache goes with the mesh as soon as the last reference to it does.
-    """
-    key = _system_key(kappa, quad_degree)
-    if key not in mesh.cache:
-        mesh.cache[key] = DualSystem(mesh, kappa, quad_degree)
-    return mesh.cache[key]
+    """The DualSystem of (mesh, kappa, quad_degree): a new view on every
+    call, whose arrays are computed once per mesh and cached on it."""
+    return DualSystem(mesh, kappa, quad_degree)
 
 
 def project_pi(mesh, kappa, f, quad_degree=DEFAULT_DEGREE):

@@ -37,6 +37,8 @@ stars in chunks of bounded size, so memory does not grow with the mesh
 either; `global_dual_norm` prices the whole domain as one patch.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -176,13 +178,7 @@ class _Template:
             self.face_edges.append(edges[on])
 
 
-_template_cache = {}
-
-
-def _template(depth):
-    if depth not in _template_cache:
-        _template_cache[depth] = _Template(depth)
-    return _template_cache[depth]
+_template = functools.cache(_Template)
 
 
 class _RefBlocks:
@@ -255,14 +251,7 @@ class _RefBlocks:
         self.pair_entries = len(self.rows) + len(self.quad_bary)
 
 
-_ref_blocks_cache = {}
-
-
-def _ref_blocks(depth, quad_degree):
-    key = (depth, quad_degree)
-    if key not in _ref_blocks_cache:
-        _ref_blocks_cache[key] = _RefBlocks(depth, quad_degree)
-    return _ref_blocks_cache[key]
+_ref_blocks = functools.cache(_RefBlocks)
 
 
 def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
@@ -456,7 +445,7 @@ def _parent_loads(mesh, g, parents, ref):
         x = corners[..., 0] @ ref.quad_bary.T
         y = corners[..., 1] @ ref.quad_bary.T
         fv = np.asarray(g.field.value(x, y), dtype=float)
-        out += g.field_weight * area[:, None] * (ref.field_weights @ fv.T).T
+        out += area[:, None] * (ref.field_weights @ fv.T).T
     if g.piecewise is not None:
         out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
         ef = mesh.elem_faces[parents]
@@ -574,16 +563,11 @@ class IndicatorReport:
 
     @property
     def oscillation(self):
-        if self.osc is None:
-            return None
         return float(np.sqrt((self.osc**2).sum()))
 
     @property
     def total(self):
-        t2 = (self.E**2).sum()
-        if self.osc is not None:
-            t2 = t2 + (self.osc**2).sum()
-        return float(np.sqrt(t2))
+        return float(np.sqrt((self.E**2).sum() + (self.osc**2).sum()))
 
     @property
     def classic(self):
@@ -596,16 +580,14 @@ class IndicatorReport:
         return self.total / self.true_error
 
 
-def build_report(problem, U, with_oscillation=True, depth=2,
-                 quad_degree=DEFAULT_DEGREE):
-    """Compute residuals, indicators and (optionally) oscillation in one go."""
+def build_report(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
+    """Compute residuals, indicators and oscillation in one go."""
     from .dual_system import project_pi
 
     interpolated = project_pi(problem.mesh, problem.kappa, problem.rhs, quad_degree)
     rd = residuals(problem, U, interpolated)
     E = vertex_indicators(rd)
-    osc = (all_oscillations(problem, interpolated, depth, quad_degree)
-           if with_oscillation else None)
+    osc = all_oscillations(problem, interpolated, depth, quad_degree)
     classic_sq = classic_indicators(problem, U, quad_degree)
     true_error = None
     if problem.exact is not None and problem.exact.grad is not None:

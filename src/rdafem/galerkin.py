@@ -170,20 +170,19 @@ class PiecewiseFunctional:
 
 
 class SourceFunctional:
-    """field_weight * <field, v> + <piecewise, v>, either part optional."""
+    """<field, v> + <piecewise, v>, either part optional."""
 
-    def __init__(self, mesh, field=None, piecewise=None, field_weight=1.0):
+    def __init__(self, mesh, field=None, piecewise=None):
         if piecewise is not None and piecewise.mesh is not mesh:
             raise ValueError("piecewise part lives on a different mesh")
         self.mesh = mesh
         self.field = field
         self.piecewise = piecewise
-        self.field_weight = float(field_weight)
 
     def pair_hats(self, quad_degree=DEFAULT_DEGREE):
         out = np.zeros(self.mesh.n_vertices)
         if self.field is not None:
-            out += self.field_weight * field_load(self.mesh, self.field, quad_degree)
+            out += field_load(self.mesh, self.field, quad_degree)
         if self.piecewise is not None:
             out += self.piecewise.pair_hats()
         return out
@@ -328,13 +327,11 @@ class GalerkinSystem:
 
 
 def element_bary_grads(mesh):
-    """`bary_grads` of every element, (ne, 3, 2), read-only; computed once
-    per mesh and cached on it."""
-    grads = mesh.cache.get("bary_grads")
-    if grads is None:
-        grads = mesh.cache["bary_grads"] = bary_grads(mesh.vertices[mesh.elements])
-        grads.setflags(write=False)
-    return grads
+    """`bary_grads` of every element, (ne, 3, 2), read-only, cached on the
+    mesh (`cached_rows`): a bisected mesh takes the rows of its kept
+    elements from its parent."""
+    return cached_rows(mesh, ("bary_grads",), "elements", lambda new: {
+        "grads": bary_grads(mesh.vertices[mesh.elements[new]])}).grads
 
 
 def assemble(mesh, kappa):
@@ -612,13 +609,9 @@ def energy_norm_sq_elements(mesh, kappa, v):
     return e2 + kappa**2 * _p1_mass_sq(mesh.areas, v.element_values())
 
 
-def energy_norm(mesh, kappa, v, region=None):
-    """Energy norm of a DiscreteFunction over the whole mesh or over the
-    elements in `region`."""
-    e2 = energy_norm_sq_elements(mesh, kappa, v)
-    if region is not None:
-        e2 = e2[np.asarray(region, dtype=np.int64)]
-    return float(np.sqrt(e2.sum()))
+def energy_norm(mesh, kappa, v):
+    """Energy norm of a DiscreteFunction."""
+    return float(np.sqrt(energy_norm_sq_elements(mesh, kappa, v).sum()))
 
 
 def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
@@ -687,11 +680,9 @@ def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
     return grad_part + problem.kappa**2 * mass_part
 
 
-def energy_error(problem, U, region=None, quad_degree=DEFAULT_DEGREE):
-    e2 = energy_error_sq_elements(problem, U, quad_degree)
-    if region is not None:
-        e2 = e2[np.asarray(region, dtype=np.int64)]
-    return float(np.sqrt(e2.sum()))
+def energy_error(problem, U, quad_degree=DEFAULT_DEGREE):
+    """Energy norm of u - U, u the exact solution."""
+    return float(np.sqrt(energy_error_sq_elements(problem, U, quad_degree).sum()))
 
 
 def prolongate(U, fine_mesh):

@@ -120,15 +120,14 @@ class Mesh:
         `signed_areas(vertices[elements])` of the triples as given, when the
         caller has already computed it.
 
-    `cache` holds data derived from the mesh: the dual systems
-    (`get_dual_system`), the barycentric gradients (`element_bary_grads`)
-    and the row arrays of `cached_rows`: per element the load rows, means
-    and element-dual pairings of a field (`field_rows`) and the exact
-    solution's part of the energy error (`error_rows`); per interior face
-    the squeeze factors and gamma coefficients of the face duals and the
-    pairings of a field with the face bubbles (`dual_system`); per vertex
-    the star oscillations (`estimator.all_oscillations`).  Nothing in it
-    may hold the mesh strongly, so the cache goes with the mesh.
+    `cache` holds the row arrays of `cached_rows` and nothing else: per
+    element the barycentric gradients (`element_bary_grads`), the load
+    rows, means and element-dual pairings of a field (`field_rows`) and the
+    exact solution's part of the energy error (`error_rows`); per interior
+    face the squeeze factors and gamma coefficients of the face duals and
+    the pairings of a field with the face bubbles (`dual_system`); per
+    vertex the star oscillations (`estimator.all_oscillations`).  Its
+    entries hold arrays only, so the cache goes with the mesh.
     """
 
     def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):
@@ -500,21 +499,6 @@ def l_shape():
 # -- refinement --------------------------------------------------------------
 
 
-def carry_rows(old, sources, fresh):
-    """Rows of an array of a bisected mesh from the same array of its parent.
-
-    Row i is old[sources[i]] where sources[i] >= 0 (a row bisection kept)
-    and the next row of `fresh` where it is -1: fresh holds the new rows, in
-    order.  With every row new, fresh is the array and old is not read.
-    """
-    new = sources < 0
-    if new.all():
-        return fresh
-    out = old.take(np.maximum(sources, 0), axis=0)
-    out[new] = fresh
-    return out
-
-
 def cached_rows(mesh, key, kind, build):
     """The row arrays cached on mesh under key, built on first use.
 
@@ -546,10 +530,13 @@ def cached_rows(mesh, key, kind, build):
         sources = np.arange(mesh.n_vertices)
         sources[mesh.elements[mesh.parent_elements < 0]] = -1
     new = np.flatnonzero(sources < 0)
-    arrays = {name: carry_rows(getattr(old, name, None), sources, fresh)
-              for name, fresh in build(new).items()}
-    for array in arrays.values():
-        array.setflags(write=False)
+    arrays = build(new)
+    for name, fresh in arrays.items():
+        if len(new) < len(sources):
+            # row i is the parent's row sources[i], or the next fresh row
+            arrays[name] = getattr(old, name).take(np.maximum(sources, 0), axis=0)
+            arrays[name][new] = fresh
+        arrays[name].setflags(write=False)
     rows = mesh.cache[key] = types.SimpleNamespace(new=new, **arrays)
     return rows
 

@@ -6,6 +6,7 @@ selectable degree.  The first serves as an oracle for the second and for all
 hand-derived constants; the second handles general integrands.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,9 +16,6 @@ from .mesh import signed_areas
 
 # Degree used for pairings with generic (non-polynomial) data.
 DEFAULT_DEGREE = 8
-
-_simplex_cache = {}
-_edge_cache = {}
 
 
 class QuadratureRule:
@@ -95,6 +93,7 @@ def _gauss_jacobi_10(n):
     return x, w * (2.0 / w.sum())
 
 
+@functools.cache
 def simplex_rule(degree):
     """Conical-product Gauss rule on the reference triangle, exact to `degree`.
 
@@ -103,10 +102,7 @@ def simplex_rule(degree):
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    degree = max(int(degree), 1)
-    if degree in _simplex_cache:
-        return _simplex_cache[degree]
-    n = (degree + 2) // 2  # 2n-1 >= degree
+    n = (max(int(degree), 1) + 2) // 2  # 2n-1 >= degree
     xj, wj = _gauss_jacobi_10(n)
     xl, wl = leggauss(n)
     xi = 0.5 * (1.0 + xj)      # with weight (1-xi), factor 1/4 on weights
@@ -117,22 +113,16 @@ def simplex_rule(degree):
     y = (Y * (1.0 - X)).ravel()
     w = (WX * WY).ravel()
     bary = np.column_stack([1.0 - x - y, x, y])
-    rule = QuadratureRule(bary, w, 2 * n - 1)
-    _simplex_cache[degree] = rule
-    return rule
+    return QuadratureRule(bary, w, 2 * n - 1)
 
 
+@functools.cache
 def edge_rule(degree):
     """Gauss-Legendre rule on the unit segment, exact to `degree`."""
-    degree = max(int(degree), 1)
-    if degree in _edge_cache:
-        return _edge_cache[degree]
-    n = (degree + 2) // 2
+    n = (max(int(degree), 1) + 2) // 2
     x, w = leggauss(n)
     s = 0.5 * (1.0 + x)
-    rule = QuadratureRule(s[:, None], 0.5 * w, 2 * n - 1)
-    _edge_cache[degree] = rule
-    return rule
+    return QuadratureRule(s[:, None], 0.5 * w, 2 * n - 1)
 
 
 def map_points(rule, corners):

@@ -95,7 +95,7 @@ class PatchSpace:
             pts = quadrature.map_points(rule, self.coords[self.tris])
             fv = np.asarray(g.field.value(pts[..., 0], pts[..., 1]), dtype=float)
             contrib = 2.0 * self.areas[:, None] * ((fv * rule.weights) @ rule.points)
-            np.add.at(out, self.tris, g.field_weight * contrib)
+            np.add.at(out, self.tris, contrib)
         if g.piecewise is not None:
             self._load_piecewise(g.piecewise, out)
         return out

@@ -1,14 +1,15 @@
 """Rows carried along bisection chains against a fresh build.
 
 A mesh made by `bisect` takes the rows of its kept elements and faces from
-the arrays cached on its parent (the dual system, the data at the element
-quadrature nodes, the field parts of the interpolation) and computes only
-the new rows; the star oscillations take the values of stars without a new
-element from the parent's, when the parent priced them at the same kappa
-and depth.  A parentless copy of the same mesh computes
-every row; both must agree, on random newest-vertex bisection chains over
-the corpus, for kappa across 1e-8 ... 1e10 and for smooth and layer data.
-Discrete functions prolongate exactly along the same chains.
+the arrays cached on its parent (the barycentric gradients, the dual system,
+the data at the element quadrature nodes, the field parts of the
+interpolation) and computes only the new rows; the star oscillations take
+the values of stars without a new element from the parent's, when the
+parent priced them at the same kappa and depth.  A parentless copy of the
+same mesh computes every row; both must agree, on random newest-vertex
+bisection chains over the corpus, for kappa across 1e-8 ... 1e10 and for
+smooth and layer data.  Discrete functions prolongate exactly along the
+same chains.
 """
 
 import pathlib
@@ -58,7 +59,8 @@ def price(mesh, kappa, field):
     pi = project_pi(mesh, kappa, field)
     rows = galerkin.field_rows(mesh, field)
     arrays = {name: getattr(system, name) for name in SYSTEM_ARRAYS}
-    arrays.update(load=rows.load, mean=rows.mean,
+    arrays.update(bary_grads=galerkin.element_bary_grads(mesh), load=rows.load,
+                  mean=rows.mean,
                   field_load=galerkin.field_load(mesh, field),
                   pi_cell=pi.cell_density, pi_face=pi.face_density)
     return arrays, system
@@ -79,10 +81,11 @@ def test_carried_rows_equal_a_fresh_build(chain):
         carried, system = price(child, kappa, field)
         fresh, fresh_system = price(
             Mesh(child.vertices, child.elements, ref_edge_policy="asis"), kappa, field)
-        assert system.n_new_elements == int((child.parent_elements < 0).sum())
-        rows = galerkin.field_rows(child, field)
-        assert np.array_equal(rows.new, np.nonzero(child.parent_elements < 0)[0])
-        assert fresh_system.n_new_elements == child.n_elements
+        new = np.nonzero(child.parent_elements < 0)[0]
+        assert np.array_equal(galerkin.field_rows(child, field).new, new)
+        # the gradients of kept elements are the parent's, bit for bit
+        assert np.array_equal(child.cache[("bary_grads",)].new, new)
+        assert np.array_equal(carried["bary_grads"], fresh["bary_grads"])
         assert fresh_system.n_new_faces == len(fresh_system.iface)
         assert np.array_equal(system.adj, fresh_system.adj)
         for key, want in fresh.items():
@@ -100,7 +103,8 @@ def test_parent_map_keeps_kept_rows_and_counts_new_faces():
     child = bisect(mesh, [0])
     _, system = price(child, 10.0, field)
     kept = child.parent_elements >= 0
-    assert 0 < system.n_new_elements == (~kept).sum() < child.n_elements
+    new = galerkin.field_rows(child, field).new
+    assert 0 < len(new) == (~kept).sum() < child.n_elements
     parent_iface = child.parent_faces[system.iface]
     assert system.n_new_faces == (parent_iface < 0).sum() > 0
     old = get_dual_system(mesh, 10.0)
@@ -132,8 +136,7 @@ def test_make_problem_on_a_child_reprices_only_its_new_elements():
     assert problem.rhs is parent.rhs and problem.exact is parent.exact
     new = np.nonzero(child.parent_elements < 0)[0]
     assert 0 < len(new) < child.n_elements
-    _, system = price(child, problem.kappa, problem.rhs)
-    assert system.n_new_elements == len(new)
+    price(child, problem.kappa, problem.rhs)
     assert np.array_equal(galerkin.field_rows(child, problem.rhs).new, new)
 
 
@@ -147,7 +150,6 @@ def test_child_holds_its_parent_weakly():
     assert ref() is None and child.parent is None
     # with the parent gone, every row is priced fresh
     system = get_dual_system(child, 1.0)
-    assert system.n_new_elements == child.n_elements
     assert system.n_new_faces == len(system.iface)
 
 

@@ -220,9 +220,6 @@ def test_report_aggregates():
     assert np.isclose(rep.classic, np.sqrt(rep.classic_sq.sum()), rtol=1e-14)
     assert rep.true_error > 0
     assert np.isclose(rep.effectivity, rep.total / rep.true_error, rtol=1e-14)
-    skipped = est.build_report(problem, U, with_oscillation=False)
-    assert skipped.oscillation is None
-    assert np.isclose(skipped.total, skipped.estimator, rtol=1e-14)
 
 
 def test_report_on_mesh_bound_data_leaves_the_mesh_to_reference_counting():

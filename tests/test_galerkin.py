@@ -262,12 +262,17 @@ def test_energy_norm_field_exact():
         assert np.isclose(val, np.sqrt(1.0 + kappa**2 / 3.0), rtol=1e-13)
 
 
-def test_energy_norm_region_restriction():
+def test_energy_norm_is_the_sum_of_element_parts():
+    # each part is the norm of U on a mesh of its element alone
     m = unit_square_2tri()
     U = g.DiscreteFunction(m, np.array([0.0, 1.0, 0.0, 1.0]))
     full = g.energy_norm(m, 2.0, U)
-    parts = [g.energy_norm(m, 2.0, U, region=np.array([e])) for e in range(2)]
+    parts = []
+    for e in range(m.n_elements):
+        alone = mesh_mod.Mesh(m.vertices, m.elements[e:e + 1])
+        parts.append(g.energy_norm(alone, 2.0, g.DiscreteFunction(alone, U.values)))
     assert np.isclose(full**2, sum(p**2 for p in parts), rtol=1e-13)
+    assert np.isclose(parts[0]**2, g.energy_norm_sq_elements(m, 2.0, U)[0], rtol=1e-13)
 
 
 def test_prolongate_preserves_function():

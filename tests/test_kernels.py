@@ -100,14 +100,12 @@ def ref_project_pi(system, mesh, source):
     if source.field is not None:
         pts = element_points(mesh, rule, LD)
         fv = source.field.value(pts[..., 0], pts[..., 1])
-        cell += source.field_weight * 2 * areas[:, None] * np.einsum(
-            "q,eq,ezq->ez", w, fv, psib)
+        cell += 2 * areas[:, None] * np.einsum("q,eq,ezq->ez", w, fv, psib)
         sq_coords = np.einsum("fsmz,fszx->fsmx", parent_bary,
                               mesh.vertices.astype(LD)[mesh.elements[system.adj]])
         pts = np.einsum("qm,fsmx->fsqx", lam, sq_coords)
         fv = source.field.value(pts[..., 0], pts[..., 1])
-        face += source.field_weight * inv_int * np.einsum("fs,fsq,q->f", jac, fv,
-                                                          bubble_w)
+        face += inv_int * np.einsum("fs,fsq,q->f", jac, fv, bubble_w)
     if source.piecewise is not None:
         dens = source.piecewise.cell_density.astype(LD)
         fv = np.einsum("ez,qz->eq", dens, lam)

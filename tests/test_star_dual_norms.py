@@ -1,6 +1,7 @@
 """Batched star and global dual norms against the one-patch-at-a-time
 PatchSpace oracle."""
 
+import functools
 import pathlib
 import tracemalloc
 
@@ -59,9 +60,8 @@ def _sources(mesh, kappa, rng):
     face = np.where(mesh.interior_face, rng.standard_normal(mesh.n_faces), 0.0)
     piece = g.PiecewiseFunctional(mesh, cell, face)
     out.append(("piecewise", piece))
-    field = g.ScalarField(lambda x, y: np.exp(x) * np.cos(3.0 * y) - x * y)
-    out.append(("mixed", g.SourceFunctional(mesh, field=field, piecewise=piece,
-                                            field_weight=0.5)))
+    field = g.ScalarField(lambda x, y: 0.5 * (np.exp(x) * np.cos(3.0 * y) - x * y))
+    out.append(("mixed", g.SourceFunctional(mesh, field=field, piecewise=piece)))
     return out
 
 
@@ -200,8 +200,8 @@ def test_deep_stars_match_patch_space_in_bounded_memory(depth, monkeypatch):
             if name not in ("sinsin", "mixed"):
                 continue
             # fresh caches: the peak includes building the reference blocks
-            monkeypatch.setattr(est, "_template_cache", {})
-            monkeypatch.setattr(est, "_ref_blocks_cache", {})
+            monkeypatch.setattr(est, "_template", functools.cache(est._Template))
+            monkeypatch.setattr(est, "_ref_blocks", functools.cache(est._RefBlocks))
             tracemalloc.start()
             try:
                 got = est.discrete_dual_norm(mesh, vertices, src, 1.0, depth)
