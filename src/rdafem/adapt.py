@@ -93,7 +93,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     the stars priced, None where oscillation was not priced: an iteration
     after a skipped one prices every star.
     """
-    from .dual_system import get_dual_system, project_pi, theta_factor
+    from .dual_system import dual_faces_key, project_pi, theta_factor
 
     if isinstance(problem.rhs, galerkin.PiecewiseFunctional):
         raise TypeError("adaptive refinement needs data that can move to "
@@ -140,7 +140,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             "theta_min": float(theta_factor(mesh.h_elem, kappa).min()),
             "repriced_elements": len(galerkin.field_rows(mesh, problem.rhs,
                                                          quad_degree).new),
-            "repriced_faces": get_dual_system(mesh, kappa, quad_degree).n_new_faces,
+            "repriced_faces": len(mesh.cache[dual_faces_key(kappa, quad_degree)].new),
             "repriced_stars": None,
             "n_marked_vertices": 0,
             "n_marked_elements": 0,

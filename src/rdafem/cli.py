@@ -169,17 +169,21 @@ def format_column(values):
 
 
 def write_csv(path, columns):
-    """Write a CSV file from {header: column values}, one array or list each."""
+    """Write a CSV file from {header: column values}, one array or list each,
+    in blocks of rows (`row_blocks`, a cell for a point)."""
     import csv
 
     from .galerkin import check_finite
+    from .mesh import row_blocks
 
     check_finite(columns)  # no NaN or infinity reaches an artefact
-    cells = [format_column(values) for values in columns.values()]
+    n_rows = min((len(values) for values in columns.values()), default=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        for block in row_blocks(n_rows, len(columns)):
+            writer.writerows(zip(*(format_column(values[block])
+                                   for values in columns.values())))
 
 
 def record_columns(records, header):

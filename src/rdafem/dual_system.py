@@ -35,14 +35,19 @@ oracle that evaluates them for the cross-checks lives in `verify`.
 import numpy as np
 
 from . import quadrature
-from .galerkin import _ERROR_BLOCK, PiecewiseFunctional, as_source, field_rows
+from .galerkin import PiecewiseFunctional, as_source, field_rows
 from .mesh import cached_rows
-from .quadrature import DEFAULT_DEGREE
+from .quadrature import DEFAULT_DEGREE, node_sums
 
 
 def theta_factor(h, kappa):
     """Squeeze factor min(1, 1/(h*kappa))."""
     return np.minimum(1.0, 1.0 / (np.asarray(h, dtype=float) * kappa))
+
+
+def dual_faces_key(kappa, quad_degree):
+    """The key of the face rows of a `DualSystem` in its mesh's cache."""
+    return ("dual_faces", float(kappa), int(quad_degree))
 
 
 def _apex(mesh, faces, adj):
@@ -67,7 +72,7 @@ class DualSystem:
     face rows, and the pairings of a field with the face bubbles, are
     `cached_rows` entries: on a mesh made by `bisect` only the rows of new
     faces are computed while the parent mesh lives.  `n_new_faces` counts
-    the rows of theta and gamma the mesh computed.
+    the rows of theta and gamma the mesh computed (`dual_faces_key`).
     """
 
     def __init__(self, mesh, kappa, quad_degree=DEFAULT_DEGREE):
@@ -78,8 +83,8 @@ class DualSystem:
         self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.face_pos[self.iface] = np.arange(len(self.iface))
         self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
-        rows = cached_rows(mesh, ("dual_faces", self.kappa, self.quad_degree), "faces",
-                           self._build_faces)
+        rows = cached_rows(mesh, dual_faces_key(kappa, quad_degree), "faces",
+                           self._build_faces, width=6)
         self.thetas, self.gammas = rows.thetas, rows.gammas
         self.n_new_faces = len(rows.new)
 
@@ -129,32 +134,27 @@ class DualSystem:
         """<field, psi_F> per interior face, by quadrature on the squeezed
         triangles; cached on the mesh per field."""
         mesh = self.mesh
+        rule = quadrature.simplex_rule(self.quad_degree)
+        # psi_F = mu0 mu1 / (|F|/6); a squeezed triangle's Jacobian is 2 theta |T|
+        bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
 
         def build(new):
-            rule = quadrature.simplex_rule(self.quad_degree)
-            # psi_F = mu0 mu1 / (|F|/6); a squeezed triangle's Jacobian is 2 theta |T|
-            bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
-            fresh = np.empty(len(new))
-            # f at the squeezed points, in blocks of faces, as in `field_rows`
-            for lo in range(0, len(new), _ERROR_BLOCK):
-                block = new[lo:lo + _ERROR_BLOCK]
-                faces, adj, thetas = self.iface[block], self.adj[block], self.thetas[block]
-                # corners (v0, v1, apex) of each side, the apex squeezed toward F
-                apex = _apex(mesh, faces, adj)[..., None]
-                tri = np.take_along_axis(mesh.elements[adj], (apex + [1, 2, 0]) % 3,
-                                         axis=2)
-                p0, p1, pA = np.moveaxis(mesh.vertices[tri], 2, 0)
-                th = thetas[..., None]
-                squeezed = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
-                pts = quadrature.map_points(rule, squeezed)
-                fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-                jac = 2.0 * thetas * mesh.areas[adj]
-                fresh[lo:lo + len(block)] = 6.0 / mesh.face_len[faces] * (
-                    (fv @ bubble_w) * jac).sum(axis=1)
-            return {"pairs": fresh}
+            faces, adj, thetas = self.iface[new], self.adj[new], self.thetas[new]
+            # corners (v0, v1, apex) of each side, the apex squeezed toward F
+            apex = _apex(mesh, faces, adj)[..., None]
+            tri = np.take_along_axis(mesh.elements[adj], (apex + [1, 2, 0]) % 3, axis=2)
+            p0, p1, pA = np.moveaxis(mesh.vertices[tri], 2, 0)
+            th = thetas[..., None]
+            squeezed = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
+            pts = quadrature.map_points(rule, squeezed)
+            fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
+            jac = 2.0 * thetas * mesh.areas[adj]
+            return {"pairs": 6.0 / mesh.face_len[faces] * (
+                node_sums(fv, bubble_w) * jac).sum(axis=1)}
 
+        # f at the squeezed points of both sides, in blocks of faces
         return cached_rows(mesh, ("psi_pairs", field, self.kappa, self.quad_degree),
-                           "faces", build).pairs
+                           "faces", build, width=2 * len(rule.weights)).pairs
 
 
 def get_dual_system(mesh, kappa, quad_degree=DEFAULT_DEGREE):

@@ -20,14 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .mesh import MeshError, bary_grads, cached_rows
-from .quadrature import DEFAULT_DEGREE
-
-# elements (faces, for Pi's face pairings) per block of the quadrature-node
-# evaluations (`field_rows`, `error_rows` and the face-bubble pairings of
-# `dual_system`): the (element, node) arrays of a whole fine mesh would set
-# the memory peak
-_ERROR_BLOCK = 2**14
+from .mesh import MeshError, bary_grads, cached_rows, row_blocks
+from .quadrature import DEFAULT_DEGREE, node_sums
 
 
 class SolverError(Exception):
@@ -331,19 +325,31 @@ def element_bary_grads(mesh):
     mesh (`cached_rows`): a bisected mesh takes the rows of its kept
     elements from its parent."""
     return cached_rows(mesh, ("bary_grads",), "elements", lambda new: {
-        "grads": bary_grads(mesh.vertices[mesh.elements[new]])}).grads
+        "grads": bary_grads(mesh.vertices[mesh.elements[new]])}, width=6).grads
 
 
 def assemble(mesh, kappa):
-    """Stiffness + kappa^2 * mass in sparse CSR form."""
+    """Stiffness + kappa^2 * mass in sparse CSR form.
+
+    Row z holds the local rows of z in its elements, in element order
+    (`vertex_slots`), built in blocks and summed by column: the entries and
+    summation order of a COO build from all local matrices at once.
+    """
     g = element_bary_grads(mesh)
-    stiff = np.einsum("eix,ejx->eij", g, g) * mesh.areas[:, None, None]
-    mass = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (mesh.areas / 12.0)[:, None, None]
-    local = stiff + kappa**2 * mass
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    nv = mesh.n_vertices
-    matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    slots = mesh.vertex_slots
+    data = np.empty((len(slots), 3))
+    indices = np.empty((len(slots), 3), dtype=np.int32)
+    for block in row_blocks(len(slots), 9):
+        e, i = np.divmod(slots[block], 3)
+        gi, ge, area = g[e, i], g[e], mesh.areas[e, None]
+        stiff = (gi[:, None, 0] * ge[:, :, 0] + gi[:, None, 1] * ge[:, :, 1]) * area
+        mass = (1.0 + (i[:, None] == np.arange(3))) * (area / 12.0)
+        data[block] = stiff + kappa**2 * mass
+        indices[block] = mesh.elements[e]
+    matrix = sp.csr_matrix((data.ravel(), indices.ravel(), 3 * mesh.vertex_starts),
+                           shape=(mesh.n_vertices,) * 2)
+    del data, indices  # the summed matrix keeps arrays of its own
+    matrix.sum_duplicates()
     return GalerkinSystem(mesh, kappa, matrix, mesh.free_vertices())
 
 
@@ -352,29 +358,26 @@ def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
     cached on it (`cached_rows`).
 
     f is evaluated once, in blocks of elements, at the nodes of the rows
-    `new`.  The node values give three products and are then dropped:
-    `load[e, i] = <f, lam_i>_T`, the contributions `field_load` scatters;
-    `mean[e]`, the mean of f on T; and `dual[e, z] = <f, phi*_{z;T}>`, the
-    pairings with the element duals of `dual_system`.
+    `new`.  A block's node values give one `node_sums` against seven weight
+    columns and are then dropped: `load[e, i] = <f, lam_i>_T`, the
+    contributions `field_load` scatters; `mean[e]`, the mean of f on T; and
+    `dual[e, z] = <f, phi*_{z;T}>`, the pairings with the element duals of
+    `dual_system`.
     """
-    def build(new):
-        rule = quadrature.simplex_rule(int(quad_degree))
-        values = np.empty((len(new), len(rule.weights)))
-        for lo in range(0, len(new), _ERROR_BLOCK):
-            block = new[lo:lo + _ERROR_BLOCK]
-            pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
-            values[lo:lo + len(block)] = field.value(pts[..., 0], pts[..., 1])
-        # three matmuls over all new rows: a fused product, or one per block,
-        # rounds load and mean differently
-        return {
-            "load": 2.0 * mesh.areas[new, None] * (
-                values @ (rule.weights[:, None] * rule.points)),
-            # the mean over |T|, against the 2|T| Jacobian
-            "mean": 2.0 * (values @ rule.weights),
-            "dual": 2.0 * (values @ element_dual_weights(rule)),
-        }
+    rule = quadrature.simplex_rule(int(quad_degree))
+    # the weights of load, mean and dual side by side: one sum per node
+    weights = np.column_stack([rule.weights[:, None] * rule.points, rule.weights,
+                               element_dual_weights(rule)])
 
-    return cached_rows(mesh, ("field_rows", field, int(quad_degree)), "elements", build)
+    def build(new):
+        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[new]])
+        sums = 2.0 * node_sums(field.value(pts[..., 0], pts[..., 1]), weights)
+        # against the 2|T| Jacobian: the mean is over |T|, duals' psi_z has 1/|T|
+        return {"load": mesh.areas[new, None] * sums[:, :3], "mean": sums[:, 3],
+                "dual": sums[:, 4:]}
+
+    return cached_rows(mesh, ("field_rows", field, int(quad_degree)), "elements", build,
+                       width=len(rule.weights))
 
 
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
@@ -533,16 +536,18 @@ def _sa_preconditioner(A):
     coarsest solve, as a LinearOperator (SPD, so fit for CG)."""
     levels, coarse = _sa_levels(A)
     lu = spla.splu(coarse.tocsc())
+    # not a recursive closure, whose cycle would hold the hierarchy until a gc
+    return spla.LinearOperator(A.shape, matvec=lambda r: _sa_cycle(levels, lu, r))
 
-    def cycle(level, b):
-        if level == len(levels):
-            return lu.solve(b)
-        A, wdinv, P = levels[level]
-        x = wdinv * b
-        x += P @ cycle(level + 1, P.T @ (b - A @ x))
-        return x + wdinv * (b - A @ x)
 
-    return spla.LinearOperator(A.shape, matvec=lambda r: cycle(0, r))
+def _sa_cycle(levels, lu, b, level=0):
+    """One V-cycle from `level` down on the right-hand side b."""
+    if level == len(levels):
+        return lu.solve(b)
+    A, wdinv, P = levels[level]
+    x = wdinv * b
+    x += P @ _sa_cycle(levels, lu, P.T @ (b - A @ x), level + 1)
+    return x + wdinv * (b - A @ x)
 
 
 # -- operator application ------------------------------------------------------
@@ -636,35 +641,29 @@ def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
     terms are nonnegative, so nothing cancels where the error is small.
     """
     degree = max(int(quad_degree), 2)
+    rule = quadrature.simplex_rule(degree)
+    w = rule.weights
+    wsum = w.sum()
+    # c_T = u at the nodes @ proj: the rule's Gram matrix of the
+    # barycentrics, inverted, against the weighted barycentrics
+    lw = rule.points * w[:, None]
+    proj = np.linalg.solve(rule.points.T @ lw, lw.T).T
 
     def build(new):
-        rule = quadrature.simplex_rule(degree)
-        w = rule.weights
-        wsum = w.sum()
-        # c_T = u at the nodes @ proj: the rule's Gram matrix of the
-        # barycentrics, inverted, against the weighted barycentrics
-        lw = rule.points * w[:, None]
-        proj = np.linalg.solve(rule.points.T @ lw, lw.T).T
-        fresh = {"grad_mean": np.empty((len(new), 2)), "grad_spread": np.empty(len(new)),
-                 "proj": np.empty((len(new), 3)), "proj_residual": np.empty(len(new))}
-        for lo in range(0, len(new), _ERROR_BLOCK):
-            block = new[lo:lo + _ERROR_BLOCK]
-            rows = slice(lo, lo + len(block))
-            pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[block]])
-            x, y = pts[..., 0], pts[..., 1]
-            gx, gy = exact.grad(x, y)
-            mx, my = (gx @ w) / wsum, (gy @ w) / wsum
-            jac = 2.0 * mesh.areas[block]
-            fresh["grad_mean"][rows] = np.column_stack([mx, my])
-            fresh["grad_spread"][rows] = jac * (
-                ((gx - mx[:, None]) ** 2 + (gy - my[:, None]) ** 2) @ w)
-            u = exact.value(x, y)
-            c = u @ proj
-            fresh["proj"][rows] = c
-            fresh["proj_residual"][rows] = jac * ((u - c @ rule.points.T) ** 2 @ w)
-        return fresh
+        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[new]])
+        x, y = pts[..., 0], pts[..., 1]
+        gx, gy = exact.grad(x, y)
+        mx, my = node_sums(gx, w) / wsum, node_sums(gy, w) / wsum
+        jac = 2.0 * mesh.areas[new]
+        u = exact.value(x, y)
+        c = node_sums(u, proj)
+        return {"grad_mean": np.column_stack([mx, my]),
+                "grad_spread": jac * node_sums((gx - mx[:, None]) ** 2
+                                               + (gy - my[:, None]) ** 2, w), "proj": c,
+                "proj_residual": jac * node_sums((u - node_sums(c, rule.points.T)) ** 2, w)}
 
-    return cached_rows(mesh, ("error_rows", exact, degree), "elements", build)
+    return cached_rows(mesh, ("error_rows", exact, degree), "elements", build,
+                       width=len(w))
 
 
 def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):

@@ -19,13 +19,21 @@ the arrays cached on the child take those rows from the parent's arrays
 and compute only the new ones.
 """
 
+import io
 import types
 import weakref
 
 import numpy as np
 
-# face-vertex pairs per chunk of the hanging-vertex audit
-_AUDIT_CHUNK = 2**20
+# quadrature points (entries of the widest per-row array, without a rule)
+# per block of every evaluation over the rows of a mesh
+BLOCK_POINTS = 2**16
+
+
+def row_blocks(n, width):
+    """Slices of n rows in order, BLOCK_POINTS // width (at least one) each."""
+    step = max(1, BLOCK_POINTS // max(int(width), 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 class MeshError(Exception):
@@ -72,13 +80,10 @@ def bary_grads(p):
 
 def _edge_lengths(vertices, elements):
     """Length of the edge opposite each corner of every element, (ne, 3)."""
-    p = vertices[elements]
     out = np.empty(elements.shape)
     for i in range(3):
-        a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
-        dx = b[:, 0] - a[:, 0]
-        dy = b[:, 1] - a[:, 1]
-        out[:, i] = np.sqrt(dx * dx + dy * dy)
+        d = vertices[elements[:, (i + 2) % 3]] - vertices[elements[:, (i + 1) % 3]]
+        out[:, i] = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     return out
 
 
@@ -192,18 +197,20 @@ class Mesh:
         elements = self.elements
         ne = len(elements)
         nv = len(self.vertices)
-        # local face i is opposite local vertex i; slot 3e + i holds it
-        pairs = elements[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-        key = (np.minimum(pairs[:, 0], pairs[:, 1]) * nv
-               + np.maximum(pairs[:, 0], pairs[:, 1]))
+        # local face i is opposite local vertex i, between corners i + 1 and
+        # i + 2; slot 3e + i holds it.  Temporaries go as soon as they are used.
+        a, b = elements[:, [1, 2, 0]], elements[:, [2, 0, 1]]
+        key = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
+        del a, b
         # keys sort the faces lexicographically; the sort is stable, so the
         # slots of one face, and so its owner elements, come out ascending
         order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
+        key = key[order]
         first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_key[1:] != sorted_key[:-1]
+        first[1:] = key[1:] != key[:-1]
         starts = np.nonzero(first)[0]
-        self.faces = np.column_stack(np.divmod(sorted_key[starts], nv))
+        self.faces = np.column_stack(np.divmod(key[starts], nv))
+        del key
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(first) - 1
         self.elem_faces = inverse.reshape(ne, 3)
@@ -214,12 +221,12 @@ class Mesh:
             raise MeshError(
                 f"face {tuple(self.faces[f])} shared by {counts[f]} elements (non-conforming)"
             )
-        owner = order // 3
         self.interior_face = counts == 2
         face_elems = np.full((len(starts), 2), -1, dtype=np.int64)
-        face_elems[:, 0] = owner[starts]
-        face_elems[self.interior_face, 1] = owner[starts[self.interior_face] + 1]
+        face_elems[:, 0] = order[starts] // 3
+        face_elems[self.interior_face, 1] = order[starts[self.interior_face] + 1] // 3
         self.face_elems = face_elems
+        del order
 
         self.boundary_vertex = np.zeros(nv, dtype=bool)
         bfaces = self.faces[~self.interior_face]
@@ -241,8 +248,8 @@ class Mesh:
         # inscribed-ball diameter: 4|T| / perimeter
         self.rho_elem = 4.0 * self.areas / (a + b + c)
 
-        fp = self.vertices[self.faces]
-        tang = fp[:, 1] - fp[:, 0]
+        p0, p1 = self.vertices[self.faces[:, 0]], self.vertices[self.faces[:, 1]]
+        tang = p1 - p0
         self.face_len = np.sqrt(tang[:, 0] * tang[:, 0] + tang[:, 1] * tang[:, 1])
         h_face = self.h_elem[self.face_elems[:, 0]]
         other = self.face_elems[:, 1]
@@ -252,10 +259,12 @@ class Mesh:
 
         normals = np.column_stack([tang[:, 1], -tang[:, 0]])
         normals /= self.face_len[:, None]
-        mid = 0.5 * (fp[:, 0] + fp[:, 1])
-        owner = self.vertices[self.elements[self.face_elems[:, 0]]]
-        centroid = (owner[:, 0] + owner[:, 1] + owner[:, 2]) / 3.0
-        flip = np.einsum("ij,ij->i", normals, mid - centroid) < 0.0
+        mid = 0.5 * (p0 + p1)
+        del tang, p0, p1
+        owner = self.elements[self.face_elems[:, 0]]
+        centroid = self.vertices[owner[:, 0]] + self.vertices[owner[:, 1]]
+        mid -= (centroid + self.vertices[owner[:, 2]]) / 3.0
+        flip = np.einsum("ij,ij->i", normals, mid) < 0.0
         normals[flip] *= -1.0
         self.normals = normals
 
@@ -350,9 +359,7 @@ class Mesh:
             a = self.vertices[bfaces[:, 0]]
             ab = self.vertices[bfaces[:, 1]] - a
             L2 = np.einsum("ij,ij->i", ab, ab)[:, None]
-            step = max(1, _AUDIT_CHUNK // len(cand))
-            for lo in range(0, len(bfaces), step):
-                f = slice(lo, lo + step)
+            for f in row_blocks(len(bfaces), len(cand)):
                 rx = pc[None, :, 0] - a[f, 0, None]
                 ry = pc[None, :, 1] - a[f, 1, None]
                 cross = np.abs(rx * ab[f, 1, None] - ry * ab[f, 0, None])
@@ -361,7 +368,7 @@ class Mesh:
                       & (t < (1 - 1e-12) * L2[f]))
                 hit = np.nonzero(on.any(axis=1))[0]
                 if hit.size:
-                    face = bfaces[lo + hit[0]]
+                    face = bfaces[f.start + hit[0]]
                     raise MeshError(
                         f"vertex {int(cand[np.argmax(on[hit[0]])])} hangs on face "
                         f"({int(face[0])}, {int(face[1])})"
@@ -376,21 +383,68 @@ class Mesh:
 # -- construction and i/o ---------------------------------------------------
 
 
+# the bytes of a plain mesh file, and the line edges (blank ones) it lacks
+_PLAIN = b"0123456789+-.eE \t\n"
+_LINE_EDGES = (b"\n\n", b"\n ", b"\n\t", b" \n", b"\t\n")
+
+
 def load_mesh(path):
     """Read a mesh from the plain-text format.
 
     First line: `nv ne`.  Then nv lines `x y` and ne lines `i j k` with
     0-based counter-clockwise vertex indices.  Blank lines and `#` comments
-    are allowed.  Boundary is inferred from face incidence.  Each block is
-    parsed whole by `np.loadtxt`; only a block that fails is scanned line by
-    line, to name the first bad line.
+    are allowed.  Boundary is inferred from face incidence.  A plain file, of
+    numbers only, is parsed whole (`_read_plain`); any other, or one failing
+    there, line by line (`_read_lines`), naming the first bad line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    lines = raw.splitlines()
+    blocks = _read_plain(data)
+    vertices, elements = _read_lines(path, data) if blocks is None else blocks
+    if (elements < 0).any() or (elements >= len(vertices)).any():
+        bad = int(np.nonzero(((elements < 0) | (elements >= len(vertices))).any(axis=1))[0][0])
+        raise MeshError(f"{path}: element {bad} references a vertex out of range")
+    areas = signed_areas(vertices[elements])
+    if (areas <= 0).any():
+        bad = int(np.nonzero(areas <= 0)[0][0])
+        raise MeshError(f"{path}: element {bad} is not counter-clockwise")
+    try:
+        mesh = Mesh(vertices, elements, ref_edge_policy="longest", areas=areas)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
+    mesh.audit()
+    return mesh
+
+
+def _read_plain(data):
+    """(vertices, elements) of a plain file's bytes, one `np.loadtxt` a block,
+    or None where the file is not plain or a block fails.  A blank line would
+    shift the blocks: no line may be empty, or start or end with a blank."""
+    try:
+        nv, ne = (int(token) for token in io.BytesIO(data).readline().split())
+        if (data.translate(None, _PLAIN) or min(nv, ne) < 0 or data[:1].isspace()
+                or data[-1:] in (b" ", b"\t") or any(e in data for e in _LINE_EDGES)
+                or data.count(b"\n") + (not data.endswith(b"\n")) != 1 + nv + ne):
+            return None
+        # no np.loadtxt of an empty block: it warns
+        vertices = (np.loadtxt(io.BytesIO(data), skiprows=1, max_rows=nv, ndmin=2)
+                    if nv else np.empty((0, 2)))
+        elements = (np.loadtxt(io.BytesIO(data), dtype=np.int64, skiprows=1 + nv, ndmin=2)
+                    if ne else np.empty((0, 3), dtype=np.int64))
+    except ValueError:
+        return None
+    if (vertices.shape != (nv, 2) or elements.shape != (ne, 3)
+            or _nonfinite_vertex(vertices) is not None):
+        return None
+    return vertices, elements
+
+
+def _read_lines(path, data):
+    """(vertices, elements) of any file's bytes; MeshError names a bad line."""
+    lines = data.decode("utf-8").splitlines()
     # 1-based numbers of the content lines: the text before '#' is not blank
     numbers = [ln for ln, text in enumerate(lines, start=1)
                if text.split("#", 1)[0].strip()]
@@ -416,19 +470,7 @@ def load_mesh(path):
         raise MeshError(f"{path}:{numbers[1 + v]}: {diagnosis}")
     elements = _read_block(path, lines[1 + nv:], numbers[1 + nv:], np.int64, 3,
                            "element line must be 'i j k'", "bad element indices")
-    if (elements < 0).any() or (elements >= nv).any():
-        bad = int(np.nonzero(((elements < 0) | (elements >= nv)).any(axis=1))[0][0])
-        raise MeshError(f"{path}: element {bad} references a vertex out of range")
-    areas = signed_areas(vertices[elements])
-    if (areas <= 0).any():
-        bad = int(np.nonzero(areas <= 0)[0][0])
-        raise MeshError(f"{path}: element {bad} is not counter-clockwise")
-    try:
-        mesh = Mesh(vertices, elements, ref_edge_policy="longest", areas=areas)
-    except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from None
-    mesh.audit()
-    return mesh
+    return vertices, elements
 
 
 def _read_block(path, lines, numbers, dtype, width, shape_msg, value_msg):
@@ -499,7 +541,7 @@ def l_shape():
 # -- refinement --------------------------------------------------------------
 
 
-def cached_rows(mesh, key, kind, build):
+def cached_rows(mesh, key, kind, build, width=None):
     """The row arrays cached on mesh under key, built on first use.
 
     A row belongs to an element, an interior face (in face order) or a
@@ -509,6 +551,8 @@ def cached_rows(mesh, key, kind, build):
     same key, `new` lists only the new elements, the faces next to one and
     the stars that contain one, and every other row is the parent's: it
     depends on its element, face or star alone, and `bisect` keeps those.
+    Given the `width` of its widest per-row array, build runs on each of
+    the `row_blocks` of `new`, treating each row alone, rounding included.
     The entry holds the arrays, read-only, as attributes, and `new`.
     """
     rows = mesh.cache.get(key)
@@ -530,13 +574,18 @@ def cached_rows(mesh, key, kind, build):
         sources = np.arange(mesh.n_vertices)
         sources[mesh.elements[mesh.parent_elements < 0]] = -1
     new = np.flatnonzero(sources < 0)
-    arrays = build(new)
-    for name, fresh in arrays.items():
-        if len(new) < len(sources):
-            # row i is the parent's row sources[i], or the next fresh row
-            arrays[name] = getattr(old, name).take(np.maximum(sources, 0), axis=0)
-            arrays[name][new] = fresh
-        arrays[name].setflags(write=False)
+    carry = len(new) < len(sources)
+    arrays = {}
+    for block in (row_blocks(len(new), width) if width else []) or [slice(None)]:
+        for name, fresh in build(new[block]).items():
+            if name not in arrays:
+                # row i is the parent's row sources[i], or a fresh row
+                arrays[name] = (getattr(old, name).take(np.maximum(sources, 0), axis=0)
+                                if carry else
+                                np.empty((len(sources),) + fresh.shape[1:], fresh.dtype))
+            arrays[name][new[block] if carry else block] = fresh
+    for array in arrays.values():
+        array.setflags(write=False)
     rows = mesh.cache[key] = types.SimpleNamespace(new=new, **arrays)
     return rows
 

@@ -137,6 +137,14 @@ def map_points(rule, corners):
     return rule.points @ corners
 
 
+def node_sums(values, weights):
+    """Values at the nodes (..., n) summed against weights (n,) or (n, k).  An
+    einsum sums a row in one order whatever rows come with it, where a matmul
+    rounds it by their number: a row sums the same in any block, bit for bit."""
+    return np.einsum("...q,q->..." if np.ndim(weights) == 1 else "...q,qk->...k",
+                     values, weights)
+
+
 def map_to_triangle(rule, coords):
     """Physical node positions and weights of a reference rule on a triangle.
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,8 @@ from rdafem import verify
 from rdafem.mesh import (MeshError, uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
 from rdafem.quadrature import gauss_edge, map_to_triangle, simplex_rule
+
+from memtrace import peak_bytes
 
 SMALL_KAPPAS = (1.0, 1e2, 1e4)
 
@@ -311,10 +311,5 @@ def test_project_pi_memory_bounded_on_a_fine_mesh():
     problem = g.make_problem(mesh, 1e4, "layer1d")
     g.field_rows(mesh, problem.rhs)
     ds.get_dual_system(mesh, 1e4)
-    tracemalloc.start()
-    try:
-        ds.project_pi(mesh, 1e4, problem.rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(lambda: ds.project_pi(mesh, 1e4, problem.rhs))
     assert peak < bound, peak

@@ -18,6 +18,7 @@ import pytest
 from rdafem import dual_system as ds
 from rdafem import estimator as est
 from rdafem import galerkin as g
+from rdafem import mesh as mesh_mod
 from rdafem import verify
 from rdafem.mesh import (bary_grads, bisect, l_shape, load_mesh, uniform_refine,
                          unit_square_2tri)
@@ -152,7 +153,8 @@ def test_kernels_match_einsum_references(name, kappa, monkeypatch):
             + kappa**2 * (problem.exact.value(x, y) - uvals) ** 2)
     want = 2.0 * mesh.areas * np.einsum("q,eq->e", rule.weights, dens)
     assert_close(g.energy_error_sq_elements(problem, U), want)
-    monkeypatch.setattr(g, "_ERROR_BLOCK", 7)  # blocks of elements, one ragged
+    # blocks of seven elements, one ragged
+    monkeypatch.setattr(mesh_mod, "BLOCK_POINTS", 7 * len(rule.weights))
     assert_close(g.energy_error_sq_elements(problem, U), want)
 
     f_mean = 2.0 * np.einsum("q,eq->e", rule.weights, problem.rhs.value(x, y))
@@ -265,7 +267,8 @@ def test_energy_error_split_matches_the_pointwise_formula(preset, kappa):
 
 
 def test_energy_error_in_ragged_blocks_on_a_fresh_mesh(monkeypatch):
-    monkeypatch.setattr(g, "_ERROR_BLOCK", 7)
+    monkeypatch.setattr(mesh_mod, "BLOCK_POINTS",
+                        7 * len(simplex_rule(DEFAULT_DEGREE).weights))
     mesh = uniform_refine(l_shape(), 2)
     assert mesh.n_elements % 7
     problem = g.make_problem(mesh, 10.0, "sinsin")

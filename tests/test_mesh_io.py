@@ -3,13 +3,15 @@ save_mesh against a row-by-row writer, non-finite coordinates and the
 duplicate checks of the audit."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from rdafem import cli
+from rdafem import mesh as mesh_mod
 from rdafem.mesh import (Mesh, MeshError, l_shape, load_mesh, save_mesh,
-                         signed_areas, uniform_refine)
+                         signed_areas, uniform_refine, unit_square_2tri)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 MESH_FILES = sorted((REPO / "meshes").glob("*.msh"))
@@ -306,3 +308,81 @@ def test_areas_are_those_of_the_stored_corners(tmp_path):
         for name, value in vars(fresh).items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(mesh, name), value), name
+
+
+# -- the whole-file path for plain files ------------------------------------------
+
+
+def decorated_copies(text):
+    """(label, copy of text) with a comment line, a blank line or a line of
+    blanks before each line, or a trailing comment or CRLF on each line."""
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines) + 1):
+        for extra in ("# c\n", "\n", " \t \n"):
+            yield f"{extra!r} before line {i + 1}", "".join(lines[:i] + [extra] + lines[i:])
+    for i, line in enumerate(lines):
+        body = line.rstrip("\n")
+        for end in (" # c\n", "\r\n"):
+            yield (f"{end!r} ending line {i + 1}",
+                   "".join(lines[:i] + [body + end] + lines[i + 1:]))
+
+
+@pytest.mark.parametrize("name", ["square"] + sorted(MALFORMED))
+def test_comments_blanks_and_crlf_anywhere_match_the_oracle(tmp_path, name):
+    text = SQUARE if name == "square" else MALFORMED[name]
+    path = tmp_path / "decorated.msh"
+    for label, copy in decorated_copies(text):
+        path.write_bytes(copy.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = outcome(load_mesh, path)
+        old = outcome(load_mesh_by_lines, path)
+        if isinstance(old, str):
+            assert new == old, label
+        else:
+            assert not isinstance(new, str), (label, new)
+            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1]), label
+
+
+def test_plain_files_are_not_scanned_line_by_line(tmp_path, monkeypatch):
+    def scan(path, data):
+        raise AssertionError("a plain file was scanned line by line")
+
+    path = tmp_path / "saved.msh"
+    save_mesh(uniform_refine(l_shape(), 4), str(path))
+    monkeypatch.setattr(mesh_mod, "_read_lines", scan)
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("block, bad, message", [
+    ("vertex", "0.5 0.25 0.125", "vertex line must be 'x y'"),
+    ("vertex", "0.5 1e400", "vertex 4000 has non-finite coordinates (0.5, inf)"),
+    ("element", "0 2.5 3", "bad element indices"),
+    ("element", "0 1 2 3", "element line must be 'i j k'"),
+    ("element", "0 two 3", "bad element indices"),
+])
+def test_bad_line_deep_in_a_long_file_is_named(tmp_path, block, bad, message):
+    # the first four are plain: the whole-file parse fails, and the line
+    # scan names the line
+    mesh = uniform_refine(unit_square_2tri(), 12)
+    path = tmp_path / "long.msh"
+    save_mesh(mesh, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) >= 10**4
+    ln = 4002 if block == "vertex" else len(lines) - 100
+    lines[ln - 1] = bad + "\n"
+    path.write_text("".join(lines))
+    assert outcome(load_mesh, path) == f"{path}:{ln}: {message}"
+    if "non-finite" not in message:  # the oracle reads inf as a coordinate
+        assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "3 0\n0 0\n1 0\n0 1\n", "3 0\n0 0\n1 0\n0 1",
+                                  "3 0\n# c\n0 0\n1 0\n0 1\n"])
+def test_load_mesh_with_no_elements_warns_nothing(tmp_path, text):
+    path = tmp_path / "none.msh"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=r"none\.msh: mesh has no elements$"):
+            load_mesh(str(path))

@@ -3,7 +3,6 @@ PatchSpace oracle."""
 
 import functools
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from rdafem import galerkin as g
 from rdafem import mesh as mesh_mod
 from rdafem.dual_system import project_pi
 
+from memtrace import peak_bytes
 from patch_oracle import PatchSpace
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -171,12 +171,8 @@ def test_oscillation_memory_bounded_across_mesh_sizes():
         assert mesh.n_elements == n_elements
         problem = g.make_problem(mesh, 1.0, "sinsin")
         interp = project_pi(mesh, 1.0, problem.rhs)
-        tracemalloc.start()
-        try:
-            est.all_oscillations(problem, interp, depth=2)
-            peaks[n_elements] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[n_elements], _ = peak_bytes(
+            lambda: est.all_oscillations(problem, interp, depth=2))
     assert max(peaks.values()) < bound, peaks
 
 
@@ -202,12 +198,8 @@ def test_deep_stars_match_patch_space_in_bounded_memory(depth, monkeypatch):
             # fresh caches: the peak includes building the reference blocks
             monkeypatch.setattr(est, "_template", functools.cache(est._Template))
             monkeypatch.setattr(est, "_ref_blocks", functools.cache(est._RefBlocks))
-            tracemalloc.start()
-            try:
-                got = est.discrete_dual_norm(mesh, vertices, src, 1.0, depth)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, got = peak_bytes(
+                lambda: est.discrete_dual_norm(mesh, vertices, src, 1.0, depth))
             assert peak < bound, (depth, name, peak)
             oracle = g.as_source(mesh, src)
             ref = np.array([space.dual_norm(oracle, 1.0) for space in spaces])
