@@ -11,6 +11,10 @@ from .galerkin import SolverError, energy_error_sq_elements, energy_norm, prolon
 from .mesh import bisect
 from .quadrature import DEFAULT_DEGREE
 
+# an adaptive run that has not reached its dof budget stops after this many
+# iterations, with stop reason "max_iter reached"
+MAX_ITER = 100
+
 
 def dorfler_vertices(indicators, theta_mark):
     """Greedy minimal vertex set M with sum_M E^2 >= theta_mark^2 * sum E^2."""
@@ -45,9 +49,8 @@ class RunReport:
     refinement patterns can be audited afterwards.
     """
 
-    def __init__(self, kappa, theta_mark):
+    def __init__(self, kappa):
         self.kappa = kappa
-        self.theta_mark = theta_mark
         self.records = []
         self.meshes = []
         self.solutions = []
@@ -67,20 +70,14 @@ class RunReport:
         return (self.stop_reason or "").startswith(("solver", "numerical"))
 
 
-def decay_rate(dofs, values):
-    """Log-log slope of values against dofs (least squares fit)."""
-    d = np.log(np.asarray(dofs, dtype=float))
-    v = np.log(np.asarray(values, dtype=float))
-    return float(np.polyfit(d, v, 1)[0])
-
-
 def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
-                  quad_degree=DEFAULT_DEGREE, max_iter=100, keep_meshes=False):
+                  quad_degree=DEFAULT_DEGREE, keep_meshes=False):
     """Solve, estimate, mark and refine until the dof count exceeds max_dof.
 
     Oscillation surrogates are priced every `osc_every`-th iteration
-    (0 switches them off).  A solver failure or a non-finite record (which
-    is dropped) ends the run, as `failed`; stop_reason says why it ended.
+    (0 switches them off).  A run stops after `MAX_ITER` iterations at
+    most.  A solver failure or a non-finite record (which is dropped) ends
+    the run, as `failed`; stop_reason says why it ended.
 
     Each refined mesh takes the rows of the elements, faces and stars
     bisection kept from the previous mesh's cached arrays (`cached_rows`:
@@ -98,10 +95,10 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     if isinstance(problem.rhs, galerkin.PiecewiseFunctional):
         raise TypeError("adaptive refinement needs data that can move to "
                         "refined meshes; a mesh-bound right-hand side cannot")
-    report = RunReport(problem.kappa, theta_mark)
+    report = RunReport(problem.kappa)
     kappa = problem.kappa
     mesh = None
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         # the previous mesh is held until the arrays cached on this mesh (the
         # gradients and data rows in the solve, the dual system and its face
         # pairings, the exact solution's rows of the energy error, the star

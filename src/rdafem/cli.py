@@ -17,19 +17,21 @@ EXIT_USAGE = 2
 BUILTIN_MESHES = ("square2", "crisscross", "lshape")
 PRESET_NAMES = ("sinsin", "const1", "layer1d")
 
-DEFAULTS = {
-    "mesh": "square2",
-    "preset": "sinsin",
-    "kappa": 1.0,
-    "kappas": None,
-    "theta_mark": 0.5,
-    "max_dof": 2000,
-    "quad_degree": 8,
-    "dual_depth": 2,
-    "out": ".",
-    "seed": 0,
-    "threads": 0,
-    "config": None,
+# every option: key -> (type, default, help).  The flag is the key with '-'
+# for '_', and the type converts flag and config values alike.
+OPTIONS = {
+    "mesh": (str, "square2", "mesh file path or one of: " + ", ".join(BUILTIN_MESHES)),
+    "preset": (str, "sinsin", "problem preset: " + ", ".join(PRESET_NAMES)),
+    "kappa": (float, 1.0, "reaction coefficient (> 0)"),
+    "kappas": (str, None, "comma separated kappa list (study)"),
+    "theta_mark": (float, 0.5, "marking fraction in (0,1)"),
+    "max_dof": (int, 2000, "stop refining once the dof count exceeds this"),
+    "quad_degree": (int, 8, "quadrature degree for analytic data"),
+    "dual_depth": (int, 2, "red-refinement depth of the patch dual-norm solves"),
+    "out": (str, ".", "output directory"),
+    "seed": (int, 0, "seed for verify's sampling"),
+    "threads": (int, 0, "BLAS thread cap (0 = library default)"),
+    "config": (str, None, "key=value file; explicit flags win"),
 }
 
 RUN_COLUMNS = ("iteration", "dofs", "n_vertices", "n_elements", "estimator",
@@ -53,26 +55,9 @@ def build_parser():
         prog="rdafem",
         description="P1 solver and kappa-robust a posteriori error estimation "
                     "for -div grad u + kappa^2 u = f with zero Dirichlet data.")
-    p.add_argument("command", choices=["solve", "estimate", "adapt", "study",
-                                       "verify"])
-    p.add_argument("--mesh", help="mesh file path or one of: "
-                                  + ", ".join(BUILTIN_MESHES))
-    p.add_argument("--preset", help="problem preset: " + ", ".join(PRESET_NAMES))
-    p.add_argument("--kappa", type=float, help="reaction coefficient (> 0)")
-    p.add_argument("--kappas", help="comma separated kappa list (study)")
-    p.add_argument("--theta-mark", dest="theta_mark", type=float,
-                   help="marking fraction in (0,1)")
-    p.add_argument("--max-dof", dest="max_dof", type=int,
-                   help="stop refining once the dof count exceeds this")
-    p.add_argument("--quad-degree", dest="quad_degree", type=int,
-                   help="quadrature degree for analytic data")
-    p.add_argument("--dual-depth", dest="dual_depth", type=int,
-                   help="red-refinement depth of the patch dual-norm solves")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="seed for verify's sampling")
-    p.add_argument("--threads", type=int,
-                   help="BLAS thread cap (0 = library default)")
-    p.add_argument("--config", help="key=value file; explicit flags win")
+    p.add_argument("command", choices=list(COMMANDS))
+    for key, (kind, _, text) in OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return p
 
 
@@ -88,7 +73,7 @@ def read_config(path):
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in DEFAULTS or key == "config":
+                if key not in OPTIONS or key == "config":
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val
     except OSError as exc:
@@ -98,21 +83,14 @@ def read_config(path):
 
 def merge_options(args):
     """Flags beat config values beat defaults; validates ranges."""
-    opts = dict(DEFAULTS)
+    opts = {key: default for key, (_, default, _) in OPTIONS.items()}
     if args.config:
-        raw = read_config(args.config)
-        for key, val in raw.items():
-            base = DEFAULTS[key]
+        for key, val in read_config(args.config).items():
             try:
-                if isinstance(base, int) and not isinstance(base, bool):
-                    opts[key] = int(val)
-                elif isinstance(base, float):
-                    opts[key] = float(val)
-                else:
-                    opts[key] = val
+                opts[key] = OPTIONS[key][0](val)
             except ValueError:
                 raise UsageError(f"config key {key!r}: bad value {val!r}")
-    for key in DEFAULTS:
+    for key in OPTIONS:
         given = getattr(args, key, None)
         if given is not None:
             opts[key] = given

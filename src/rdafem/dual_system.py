@@ -80,8 +80,6 @@ class DualSystem:
         self.kappa = float(kappa)
         self.quad_degree = int(quad_degree)
         self.iface = np.nonzero(mesh.interior_face)[0]
-        self.face_pos = np.full(mesh.n_faces, -1, dtype=np.int64)
-        self.face_pos[self.iface] = np.arange(len(self.iface))
         self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
         rows = cached_rows(mesh, dual_faces_key(kappa, quad_degree), "faces",
                            self._build_faces, width=6)

@@ -44,9 +44,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .galerkin import (PiecewiseFunctional, SourceFunctional, _p1_mass_sq,
-                       as_source, energy_error_sq_elements, field_rows,
-                       grad_jumps, load_vector, residual_source)
+from .galerkin import (PiecewiseFunctional, _p1_mass_sq, as_source, data_minus,
+                       energy_error_sq_elements, field_rows, grad_jumps,
+                       load_vector, residual_source)
 from .mesh import MeshError, cached_rows
 from .quadrature import DEFAULT_DEGREE
 
@@ -456,14 +456,6 @@ def _parent_loads(mesh, g, parents, ref):
 # -- oscillation -----------------------------------------------------------------
 
 
-def oscillation_source(problem, interpolated):
-    """f - (interpolation of f) as a pairable functional."""
-    if isinstance(problem.rhs, PiecewiseFunctional):
-        return SourceFunctional(problem.mesh, piecewise=problem.rhs - interpolated)
-    return SourceFunctional(problem.mesh, field=problem.rhs,
-                            piecewise=-1.0 * interpolated)
-
-
 def oscillation_key(problem, depth=2, quad_degree=DEFAULT_DEGREE):
     """The key of the star oscillations of a problem in its mesh's cache."""
     return ("oscillation", problem.rhs, problem.kappa, int(depth), int(quad_degree))
@@ -481,7 +473,7 @@ def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE)
     bound to the mesh (a PiecewiseFunctional) would keep the mesh alive
     from its own cache, so it is priced in full on every call.
     """
-    g = oscillation_source(problem, interpolated)
+    g = data_minus(problem, interpolated)
     mesh = problem.mesh
 
     def price(stars):
@@ -537,21 +529,10 @@ def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
 # -- assembled per-vertex report ---------------------------------------------------
 
 
-def star_true_error_sq(problem, U, quad_degree=DEFAULT_DEGREE):
-    """Squared energy error on every vertex star, (nv,)."""
-    e2 = energy_error_sq_elements(problem, U, quad_degree)
-    out = np.zeros(problem.mesh.n_vertices)
-    np.add.at(out, problem.mesh.elements,
-              np.broadcast_to(e2[:, None], problem.mesh.elements.shape))
-    return out
-
-
 class IndicatorReport:
     """Per-vertex indicators plus global aggregates for one solve."""
 
-    def __init__(self, problem, U, E, osc, classic_sq, true_error=None):
-        self.problem = problem
-        self.U = U
+    def __init__(self, E, osc, classic_sq, true_error=None):
         self.E = E
         self.osc = osc
         self.classic_sq = classic_sq
@@ -593,4 +574,4 @@ def build_report(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
     if problem.exact is not None and problem.exact.grad is not None:
         e2 = energy_error_sq_elements(problem, U, quad_degree)
         true_error = float(np.sqrt(e2.sum()))
-    return IndicatorReport(problem, U, E, osc, classic_sq, true_error)
+    return IndicatorReport(E, osc, classic_sq, true_error)

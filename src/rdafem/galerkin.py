@@ -10,7 +10,8 @@ functional representations everything downstream is built on:
   line part the normal-derivative jumps), and so are projected loads.
 * `SourceFunctional` -- an optional analytic field plus an optional
   PiecewiseFunctional, enough to express residuals f - L(U) and oscillation
-  terms f - Pf without committing to quadrature at construction time.
+  terms f - Pf (`data_minus`) without committing to quadrature at
+  construction time.
 """
 
 import functools
@@ -48,10 +49,9 @@ class ScalarField:
     pair (d/dx, d/dy) of arrays.
     """
 
-    def __init__(self, value, grad=None, name=""):
+    def __init__(self, value, grad=None):
         self.value = value
         self.grad = grad
-        self.name = name
 
 
 class DiscreteFunction:
@@ -120,18 +120,10 @@ class PiecewiseFunctional:
         self.cell_density = cell_density
         self.face_density = face_density
 
-    def __add__(self, other):
-        self._check(other)
-        return PiecewiseFunctional(self.mesh, self.cell_density + other.cell_density,
-                                   self.face_density + other.face_density)
-
     def __sub__(self, other):
         self._check(other)
         return PiecewiseFunctional(self.mesh, self.cell_density - other.cell_density,
                                    self.face_density - other.face_density)
-
-    def __neg__(self):
-        return PiecewiseFunctional(self.mesh, -self.cell_density, -self.face_density)
 
     def __mul__(self, scalar):
         return PiecewiseFunctional(self.mesh, scalar * self.cell_density,
@@ -191,12 +183,16 @@ def as_source(mesh, g):
     return SourceFunctional(mesh, field=g)
 
 
+def data_minus(problem, piecewise):
+    """The problem's data f minus a PiecewiseFunctional, as a SourceFunctional."""
+    if isinstance(problem.rhs, PiecewiseFunctional):
+        return SourceFunctional(problem.mesh, piecewise=problem.rhs - piecewise)
+    return SourceFunctional(problem.mesh, field=problem.rhs, piecewise=-1.0 * piecewise)
+
+
 def residual_source(problem, U):
     """The residual f - L(U) as a SourceFunctional."""
-    lu = apply_operator(problem.mesh, problem.kappa, U)
-    if isinstance(problem.rhs, PiecewiseFunctional):
-        return SourceFunctional(problem.mesh, piecewise=problem.rhs - lu)
-    return SourceFunctional(problem.mesh, field=problem.rhs, piecewise=-1.0 * lu)
+    return data_minus(problem, apply_operator(problem.mesh, problem.kappa, U))
 
 
 # -- problems and presets ------------------------------------------------------
@@ -228,15 +224,14 @@ def _sinsin(kappa):
         lambda x, y: np.sin(pi * x) * np.sin(pi * y),
         lambda x, y: (pi * np.cos(pi * x) * np.sin(pi * y),
                       pi * np.sin(pi * x) * np.cos(pi * y)),
-        name="sinsin",
     )
     c = 2.0 * pi**2 + kappa**2
-    f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y), name="sinsin-rhs")
+    f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y))
     return f, u
 
 
 def _const1(kappa):
-    f = ScalarField(lambda x, y: np.ones_like(np.asarray(x, dtype=float)), name="one")
+    f = ScalarField(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
     return f, None
 
 
@@ -263,10 +258,8 @@ def _layer1d(kappa):
         return (-(k * (left - right) / scale) * np.sin(pi * y),
                 pi * (1.0 - (left + right) / scale) * np.cos(pi * y))
 
-    u = ScalarField(lambda x, y: (1.0 - ratio(x)) * np.sin(pi * y), grad,
-                    name="layer1d")
-    f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - ratio(x))) * np.sin(pi * y),
-                    name="layer1d-rhs")
+    u = ScalarField(lambda x, y: (1.0 - ratio(x)) * np.sin(pi * y), grad)
+    f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - ratio(x))) * np.sin(pi * y))
     return f, u
 
 
@@ -685,9 +678,15 @@ def energy_error(problem, U, quad_degree=DEFAULT_DEGREE):
 
 
 def prolongate(U, fine_mesh):
-    """Carry a DiscreteFunction to a mesh produced by one bisect call."""
+    """Carry a DiscreteFunction to a mesh produced by one bisect call.
+
+    The fine mesh must have been bisected from U's mesh: where its parent is
+    still alive it must be that mesh, and otherwise its parent's vertex count
+    must be U's.
+    """
     parents = fine_mesh.new_vertex_parents
-    if fine_mesh.n_parent_vertices != U.mesh.n_vertices:
+    if (fine_mesh.parent not in (None, U.mesh)
+            or fine_mesh.n_parent_vertices != U.mesh.n_vertices):
         raise ValueError("fine mesh was not refined from the mesh of U")
     values = np.empty(fine_mesh.n_vertices)
     values[:U.mesh.n_vertices] = U.values

@@ -40,25 +40,6 @@ class MeshError(Exception):
     """Raised for format errors, non-conforming input, or inverted elements."""
 
 
-class Star:
-    """The patch of elements around a vertex.
-
-    Attributes
-    ----------
-    center : int
-        Vertex index.
-    elements : (k,) int array
-        Elements containing the vertex, ascending.
-    on_boundary : bool
-        Whether the center vertex lies on the domain boundary.
-    """
-
-    def __init__(self, center, elements, on_boundary):
-        self.center = int(center)
-        self.elements = np.asarray(elements, dtype=np.int64)
-        self.on_boundary = bool(on_boundary)
-
-
 def signed_areas(p):
     """Signed areas of triangles with corners p, (..., 3, 2) -> (...)."""
     return 0.5 * (
@@ -218,9 +199,8 @@ class Mesh:
         counts = np.diff(np.append(starts, len(order)))
         if counts.max(initial=0) > 2:
             f = int(np.argmax(counts))
-            raise MeshError(
-                f"face {tuple(self.faces[f])} shared by {counts[f]} elements (non-conforming)"
-            )
+            raise MeshError(f"face {tuple(self.faces[f].tolist())} shared by "
+                            f"{counts[f]} elements (non-conforming)")
         self.interior_face = counts == 2
         face_elems = np.full((len(starts), 2), -1, dtype=np.int64)
         face_elems[:, 0] = order[starts] // 3
@@ -243,10 +223,7 @@ class Mesh:
                   out=self.vertex_starts[1:])
 
     def _build_geometry(self, edge_len):
-        a, b, c = edge_len.T
-        self.h_elem = np.maximum(np.maximum(a, b), c)
-        # inscribed-ball diameter: 4|T| / perimeter
-        self.rho_elem = 4.0 * self.areas / (a + b + c)
+        self.h_elem = edge_len.max(axis=1)
 
         p0, p1 = self.vertices[self.faces[:, 0]], self.vertices[self.faces[:, 1]]
         tang = p1 - p0
@@ -297,11 +274,6 @@ class Mesh:
     def n_faces(self):
         return len(self.faces)
 
-    @property
-    def shape_metric(self):
-        """Largest ratio of element diameter to inscribed-ball diameter."""
-        return float((self.h_elem / self.rho_elem).max())
-
     def free_vertices(self):
         """Indices of vertices not on the domain boundary."""
         return np.nonzero(~self.boundary_vertex)[0]
@@ -320,12 +292,11 @@ class Mesh:
     # -- stars -------------------------------------------------------------
 
     def star(self, z):
-        """Patch of elements around vertex z."""
+        """The elements around vertex z, ascending, as an int array."""
         z = int(z)
         if not 0 <= z < self.n_vertices:
             raise MeshError(f"vertex {z} out of range")
-        slots = self.vertex_slots[self.vertex_starts[z]:self.vertex_starts[z + 1]]
-        return Star(z, slots // 3, self.boundary_vertex[z])
+        return self.vertex_slots[self.vertex_starts[z]:self.vertex_starts[z + 1]] // 3
 
     # -- verification ------------------------------------------------------
 

@@ -1,9 +1,7 @@
-"""Quadrature on triangles and segments.
+"""Quadrature on triangles and segments: Gauss rules of selectable degree.
 
-Two independent integration routes are provided on purpose: exact closed-form
-integration of barycentric monomials (factorial formula) and Gauss rules of
-selectable degree.  The first serves as an oracle for the second and for all
-hand-derived constants; the second handles general integrands.
+The closed-form integrals of barycentric monomials that the tests check these
+rules against live with the tests (`tests/oracles.py`).
 """
 
 import functools
@@ -29,27 +27,11 @@ class QuadratureRule:
     weights : (n,) array
         Reference weights; they sum to the reference measure (1/2 for the
         triangle, 1 for the segment).
-    degree : int
-        Every polynomial up to this total degree is integrated exactly.
     """
 
-    def __init__(self, points, weights, degree):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.degree = int(degree)
-
-
-def integrate_barycentric(area, exponents):
-    """Exact integral of lambda_1^a * lambda_2^b * lambda_3^c over a triangle.
-
-    Uses 2|T| * a! b! c! / (a+b+c+2)!.  `area` is |T|; `exponents` the triple
-    (a, b, c) of nonnegative integers.
-    """
-    a, b, c = (int(e) for e in exponents)
-    if min(a, b, c) < 0:
-        raise ValueError("exponents must be nonnegative")
-    num = math.factorial(a) * math.factorial(b) * math.factorial(c)
-    return 2.0 * area * num / math.factorial(a + b + c + 2)
 
 
 def _jacobi(n, a, b, x):
@@ -113,7 +95,7 @@ def simplex_rule(degree):
     y = (Y * (1.0 - X)).ravel()
     w = (WX * WY).ravel()
     bary = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(bary, w, 2 * n - 1)
+    return QuadratureRule(bary, w)
 
 
 @functools.cache
@@ -122,7 +104,7 @@ def edge_rule(degree):
     n = (max(int(degree), 1) + 2) // 2
     x, w = leggauss(n)
     s = 0.5 * (1.0 + x)
-    return QuadratureRule(s[:, None], 0.5 * w, 2 * n - 1)
+    return QuadratureRule(s[:, None], 0.5 * w)
 
 
 def map_points(rule, corners):
@@ -155,15 +137,6 @@ def map_to_triangle(rule, coords):
     coords = np.asarray(coords, dtype=float)
     pts = map_points(rule, coords)
     return pts, rule.weights * 2.0 * abs(signed_areas(coords))
-
-
-def gauss_simplex(coords, degree, fn):
-    """Integrate fn(x, y) over the triangle with vertex array `coords`.
-
-    fn must accept numpy arrays of x and y and evaluate elementwise.
-    """
-    pts, w = map_to_triangle(simplex_rule(degree), coords)
-    return float(w @ np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))
 
 
 def gauss_edge(a, b, degree, fn):

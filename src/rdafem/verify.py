@@ -17,8 +17,7 @@ import numpy as np
 from . import galerkin
 from .dual_system import get_dual_system, project_pi, theta_factor
 from .estimator import discrete_dual_norm, localize_check
-from .galerkin import (DiscreteFunction, PiecewiseFunctional, ScalarField,
-                       SourceFunctional, apply_operator)
+from .galerkin import DiscreteFunction, PiecewiseFunctional, ScalarField, apply_operator
 from .mesh import MeshError, bary_grads
 from .quadrature import (DEFAULT_DEGREE, edge_rule, gauss_edge, map_points,
                          map_to_triangle, simplex_rule)
@@ -72,10 +71,10 @@ class FaceDualFunction:
     """
 
     def __init__(self, system, face):
-        pos = system.face_pos[face]
-        if pos < 0:
-            raise MeshError(f"face {face} lies on the boundary; it carries no dual function")
         mesh = self.mesh = system.mesh
+        if not mesh.interior_face[face]:
+            raise MeshError(f"face {face} lies on the boundary; it carries no dual function")
+        pos = np.searchsorted(system.iface, face)
         self.face = int(face)
         self.elements = mesh.face_elems[face]
         self.thetas = system.thetas[pos]
@@ -175,19 +174,12 @@ def _pair_face_dual(f, phi, quad_degree):
 def pair(f, phi, quad_degree=DEFAULT_DEGREE):
     """Duality pairing <f, phi> with a dual function, by piecewise quadrature.
 
-    `f` may be a ScalarField, a PiecewiseFunctional, or a SourceFunctional;
-    integration is split over the polynomial pieces (squeezed triangle,
-    element, face), so results are exact for polynomial data up to the rule
-    degree, and for P1 densities and line sources at every degree (their
-    rule has degree `P1_DEGREE` at least).
+    `f` may be a ScalarField or a PiecewiseFunctional; integration is split
+    over the polynomial pieces (squeezed triangle, element, face), so results
+    are exact for polynomial data up to the rule degree, and for P1 densities
+    and line sources at every degree (their rule has degree `P1_DEGREE` at
+    least).
     """
-    if isinstance(f, SourceFunctional):
-        val = 0.0
-        if f.field is not None:
-            val += pair(f.field, phi, quad_degree)
-        if f.piecewise is not None:
-            val += pair(f.piecewise, phi, quad_degree)
-        return val
     if isinstance(f, PiecewiseFunctional):
         quad_degree = max(quad_degree, P1_DEGREE)
     if isinstance(phi, ElementDualFunction):
@@ -350,9 +342,8 @@ def stability_samples(mesh, kappa, rng, vertices, depth=2,
     """
     worst = 0.0
     for z in vertices:
-        star = mesh.star(z)
         cx, cy = mesh.vertices[z]
-        h = mesh.h_elem[star.elements].max()
+        h = mesh.h_elem[mesh.star(z)].max()
         coeff = rng.standard_normal((4, 4))
 
         def field(x, y, coeff=coeff, cx=cx, cy=cy, h=h):
@@ -363,7 +354,7 @@ def stability_samples(mesh, kappa, rng, vertices, depth=2,
                     out = out + coeff[i, j] * xs**i * ys**j
             return out
 
-        g = ScalarField(field, name="stability-sample")
+        g = ScalarField(field)
         pig = project_pi(mesh, kappa, g, quad_degree)
         denom = discrete_dual_norm(mesh, [z], g, kappa, depth, quad_degree)[0]
         if denom == 0.0:

@@ -1,0 +1,61 @@
+"""Independent reference computations the tests check the package against.
+
+None of them runs on the package's production path: closed-form integrals of
+barycentric monomials and a plain Gauss quadrature of a callable, the energy
+error per vertex star, a log-log decay rate and a mesh shape-regularity
+measure.
+"""
+
+import math
+
+import numpy as np
+
+from rdafem.galerkin import energy_error_sq_elements
+from rdafem.quadrature import DEFAULT_DEGREE, map_to_triangle, simplex_rule
+
+
+def integrate_barycentric(area, exponents):
+    """Exact integral of lambda_1^a * lambda_2^b * lambda_3^c over a triangle.
+
+    Uses 2|T| * a! b! c! / (a+b+c+2)!.  `area` is |T|; `exponents` the triple
+    (a, b, c) of nonnegative integers.
+    """
+    a, b, c = (int(e) for e in exponents)
+    if min(a, b, c) < 0:
+        raise ValueError("exponents must be nonnegative")
+    num = math.factorial(a) * math.factorial(b) * math.factorial(c)
+    return 2.0 * area * num / math.factorial(a + b + c + 2)
+
+
+def gauss_simplex(coords, degree, fn):
+    """Integrate fn(x, y) over the triangle with vertex array `coords`.
+
+    fn must accept numpy arrays of x and y and evaluate elementwise.
+    """
+    pts, w = map_to_triangle(simplex_rule(degree), coords)
+    return float(w @ np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))
+
+
+def star_true_error_sq(problem, U, quad_degree=DEFAULT_DEGREE):
+    """Squared energy error on every vertex star, (nv,)."""
+    e2 = energy_error_sq_elements(problem, U, quad_degree)
+    out = np.zeros(problem.mesh.n_vertices)
+    np.add.at(out, problem.mesh.elements,
+              np.broadcast_to(e2[:, None], problem.mesh.elements.shape))
+    return out
+
+
+def decay_rate(dofs, values):
+    """Log-log slope of values against dofs (least squares fit)."""
+    d = np.log(np.asarray(dofs, dtype=float))
+    v = np.log(np.asarray(values, dtype=float))
+    return float(np.polyfit(d, v, 1)[0])
+
+
+def shape_metric(mesh):
+    """Largest ratio of element diameter to inscribed-ball diameter, the
+    latter 4|T| / perimeter."""
+    p = mesh.vertices[mesh.elements]
+    d = p - p[:, [1, 2, 0]]
+    perimeter = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2).sum(axis=1)
+    return float((mesh.h_elem * perimeter / (4.0 * mesh.areas)).max())

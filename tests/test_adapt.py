@@ -10,6 +10,8 @@ from rdafem.mesh import (Mesh, bisect, uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
 from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
+from oracles import decay_rate
+
 
 def test_dorfler_equal_indicators():
     # 100 equal indicators, theta 0.5: the smallest prefix needs 25 entries
@@ -84,7 +86,7 @@ def test_adaptive_loop_sinsin():
     assert np.isfinite(eff).all()
     # asymptotic first order decay in dofs for P1
     tail = slice(len(dofs) // 2, None)
-    slope = adapt.decay_rate(dofs[tail], errors[tail])
+    slope = decay_rate(dofs[tail], errors[tail])
     assert -0.65 < slope < -0.35
 
 
@@ -213,6 +215,31 @@ def test_adaptive_loop_single_record_when_start_exceeds_budget():
     assert run.final["n_marked_elements"] == 0
 
 
+def test_adaptive_loop_ends_on_a_solver_failure(monkeypatch):
+    solve = g.solve
+
+    def fail_second(problem, **kwargs):
+        if problem.mesh.n_elements > 8:
+            raise g.SolverError("CG failed to converge (injected)")
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(g, "solve", fail_second)
+    m = uniform_refine(unit_square_2tri(), 2)
+    run = adapt.adaptive_loop(g.make_problem(m, 1.0, "sinsin"), max_dof=10_000)
+    assert run.stop_reason == "solver failure: CG failed to converge (injected)"
+    assert run.failed
+    assert len(run.records) == 1
+
+
+def test_adaptive_loop_stops_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(adapt, "MAX_ITER", 3)
+    m = uniform_refine(unit_square_2tri(), 1)
+    run = adapt.adaptive_loop(g.make_problem(m, 1.0, "sinsin"), max_dof=10_000)
+    assert run.stop_reason == "max_iter reached"
+    assert not run.failed
+    assert [r["iteration"] for r in run.records] == [0, 1, 2]
+
+
 def test_oscillation_pricing_interval():
     m = uniform_refine(unit_square_2tri(), 1)
     problem = g.make_problem(m, 10.0, "sinsin")
@@ -302,7 +329,7 @@ def test_reference_errors_vanish_for_reproduced_reference():
 def test_decay_rate_recovers_power_law():
     dofs = np.array([10.0, 100.0, 1000.0])
     vals = 5.0 * dofs**-0.5
-    assert np.isclose(adapt.decay_rate(dofs, vals), -0.5, atol=1e-12)
+    assert np.isclose(decay_rate(dofs, vals), -0.5, atol=1e-12)
 
 
 def test_loop_evaluates_the_exact_solution_at_new_elements_only():

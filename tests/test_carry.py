@@ -110,7 +110,7 @@ def test_parent_map_keeps_kept_rows_and_counts_new_faces():
     old = get_dual_system(mesh, 10.0)
     kept_faces = parent_iface >= 0
     assert np.array_equal(system.gammas[kept_faces],
-                          old.gammas[old.face_pos[parent_iface[kept_faces]]])
+                          old.gammas[np.searchsorted(old.iface, parent_iface[kept_faces])])
     # a field the parent never paired is priced in full on the child, also
     # where the parent holds its node values but no dual system for kappa
     fresh = Mesh(child.vertices, child.elements, ref_edge_policy="asis")

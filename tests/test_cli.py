@@ -293,6 +293,23 @@ def test_config_bad_syntax(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_bad_option_values_are_usage_errors(tmp_path, capsys):
+    assert run_cli("solve", "--quad-degree", "0",
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "rdafem: --quad-degree out of range [1, 30]" in capsys.readouterr().err
+    assert run_cli("study", "--kappas", "1,x", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "rdafem: --kappas: cannot parse '1,x'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-dof = ten\n")
+    assert run_cli("adapt", "--config", str(cfg), "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "rdafem: config key 'max_dof': bad value 'ten'" in capsys.readouterr().err
+    missing = tmp_path / "missing.cfg"
+    assert run_cli("solve", "--config", str(missing),
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert f"rdafem: cannot read config file {missing}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_fmt_shortest_roundtrip():
     assert cli.fmt(None) == ""
     assert cli.fmt(0.1) == "0.10000000000000001"

@@ -289,6 +289,24 @@ def test_prolongate_preserves_function():
     assert np.allclose(P.values[m.n_vertices:], U.values[mids].mean(axis=1))
 
 
+def test_prolongate_rejects_a_mesh_bisected_from_another_mesh():
+    m = unit_square_2tri()
+    U = g.DiscreteFunction(m, np.zeros(m.n_vertices))
+    # the same vertex count, but bisected from a scaled copy of m
+    other = mesh_mod.Mesh(2.0 * m.vertices, m.elements)
+    fine = mesh_mod.bisect(other, [0])
+    assert fine.n_parent_vertices == m.n_vertices
+    with pytest.raises(ValueError, match="not refined from the mesh of U"):
+        g.prolongate(U, fine)
+    child = mesh_mod.bisect(m, [0])
+    assert g.prolongate(U, child).mesh is child
+    # a parent that is no longer alive is checked by its vertex count
+    del other
+    assert fine.parent is None
+    with pytest.raises(ValueError, match="not refined from the mesh of U"):
+        g.prolongate(g.DiscreteFunction(child, np.zeros(child.n_vertices)), fine)
+
+
 def test_problem_on_mesh():
     m = unit_square_2tri()
     problem = g.make_problem(m, 2.0, "sinsin")

@@ -8,6 +8,8 @@ from rdafem.mesh import (Mesh, MeshError, bary_grads, bisect, l_shape, load_mesh
                          unit_square_crisscross)
 from rdafem.verify import FaceDualFunction
 
+from oracles import shape_metric
+
 
 def test_square2_topology():
     m = unit_square_2tri()
@@ -23,10 +25,9 @@ def test_crisscross_topology():
     assert m.n_vertices == 5 and m.n_elements == 4
     assert m.interior_face.sum() == 4
     assert list(m.free_vertices()) == [4]
-    star = m.star(4)
-    assert len(star.elements) == 4
-    assert not star.on_boundary
-    assert m.star(0).on_boundary
+    assert len(m.star(4)) == 4
+    assert not m.boundary_vertex[4]
+    assert m.boundary_vertex[0]
 
 
 def test_lshape_topology():
@@ -117,7 +118,7 @@ def test_uniform_refine_keeps_shape():
     m = unit_square_2tri()
     fine = uniform_refine(m, 4)
     assert fine.n_elements == 2 * 2**4
-    assert np.isclose(fine.shape_metric, m.shape_metric, rtol=1e-12)
+    assert np.isclose(shape_metric(fine), shape_metric(m), rtol=1e-12)
     assert np.isclose(fine.areas.sum(), 1.0, rtol=1e-13)
     fine.audit()
 
@@ -157,6 +158,29 @@ def test_audit_catches_duplicate_element():
     m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([[0, 1, 2], [0, 1, 2]]), ref_edge_policy="asis")
     with pytest.raises(MeshError, match="duplicate"):
+        m.audit()
+
+
+def test_constructor_rejects_face_shared_by_three_elements():
+    # two triangles above the face (0, 1), one below it
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(MeshError, match=r"^face \(0, 1\) shared by 3 elements "
+                                        r"\(non-conforming\)$"):
+        Mesh(vertices, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), ref_edge_policy="asis")
+
+
+def test_audit_catches_unused_vertex():
+    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]),
+             np.array([[0, 1, 2]]))
+    with pytest.raises(MeshError, match=r"^vertex 3 not used by any element$"):
+        m.audit()
+
+
+def test_audit_catches_open_boundary():
+    # two triangles that touch at vertex 0 only: four boundary faces meet there
+    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]]),
+             np.array([[0, 1, 2], [0, 3, 4]]))
+    with pytest.raises(MeshError, match=r"^boundary around vertex 0 does not close$"):
         m.audit()
 
 

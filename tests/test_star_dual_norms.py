@@ -55,7 +55,7 @@ def _sources(mesh, kappa, rng):
     for preset in ("sinsin", "layer1d") if on_square else ("sinsin",):
         problem = g.make_problem(mesh, kappa, preset)
         interp = project_pi(mesh, kappa, problem.rhs)
-        out.append((preset, est.oscillation_source(problem, interp)))
+        out.append((preset, g.data_minus(problem, interp)))
     cell = rng.standard_normal((mesh.n_elements, 3))
     face = np.where(mesh.interior_face, rng.standard_normal(mesh.n_faces), 0.0)
     piece = g.PiecewiseFunctional(mesh, cell, face)
@@ -77,7 +77,7 @@ def _assert_matches(got, ref, label):
 def test_batched_matches_patch_space(label, mesh, depth):
     rng = np.random.default_rng(depth)
     vertices = np.arange(mesh.n_vertices)
-    spaces = [PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
+    spaces = [PatchSpace(mesh, mesh.star(z), depth) for z in vertices]
     whole = PatchSpace(mesh, np.arange(mesh.n_elements), depth)
     for kappa in KAPPAS:
         sources = _sources(mesh, kappa, rng)
@@ -111,15 +111,15 @@ def test_corpus_covers_every_star_kind():
     for _, mesh in MESHES:
         for z in range(mesh.n_vertices):
             star = mesh.star(z)
-            if not star.on_boundary:
+            if not mesh.boundary_vertex[z]:
                 kinds.add("interior")
-            elif len(star.elements) == 1:
+            elif len(star) == 1:
                 kinds.add("corner")
             else:
                 kinds.add("boundary")
     assert kinds == {"interior", "boundary", "corner"}
     # some depth-3 star is too large for the dense solve
-    big = max(len(PatchSpace(mesh, mesh.star(z).elements, 3).free)
+    big = max(len(PatchSpace(mesh, mesh.star(z), 3).free)
               for _, mesh in MESHES for z in range(mesh.n_vertices))
     assert big > est._DENSE_MAX
 
@@ -127,7 +127,7 @@ def test_corpus_covers_every_star_kind():
 def test_vertex_order_subsets_and_batches(monkeypatch):
     mesh = _random_nvb()
     problem = g.make_problem(mesh, 30.0, "sinsin")
-    src = est.oscillation_source(problem, project_pi(mesh, 30.0, problem.rhs))
+    src = g.data_minus(problem, project_pi(mesh, 30.0, problem.rhs))
     full = est.discrete_dual_norm(mesh, np.arange(mesh.n_vertices), src, 30.0)
     rng = np.random.default_rng(2)
     pick = rng.choice(mesh.n_vertices, size=17)  # with repeats, any order
@@ -149,7 +149,7 @@ def test_localize_check_local_norms_match_patch_space(label):
         U = g.solve(problem)
         rep = est.localize_check(problem, U, depth=2)
         src = g.residual_source(problem, U)
-        ref = np.array([PatchSpace(mesh, mesh.star(z).elements, 2)
+        ref = np.array([PatchSpace(mesh, mesh.star(z), 2)
                         .dual_norm(src, kappa) for z in range(mesh.n_vertices)])
         _assert_matches(rep.local_norms, ref, (label, kappa))
 
@@ -191,7 +191,7 @@ def test_deep_stars_match_patch_space_in_bounded_memory(depth, monkeypatch):
     assert valence[cases[1][1]].min() == 8
     rng = np.random.default_rng(depth)
     for mesh, vertices in cases:
-        spaces = [PatchSpace(mesh, mesh.star(z).elements, depth) for z in vertices]
+        spaces = [PatchSpace(mesh, mesh.star(z), depth) for z in vertices]
         for name, src in _sources(mesh, 1.0, rng):
             if name not in ("sinsin", "mixed"):
                 continue
