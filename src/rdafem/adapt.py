@@ -44,7 +44,9 @@ def star_union(mesh, vertices):
 class RunReport:
     """Per-iteration records of one adaptive run.
 
-    `records` is a list of dicts.  With keep_meshes the mesh (and solution)
+    `records` is a list of dicts; `E` and `osc` are the per-vertex
+    indicators and star oscillations of the last record (`osc` None where
+    oscillation was not priced).  With keep_meshes the mesh (and solution)
     of every iteration is retained, as is the marked element set, so
     refinement patterns can be audited afterwards.
     """
@@ -52,13 +54,11 @@ class RunReport:
     def __init__(self, kappa):
         self.kappa = kappa
         self.records = []
+        self.E = self.osc = None
         self.meshes = []
         self.solutions = []
         self.marked = []
         self.stop_reason = None
-
-    def column(self, name):
-        return [r.get(name) for r in self.records]
 
     @property
     def final(self):
@@ -73,6 +73,9 @@ class RunReport:
 def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
                   quad_degree=DEFAULT_DEGREE, keep_meshes=False):
     """Solve, estimate, mark and refine until the dof count exceeds max_dof.
+
+    A budget below the start's dof count gives one pass, a single solve and
+    estimate: that is what `rdafem estimate` runs.
 
     Oscillation surrogates are priced every `osc_every`-th iteration
     (0 switches them off).  A run stops after `MAX_ITER` iterations at
@@ -143,6 +146,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             "n_marked_elements": 0,
             "seconds": 0.0,
         }
+        osc = None
         if osc_every and it % osc_every == 0:
             osc = all_oscillations(problem, interpolated, depth, quad_degree)
             record["repriced_stars"] = len(
@@ -160,6 +164,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             report.stop_reason = f"numerical failure: {exc}"
             break
         report.records.append(record)
+        report.E, report.osc = E, osc
         if keep_meshes:
             report.meshes.append(mesh)
             report.solutions.append(U)
@@ -273,23 +278,18 @@ def reference_errors(run, problem, quad_degree=DEFAULT_DEGREE):
     return errors
 
 
-def robustness_study(family, kappas, max_dof=2000, theta_mark=0.5, depth=2,
-                     quad_degree=DEFAULT_DEGREE, mesh=None):
-    """Adaptive runs across a kappa sweep with per-iteration effectivities.
+def robustness_study(preset, kappas, mesh, max_dof=2000, theta_mark=0.5, depth=2,
+                     quad_degree=DEFAULT_DEGREE):
+    """Adaptive runs of a preset from `mesh` across a kappa sweep, with
+    per-iteration effectivities.
 
-    `family` is either a preset name (then `mesh` provides the initial mesh)
-    or a callable kappa -> Problem.  Families without a usable exact solution
-    get a reference proxy: the final mesh is refined twice more, solved, and
-    the stored solutions are compared against that solve.
+    Presets without a usable exact solution get a reference proxy: the final
+    mesh is refined twice more, solved, and the stored solutions are
+    compared against that solve.
     """
     report = StudyReport()
     for kappa in kappas:
-        if callable(family):
-            problem = family(kappa)
-        else:
-            if mesh is None:
-                raise ValueError("preset families need an initial mesh")
-            problem = galerkin.make_problem(mesh, kappa, family)
+        problem = galerkin.make_problem(mesh, kappa, preset)
         has_exact = problem.exact is not None and problem.exact.grad is not None
         run = adaptive_loop(problem, theta_mark=theta_mark, max_dof=max_dof,
                             depth=depth, quad_degree=quad_degree,

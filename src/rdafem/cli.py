@@ -220,29 +220,29 @@ def cmd_solve(opts, outdir):
 
 
 def cmd_estimate(opts, outdir):
+    import numpy as np
+
     from . import galerkin
-    from .estimator import build_report
+    from .adapt import adaptive_loop
 
     mesh, label = load_mesh_arg(opts["mesh"])
     problem = galerkin.make_problem(mesh, opts["kappa"], opts["preset"])
-    U = galerkin.solve(problem, quad_degree=opts["quad_degree"])
-    import numpy as np
-
-    report = build_report(problem, U, depth=opts["dual_depth"],
-                          quad_degree=opts["quad_degree"])
-    summary = {
-        "command": "estimate", "mesh": label, "preset": opts["preset"],
-        "kappa": opts["kappa"], "estimator": report.estimator,
-        "oscillation": report.oscillation, "total": report.total,
-        "classic": report.classic, "error": report.true_error,
-        "effectivity": report.effectivity,
-    }
-    # first, so that a non-finite result is named by its total
+    # every dof count exceeds -1 (a budget of 0 would refine a mesh without
+    # dofs): one solve and estimate of the loop, no refinement
+    run = adaptive_loop(problem, max_dof=-1, depth=opts["dual_depth"],
+                        quad_degree=opts["quad_degree"])
+    if run.failed:
+        print(f"rdafem estimate: {run.stop_reason}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    summary = {"command": "estimate", "mesh": label, "preset": opts["preset"],
+               "kappa": opts["kappa"]}
+    summary.update({key: run.final[key] for key in (
+        "estimator", "oscillation", "total", "classic", "error", "effectivity")})
     write_json(os.path.join(outdir, "estimate.json"), summary)
     star_sizes = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
     write_csv(os.path.join(outdir, "indicators.csv"), dict(zip(INDICATOR_COLUMNS, (
         np.arange(mesh.n_vertices), mesh.vertices[:, 0], mesh.vertices[:, 1],
-        report.E, report.osc, star_sizes))))
+        run.E, run.osc, star_sizes))))
     return EXIT_OK
 
 

@@ -71,8 +71,7 @@ class DualSystem:
     row depends only on its face, the face's two elements and kappa, so the
     face rows, and the pairings of a field with the face bubbles, are
     `cached_rows` entries: on a mesh made by `bisect` only the rows of new
-    faces are computed while the parent mesh lives.  `n_new_faces` counts
-    the rows of theta and gamma the mesh computed (`dual_faces_key`).
+    faces are computed while the parent mesh lives.
     """
 
     def __init__(self, mesh, kappa, quad_degree=DEFAULT_DEGREE):
@@ -84,7 +83,6 @@ class DualSystem:
         rows = cached_rows(mesh, dual_faces_key(kappa, quad_degree), "faces",
                            self._build_faces, width=6)
         self.thetas, self.gammas = rows.thetas, rows.gammas
-        self.n_new_faces = len(rows.new)
 
     def _build_faces(self, new):
         """theta and gamma of the interior faces at rows `new`."""

@@ -45,8 +45,7 @@ import scipy.sparse.linalg as spla
 
 from . import quadrature
 from .galerkin import (PiecewiseFunctional, _p1_mass_sq, as_source, data_minus,
-                       energy_error_sq_elements, field_rows, grad_jumps,
-                       load_vector, residual_source)
+                       field_rows, grad_jumps, load_vector, residual_source)
 from .mesh import MeshError, cached_rows
 from .quadrature import DEFAULT_DEGREE
 
@@ -524,54 +523,3 @@ def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
                                depth, quad_degree)
     glob = global_dual_norm(mesh, g, problem.kappa, depth, quad_degree)
     return LocalizeReport(glob, local, viol)
-
-
-# -- assembled per-vertex report ---------------------------------------------------
-
-
-class IndicatorReport:
-    """Per-vertex indicators plus global aggregates for one solve."""
-
-    def __init__(self, E, osc, classic_sq, true_error=None):
-        self.E = E
-        self.osc = osc
-        self.classic_sq = classic_sq
-        self.true_error = true_error
-
-    @property
-    def estimator(self):
-        return float(np.sqrt((self.E**2).sum()))
-
-    @property
-    def oscillation(self):
-        return float(np.sqrt((self.osc**2).sum()))
-
-    @property
-    def total(self):
-        return float(np.sqrt((self.E**2).sum() + (self.osc**2).sum()))
-
-    @property
-    def classic(self):
-        return float(np.sqrt(self.classic_sq.sum()))
-
-    @property
-    def effectivity(self):
-        if self.true_error is None or self.true_error == 0.0:
-            return None
-        return self.total / self.true_error
-
-
-def build_report(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
-    """Compute residuals, indicators and oscillation in one go."""
-    from .dual_system import project_pi
-
-    interpolated = project_pi(problem.mesh, problem.kappa, problem.rhs, quad_degree)
-    rd = residuals(problem, U, interpolated)
-    E = vertex_indicators(rd)
-    osc = all_oscillations(problem, interpolated, depth, quad_degree)
-    classic_sq = classic_indicators(problem, U, quad_degree)
-    true_error = None
-    if problem.exact is not None and problem.exact.grad is not None:
-        e2 = energy_error_sq_elements(problem, U, quad_degree)
-        true_error = float(np.sqrt(e2.sum()))
-    return IndicatorReport(E, osc, classic_sq, true_error)

@@ -74,15 +74,15 @@ def test_adaptive_loop_sinsin():
     problem = g.make_problem(m, 1.0, "sinsin")
     run = adapt.adaptive_loop(problem, theta_mark=0.5, max_dof=500)
     assert run.stop_reason == "max_dof reached"
-    dofs = np.array(run.column("dofs"))
+    dofs = np.array([r["dofs"] for r in run.records])
     assert (np.diff(dofs) > 0).all()
     assert dofs[-1] > 500
-    est = np.array(run.column("estimator"))
+    est = np.array([r["estimator"] for r in run.records])
     # the estimator decreases along the run (allow an early transient)
     assert (np.diff(est) < 0).sum() >= len(est) - 2
-    errors = np.array(run.column("error"))
+    errors = np.array([r["error"] for r in run.records])
     assert (errors > 0).all()
-    eff = np.array(run.column("effectivity"))
+    eff = np.array([r["effectivity"] for r in run.records])
     assert np.isfinite(eff).all()
     # asymptotic first order decay in dofs for P1
     tail = slice(len(dofs) // 2, None)
@@ -300,7 +300,7 @@ def test_study_reference_proxy_for_const1():
     m = uniform_refine(unit_square_2tri(), 1)
     report = adapt.robustness_study("const1", [50.0], max_dof=150, mesh=m)
     run = report.runs[50.0]
-    errors = run.column("error")
+    errors = [r["error"] for r in run.records]
     assert all(e is not None and e > 0 for e in errors)
     # the proxy errors should decrease overall along the run
     assert errors[-1] < errors[0]

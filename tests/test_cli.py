@@ -76,6 +76,46 @@ def test_estimate_artifacts(tmp_path):
     assert summary["total"] >= summary["estimator"]
 
 
+@pytest.mark.parametrize("preset", ["sinsin", "const1"])
+@pytest.mark.parametrize("mesh", ["square2", "crisscross", "lshape"])
+def test_estimate_is_the_first_record_of_adapt(tmp_path, monkeypatch, mesh, preset):
+    # one pass of the adaptive loop, also on square2, which has no dofs
+    from rdafem import adapt
+
+    runs = []
+    loop = adapt.adaptive_loop
+
+    def capture(*args, **kwargs):
+        runs.append(loop(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(adapt, "adaptive_loop", capture)
+    flags = ("--mesh", mesh, "--preset", preset, "--kappa", "10", "--dual-depth", "1")
+    assert run_cli("estimate", *flags, "--out", str(tmp_path / "estimate")) == cli.EXIT_OK
+    assert [len(run.records) for run in runs] == [1]
+    assert run_cli("adapt", *flags, "--max-dof", "0",
+                   "--out", str(tmp_path / "adapt")) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "estimate" / "estimate.json").read_text())
+    header, rows = read_csv(tmp_path / "adapt" / "run.csv")
+    first = dict(zip(header, rows[0]))
+    for key in ("estimator", "oscillation", "total", "classic", "error", "effectivity"):
+        # the CSV's 17 digits give back the float that the JSON holds
+        assert summary[key] == (float(first[key]) if first[key] else None), key
+
+
+def test_estimate_solver_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    from rdafem import galerkin
+
+    def fail(*args, **kwargs):
+        raise galerkin.SolverError("PCG did not converge")
+
+    monkeypatch.setattr(galerkin, "solve", fail)
+    assert run_cli("estimate", "--mesh", "crisscross",
+                   "--out", str(tmp_path)) == cli.EXIT_NUMERICAL
+    assert "solver failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_adapt_artifacts(tmp_path):
     code = run_cli("adapt", "--mesh", "square2", "--kappa", "1",
                    "--max-dof", "60", "--out", str(tmp_path))
@@ -344,11 +384,11 @@ def solution_rows(args, U):
              "u": U.values[z]} for z in range(mesh.n_vertices)]
 
 
-def indicator_rows(args, report):
-    mesh = args[1].mesh
+def indicator_rows(args, run):
+    mesh = args[0].mesh
     star_sizes = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
     return [{"vertex_id": z, "x": mesh.vertices[z, 0], "y": mesh.vertices[z, 1],
-             "E": report.E[z], "osc": report.osc[z],
+             "E": run.E[z], "osc": run.osc[z],
              "n_elements_in_star": int(star_sizes[z])}
             for z in range(mesh.n_vertices)]
 
@@ -361,7 +401,7 @@ CSV_COMMANDS = {
     "solve": ((), "solution.csv", ("vertex_id", "x", "y", "u"),
               ("rdafem.galerkin", "solve"), solution_rows),
     "estimate": ((), "indicators.csv", cli.INDICATOR_COLUMNS,
-                 ("rdafem.estimator", "build_report"), indicator_rows),
+                 ("rdafem.adapt", "adaptive_loop"), indicator_rows),
     "adapt": (("--max-dof", "60"), "run.csv", cli.RUN_COLUMNS,
               ("rdafem.adapt", "adaptive_loop"),
               lambda args, report: report.records),

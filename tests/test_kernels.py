@@ -198,7 +198,7 @@ def test_face_pairings_match_the_pointwise_oracle(kappa):
     # the parent stays alive: the child takes its kept rows from it
     child = bisect(parent, np.arange(0, parent.n_elements, 3))
     system = ds.get_dual_system(child, kappa)
-    assert 0 < system.n_new_faces < len(system.iface)
+    assert 0 < len(child.cache[ds.dual_faces_key(kappa, DEFAULT_DEGREE)].new) < len(system.iface)
 
     # the closed-form gamma against quadrature over the oracle's geometry
     rule = simplex_rule(4)

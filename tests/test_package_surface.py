@@ -1,9 +1,10 @@
-"""Every top-level function and class of the package is used or documented.
+"""Every top-level function and class of the package, and every method and
+property of its classes, is used or documented.
 
 A name that appears nowhere in `src/rdafem` outside its own definition, nor
 in README.md, has no production caller: a test-only oracle belongs in
 `tests/oracles.py`, and dead code is deleted.  The package's `__getattr__`
-and `__dir__` are called by Python itself.
+and `__dir__`, and dunder methods, are called by Python itself.
 """
 
 import ast
@@ -15,20 +16,41 @@ PACKAGE = REPO / "src" / "rdafem"
 EXEMPT = {("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
 
 
-def test_every_top_level_name_is_used_or_documented():
+def unused_names(pattern, members):
+    """module:name of the definitions whose name, as `pattern` matches it,
+    appears neither in README.md nor in the package outside the definition."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     readme = (REPO / "README.md").read_text()
     unused = []
     for module, text in sources.items():
         lines = text.splitlines(keepends=True)
-        for node in ast.parse(text).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or (module, node.name) in EXEMPT):
-                continue
+        for owner, node in members(ast.parse(text)):
             # the module without the definition itself, docstring included
             rest = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
             others = [rest, readme] + [t for m, t in sources.items() if m != module]
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(t) for t in others):
-                unused.append(f"{module}:{node.name}")
-    assert unused == []
+            used = re.compile(pattern.format(re.escape(node.name)))
+            if not any(used.search(t) for t in others):
+                unused.append(f"{module}:{owner}{node.name}")
+    return unused
+
+
+def test_every_top_level_name_is_used_or_documented():
+    def top_level(tree):
+        return [("", node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+    unused = unused_names(r"\b{}\b", top_level)
+    assert [name for name in unused
+            if tuple(name.split(":")) not in EXEMPT] == []
+
+
+def test_every_method_and_property_is_read_as_an_attribute():
+    # `.name`, so that the same word in a docstring does not count as a use
+    def class_members(tree):
+        return [(cls.name + ".", node)
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+    assert unused_names(r"\.{}\b", class_members) == []
