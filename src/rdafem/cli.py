@@ -132,36 +132,31 @@ def fmt(value):
     return str(value)
 
 
-def format_column(values):
-    """The cells of one CSV column: a float array in one pass, anything else
-    value by value through `fmt`."""
-    import numpy as np
-
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f":
-            from .mesh import format_floats
-
-            return format_floats(values)
-        values = values.tolist()
-    return [fmt(v) for v in values]
-
-
 def write_csv(path, columns):
     """Write a CSV file from {header: column values}, one array or list each,
-    in blocks of rows (`row_blocks`, a cell for a point)."""
+    in blocks of rows (`row_blocks`, a cell for a point), one `%` format a
+    block: `%.17g` for a float array, `%d` for an integer array, `%s` over
+    `fmt` for anything else.  No cell, a number or blank, needs quoting."""
     import csv
+
+    import numpy as np
 
     from .galerkin import check_finite
     from .mesh import row_blocks
 
     check_finite(columns)  # no NaN or infinity reaches an artefact
     n_rows = min((len(values) for values in columns.values()), default=0)
+    codes = [{"f": "%.17g", "i": "%d", "u": "%d"}.get(values.dtype.kind, "%s")
+             if isinstance(values, np.ndarray) else "%s" for values in columns.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        csv.writer(fh).writerow(columns)
         for block in row_blocks(n_rows, len(columns)):
-            writer.writerows(zip(*(format_column(values[block])
-                                   for values in columns.values())))
+            rows = len(range(n_rows)[block])
+            cells = [None] * (rows * len(columns))
+            for j, (code, values) in enumerate(zip(codes, columns.values())):
+                cells[j::len(columns)] = (values[block].tolist() if code != "%s"
+                                          else [fmt(v) for v in values[block]])
+            fh.write((",".join(codes) + "\r\n") * rows % tuple(cells))
 
 
 def record_columns(records, header):
@@ -200,14 +195,16 @@ def cmd_solve(opts, outdir):
     mesh, label = load_mesh_arg(opts["mesh"])
     problem = galerkin.make_problem(mesh, opts["kappa"], opts["preset"])
     system = galerkin.assemble(mesh, opts["kappa"])
+    dofs = len(system.free)
     U = galerkin.solve(problem, quad_degree=opts["quad_degree"], system=system)
+    del system  # the matrix goes before the output is written
     write_csv(os.path.join(outdir, "solution.csv"), {
         "vertex_id": np.arange(mesh.n_vertices), "x": mesh.vertices[:, 0],
         "y": mesh.vertices[:, 1], "u": U.values})
     summary = {
         "command": "solve", "mesh": label, "preset": opts["preset"],
         "kappa": opts["kappa"], "n_vertices": mesh.n_vertices,
-        "n_elements": mesh.n_elements, "dofs": int(len(system.free)),
+        "n_elements": mesh.n_elements, "dofs": dofs,
         "energy_norm": galerkin.energy_norm(mesh, opts["kappa"], U),
         "error": None,
     }

@@ -507,8 +507,10 @@ def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
     """Compare the residual dual norm against the sum over vertex stars.
 
     The localization argument needs the residual to annihilate the discrete
-    space; the check refuses to run (ValueError) when Galerkin orthogonality
-    is violated beyond 1e-6 relative to the load size.
+    space.  Its violation, max |<f - L(U), hat_z>| over the free vertices,
+    is measured relative to the load size max(1, max |b|), where the load
+    rounds: the report's `max_orthogonality`.  The check refuses to run
+    (ValueError) when it exceeds 1e-6.
     """
     mesh = problem.mesh
     g = residual_source(problem, U)
@@ -522,4 +524,4 @@ def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
     local = discrete_dual_norm(mesh, np.arange(mesh.n_vertices), g, problem.kappa,
                                depth, quad_degree)
     glob = global_dual_norm(mesh, g, problem.kappa, depth, quad_degree)
-    return LocalizeReport(glob, local, viol)
+    return LocalizeReport(glob, local, viol / scale)

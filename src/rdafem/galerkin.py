@@ -80,16 +80,15 @@ class DiscreteFunction:
         """(nv,) vertex values."""
         return self._values
 
-    def element_values(self):
-        """(ne, 3) vertex values per element."""
-        return self.values[self.mesh.elements]
-
     def element_gradients(self):
         """(ne, 2) constant gradient per element, read-only."""
         if self._gradients is None:
             self._values.setflags(write=False)
-            grads = np.einsum("ei,eix->ex", self.element_values(),
-                              element_bary_grads(self.mesh))
+            bary, elements = element_bary_grads(self.mesh), self.mesh.elements
+            grads = np.empty((len(elements), 2))
+            for block in row_blocks(len(elements), 6):
+                grads[block] = np.einsum("ei,eix->ex", self._values[elements[block]],
+                                         bary[block])
             grads.setflags(write=False)
             self._gradients = grads
         return self._gradients
@@ -299,18 +298,14 @@ def make_problem(mesh, kappa, preset):
 
 
 class GalerkinSystem:
-    """Assembled stiffness-plus-scaled-mass operator.
+    """Assembled stiffness-plus-scaled-mass operator on the free (interior)
+    vertices `free`: `matrix` is symmetric positive definite."""
 
-    `matrix_full` couples all vertices; `matrix` is its restriction to the
-    free (interior) vertices, which is symmetric positive definite.
-    """
-
-    def __init__(self, mesh, kappa, matrix_full, free):
+    def __init__(self, mesh, kappa, matrix, free):
         self.mesh = mesh
         self.kappa = kappa
-        self.matrix_full = matrix_full
+        self.matrix = matrix
         self.free = free
-        self.matrix = matrix_full[free][:, free].tocsr()
 
 
 def element_bary_grads(mesh):
@@ -322,28 +317,38 @@ def element_bary_grads(mesh):
 
 
 def assemble(mesh, kappa):
-    """Stiffness + kappa^2 * mass in sparse CSR form.
+    """Stiffness + kappa^2 * mass on the free vertices, in sparse CSR form.
 
     Row z holds the local rows of z in its elements, in element order
-    (`vertex_slots`), built in blocks and summed by column: the entries and
-    summation order of a COO build from all local matrices at once.
+    (`vertex_slots`), summed by column as a COO build from all local matrices
+    at once sums them, and then restricted to the free columns.  The sum
+    goes row by row, so it runs on blocks of vertex rows.
     """
     g = element_bary_grads(mesh)
-    slots = mesh.vertex_slots
-    data = np.empty((len(slots), 3))
-    indices = np.empty((len(slots), 3), dtype=np.int32)
-    for block in row_blocks(len(slots), 9):
-        e, i = np.divmod(slots[block], 3)
+    slots, starts = mesh.vertex_slots, mesh.vertex_starts
+    free = mesh.free_vertices()
+    dof = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    dof[free] = np.arange(len(free))
+    data, indices, counts = [], [], []
+    for rows in row_blocks(mesh.n_vertices, 9 * int(np.diff(starts).max())):
+        bounds = starts[rows.start:rows.stop + 1]
+        e, i = np.divmod(slots[bounds[0]:bounds[-1]], 3)
         gi, ge, area = g[e, i], g[e], mesh.areas[e, None]
         stiff = (gi[:, None, 0] * ge[:, :, 0] + gi[:, None, 1] * ge[:, :, 1]) * area
         mass = (1.0 + (i[:, None] == np.arange(3))) * (area / 12.0)
-        data[block] = stiff + kappa**2 * mass
-        indices[block] = mesh.elements[e]
-    matrix = sp.csr_matrix((data.ravel(), indices.ravel(), 3 * mesh.vertex_starts),
-                           shape=(mesh.n_vertices,) * 2)
-    del data, indices  # the summed matrix keeps arrays of its own
-    matrix.sum_duplicates()
-    return GalerkinSystem(mesh, kappa, matrix, mesh.free_vertices())
+        local = sp.csr_matrix(((stiff + kappa**2 * mass).ravel(), mesh.elements[e].ravel(),
+                               3 * (bounds - bounds[0])), shape=(len(bounds) - 1, len(dof)))
+        local.sum_duplicates()
+        row = np.repeat(np.arange(len(bounds) - 1), np.diff(local.indptr))
+        keep = (dof[rows][row] >= 0) & (dof[local.indices] >= 0)
+        data.append(local.data[keep])
+        indices.append(dof[local.indices[keep]])
+        counts.append(np.bincount(row[keep], minlength=len(bounds) - 1)[dof[rows] >= 0])
+    indptr = np.zeros(len(free) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                           shape=(len(free),) * 2)
+    return GalerkinSystem(mesh, kappa, matrix, free)
 
 
 def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
@@ -469,19 +474,31 @@ def _preconditioner_kind(system):
 
 def _row_max(indptr, indices, v):
     """Largest v over each row's pattern (every row holds its diagonal)."""
-    return np.maximum.reduceat(v[indices], indptr[:-1])
+    out = np.empty(len(indptr) - 1, dtype=v.dtype)
+    for rows in row_blocks(len(out), int(np.diff(indptr).max(initial=1))):
+        bounds = indptr[rows.start:rows.stop + 1]
+        out[rows] = np.maximum.reduceat(v[indices[bounds[0]:bounds[-1]]],
+                                        bounds[:-1] - bounds[0])
+    return out
 
 
 def _sa_aggregates(A):
     """Aggregate index of every unknown of the SPD CSR matrix A."""
     n = A.shape[0]
     d = A.diagonal()
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    keep = (rows == A.indices) | (
-        np.abs(A.data) >= _SA_STRENGTH * np.sqrt(d[rows] * d[A.indices]))
+    indices, counts = [], []
+    for block in row_blocks(n, int(np.diff(A.indptr).max(initial=1))):
+        bounds = A.indptr[block.start:block.stop + 1]
+        rows = np.repeat(np.arange(block.start, block.start + len(bounds) - 1),
+                         np.diff(bounds))
+        cols = A.indices[bounds[0]:bounds[-1]]
+        keep = (rows == cols) | (np.abs(A.data[bounds[0]:bounds[-1]])
+                                 >= _SA_STRENGTH * np.sqrt(d[rows] * d[cols]))
+        indices.append(cols[keep])
+        counts.append(np.bincount(rows[keep] - block.start, minlength=len(bounds) - 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    indices = A.indices[keep]
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    indices = np.concatenate(indices)
     # fixed ranks: the unknowns ordered by a multiplicative hash of the index
     h = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     rank = np.empty(n, dtype=np.int64)
@@ -516,11 +533,16 @@ def _sa_levels(A):
         tentative = sp.csr_matrix((np.ones(n), (np.arange(n), agg)),
                                   shape=(n, n_coarse))
         dinv = 1.0 / A.diagonal()
-        rho = (abs(A) @ np.ones(n) * dinv).max()  # Gershgorin bound on D^-1 A
+        # Gershgorin bound on D^-1 A, from blocks of rows of |A|
+        rho = max((abs(A[rows]) @ np.ones(n) * dinv[rows]).max()
+                  for rows in row_blocks(n, int(np.diff(A.indptr).max())))
         wdinv = 4.0 / (3.0 * rho) * dinv
         P = (tentative - sp.diags(wdinv) @ (A @ tentative)).tocsr()
         levels.append((A, wdinv, P))
-        A = (P.T @ (A @ P)).tocsr()
+        # P^T as CSR, not (A P) as CSC: each entry sums the same products in
+        # the same order, and the columns are sorted as the CSC form's are
+        A = P.T.tocsr() @ (A @ P)
+        A.sort_indices()
     return levels, A
 
 
@@ -601,10 +623,12 @@ def element_dual_weights(rule):
 
 def energy_norm_sq_elements(mesh, kappa, v):
     """Squared energy norm per element of a DiscreteFunction v:
-    |grad v|^2 + kappa^2 |v|^2, exactly."""
-    grads = v.element_gradients()
-    e2 = mesh.areas * np.einsum("ex,ex->e", grads, grads)
-    return e2 + kappa**2 * _p1_mass_sq(mesh.areas, v.element_values())
+    |grad v|^2 + kappa^2 |v|^2, exactly, in blocks of elements."""
+    grads, out = v.element_gradients(), np.empty(mesh.n_elements)
+    for e in row_blocks(mesh.n_elements, 3):
+        e2 = mesh.areas[e] * np.einsum("ex,ex->e", grads[e], grads[e])
+        out[e] = e2 + kappa**2 * _p1_mass_sq(mesh.areas[e], v.values[mesh.elements[e]])
+    return out
 
 
 def energy_norm(mesh, kappa, v):
@@ -666,10 +690,14 @@ def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
         raise ValueError("problem has no exact solution to compare against")
     mesh = problem.mesh
     rows = error_rows(mesh, problem.exact, quad_degree)
-    dg = rows.grad_mean - U.element_gradients()
-    grad_part = rows.grad_spread + mesh.areas * (dg[:, 0] ** 2 + dg[:, 1] ** 2)
-    mass_part = rows.proj_residual + _p1_mass_sq(mesh.areas, rows.proj - U.element_values())
-    return grad_part + problem.kappa**2 * mass_part
+    grads, out = U.element_gradients(), np.empty(mesh.n_elements)
+    for e in row_blocks(mesh.n_elements, 3):
+        dg = rows.grad_mean[e] - grads[e]
+        grad_part = rows.grad_spread[e] + mesh.areas[e] * (dg[:, 0] ** 2 + dg[:, 1] ** 2)
+        mass_part = rows.proj_residual[e] + _p1_mass_sq(
+            mesh.areas[e], rows.proj[e] - U.values[mesh.elements[e]])
+        out[e] = grad_part + problem.kappa**2 * mass_part
+    return out
 
 
 def energy_error(problem, U, quad_degree=DEFAULT_DEGREE):

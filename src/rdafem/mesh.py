@@ -59,6 +59,14 @@ def bary_grads(p):
     return g / (2.0 * signed_areas(p))[..., None, None]
 
 
+def element_areas(vertices, elements):
+    """`signed_areas` of every triple of elements, in blocks."""
+    areas = np.empty(len(elements))
+    for block in row_blocks(len(elements), 6):
+        areas[block] = signed_areas(vertices[elements[block]])
+    return areas
+
+
 def _edge_lengths(vertices, elements):
     """Length of the edge opposite each corner of every element, (ne, 3)."""
     out = np.empty(elements.shape)
@@ -132,26 +140,30 @@ class Mesh:
             raise MeshError(nonfinite[1])
 
         if areas is None:
-            areas = signed_areas(vertices[elements])
+            areas = element_areas(vertices, elements)
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
             raise MeshError(f"element {bad[0]} has non-positive area (not counter-clockwise)")
-
-        edge_len = _edge_lengths(vertices, elements)
-        if ref_edge_policy == "longest":
-            elements, turned, edge_len = self._rotate_longest(elements, edge_len)
-            # rotated corners can round the area differently in the last bit
-            areas = areas.copy()
-            areas[turned] = signed_areas(vertices[elements[turned]])
-        elif ref_edge_policy != "asis":
+        if ref_edge_policy not in ("longest", "asis"):
             raise ValueError("ref_edge_policy must be 'longest' or 'asis'")
 
         self.vertices = vertices
+        self.h_elem = np.empty(len(elements))
+        if ref_edge_policy == "longest":
+            elements, areas = elements.copy(), areas.copy()
+        for block in row_blocks(len(elements), 6):
+            edge_len = _edge_lengths(vertices, elements[block])
+            self.h_elem[block] = edge_len.max(axis=1)
+            if ref_edge_policy == "longest":
+                rotated, turned = self._rotate_longest(elements[block], edge_len)
+                elements[block] = rotated
+                # rotated corners can round the area differently in the last bit
+                areas[block][turned] = signed_areas(vertices[rotated[turned]])
         self.elements = elements
         self.areas = areas
         self.cache = {}
         self._build_topology()
-        self._build_geometry(edge_len)
+        self._build_geometry()
         for arr in (self.vertices, self.elements, self.faces, self.face_elems,
                     self.elem_faces, self.normals, self.areas, self.vertex_slots,
                     self.vertex_starts):
@@ -160,8 +172,7 @@ class Mesh:
     @staticmethod
     def _rotate_longest(elements, edge_len):
         """The triples rotated so the longest edge comes first (the first
-        longest one on ties), a mask of the rotated ones, and their edge
-        lengths in the new corner order."""
+        longest one on ties), and a mask of the rotated ones."""
         # edges (0,1), (1,2), (2,0) are opposite corners 2, 0, 1
         k = np.zeros(len(elements), dtype=np.int64)
         longest = edge_len[:, 2]
@@ -171,8 +182,7 @@ class Mesh:
             longest = np.maximum(longest, edge_len[:, opposite])
         # corner i of a rotated triple is corner (i + k) % 3 of the given one
         turn = (np.arange(3) + k[:, None]) % 3
-        rotated = np.take_along_axis(elements, turn, axis=1)
-        return rotated, k != 0, np.take_along_axis(edge_len, turn, axis=1)
+        return np.take_along_axis(elements, turn, axis=1), k != 0
 
     def _build_topology(self):
         elements = self.elements
@@ -180,9 +190,11 @@ class Mesh:
         nv = len(self.vertices)
         # local face i is opposite local vertex i, between corners i + 1 and
         # i + 2; slot 3e + i holds it.  Temporaries go as soon as they are used.
-        a, b = elements[:, [1, 2, 0]], elements[:, [2, 0, 1]]
-        key = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
-        del a, b
+        key = np.empty((ne, 3), dtype=np.int64)
+        for block in row_blocks(ne, 3):
+            a, b = elements[block][:, [1, 2, 0]], elements[block][:, [2, 0, 1]]
+            key[block] = np.minimum(a, b) * nv + np.maximum(a, b)
+        key = key.ravel()
         # keys sort the faces lexicographically; the sort is stable, so the
         # slots of one face, and so its owner elements, come out ascending
         order = np.argsort(key, kind="stable")
@@ -190,12 +202,15 @@ class Mesh:
         first = np.ones(len(order), dtype=bool)
         first[1:] = key[1:] != key[:-1]
         starts = np.nonzero(first)[0]
-        self.faces = np.column_stack(np.divmod(key[starts], nv))
-        del key
+        self.faces = np.empty((len(starts), 2), dtype=np.int64)
+        np.divmod(key[starts], nv, out=(self.faces[:, 0], self.faces[:, 1]))
+        # the face of each sorted slot, in the buffer of the keys
+        np.cumsum(first, out=key)
+        key -= 1
         inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
+        inverse[order] = key
+        del key
         self.elem_faces = inverse.reshape(ne, 3)
-
         counts = np.diff(np.append(starts, len(order)))
         if counts.max(initial=0) > 2:
             f = int(np.argmax(counts))
@@ -222,28 +237,26 @@ class Mesh:
         np.cumsum(np.bincount(flat, minlength=len(self.vertices)),
                   out=self.vertex_starts[1:])
 
-    def _build_geometry(self, edge_len):
-        self.h_elem = edge_len.max(axis=1)
-
-        p0, p1 = self.vertices[self.faces[:, 0]], self.vertices[self.faces[:, 1]]
-        tang = p1 - p0
-        self.face_len = np.sqrt(tang[:, 0] * tang[:, 0] + tang[:, 1] * tang[:, 1])
-        h_face = self.h_elem[self.face_elems[:, 0]]
-        other = self.face_elems[:, 1]
-        mask = other >= 0
-        h_face[mask] = np.maximum(h_face[mask], self.h_elem[other[mask]])
-        self.h_face = h_face
-
-        normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-        normals /= self.face_len[:, None]
-        mid = 0.5 * (p0 + p1)
-        del tang, p0, p1
-        owner = self.elements[self.face_elems[:, 0]]
-        centroid = self.vertices[owner[:, 0]] + self.vertices[owner[:, 1]]
-        mid -= (centroid + self.vertices[owner[:, 2]]) / 3.0
-        flip = np.einsum("ij,ij->i", normals, mid) < 0.0
-        normals[flip] *= -1.0
-        self.normals = normals
+    def _build_geometry(self):
+        nf = len(self.faces)
+        self.face_len, self.h_face = np.empty(nf), np.empty(nf)
+        self.normals = np.empty((nf, 2))
+        for f in row_blocks(nf, 6):
+            p0, p1 = self.vertices[self.faces[f, 0]], self.vertices[self.faces[f, 1]]
+            tang = p1 - p0
+            face_len = np.sqrt(tang[:, 0] * tang[:, 0] + tang[:, 1] * tang[:, 1])
+            adjacent = self.face_elems[f]
+            self.h_face[f] = np.where(adjacent[:, 1] >= 0, np.maximum(
+                self.h_elem[adjacent[:, 0]], self.h_elem[adjacent[:, 1]]),
+                self.h_elem[adjacent[:, 0]])
+            normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+            normals /= face_len[:, None]
+            mid = 0.5 * (p0 + p1)
+            owner = self.elements[adjacent[:, 0]]
+            centroid = self.vertices[owner[:, 0]] + self.vertices[owner[:, 1]]
+            mid -= (centroid + self.vertices[owner[:, 2]]) / 3.0
+            normals[np.einsum("ij,ij->i", normals, mid) < 0.0] *= -1.0
+            self.face_len[f], self.normals[f] = face_len, normals
 
     # -- reuse along bisection --------------------------------------------
 
@@ -375,10 +388,11 @@ def load_mesh(path):
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
     blocks = _read_plain(data)
     vertices, elements = _read_lines(path, data) if blocks is None else blocks
+    del data, blocks
     if (elements < 0).any() or (elements >= len(vertices)).any():
         bad = int(np.nonzero(((elements < 0) | (elements >= len(vertices))).any(axis=1))[0][0])
         raise MeshError(f"{path}: element {bad} references a vertex out of range")
-    areas = signed_areas(vertices[elements])
+    areas = element_areas(vertices, elements)
     if (areas <= 0).any():
         bad = int(np.nonzero(areas <= 0)[0][0])
         raise MeshError(f"{path}: element {bad} is not counter-clockwise")
@@ -591,9 +605,8 @@ def bisect(mesh, marked_elements):
     face_ids = np.nonzero(marked_face)[0]
     midpoint_of = np.full(mesh.n_faces, -1, dtype=np.int64)
     midpoint_of[face_ids] = mesh.n_vertices + np.arange(len(face_ids))
-    new_coords = 0.5 * (mesh.vertices[mesh.faces[face_ids, 0]]
-                        + mesh.vertices[mesh.faces[face_ids, 1]])
-    vertices = np.vstack([mesh.vertices, new_coords])
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[mesh.faces[face_ids, 0]]
+                                                + mesh.vertices[mesh.faces[face_ids, 1]])])
 
     # Children are built per refinement pattern with array operations, in
     # element order: an unrefined element keeps its triple; a refined one is
@@ -619,20 +632,22 @@ def bisect(mesh, marked_elements):
     put(cut & ~right_two, right, v1, v2, m2)
     put(right_two, right, m2, v1, m0)
     put(right_two, right + 1, v2, m2, m0)
+    kept = np.nonzero(~cut)[0]
+    at = left[kept]
+    # no temporary of the parent's size outlives the children
+    del midpoint_of, m0, m1, m2, cut, left_two, right_two, n_children, left, right
 
     out = Mesh(vertices, children, ref_edge_policy="asis")
     out.new_vertex_parents = mesh.faces[face_ids].copy()
     out.n_parent_vertices = mesh.n_vertices
     out._parent = weakref.ref(mesh)
-    kept = np.nonzero(~cut)[0]
     out.parent_elements = np.full(len(children), -1, dtype=np.int64)
-    out.parent_elements[left[kept]] = kept
+    out.parent_elements[at] = kept
     # a kept element's local faces are its parent's; a face stays kept when
     # no adjacent element is new
     out.parent_faces = np.full(out.n_faces, -1, dtype=np.int64)
-    out.parent_faces[out.elem_faces[left[kept]]] = ef[kept]
-    fe = out.face_elems
-    out.parent_faces[((fe >= 0) & (out.parent_elements[fe] < 0)).any(axis=1)] = -1
+    out.parent_faces[out.elem_faces[at]] = ef[kept]
+    out.parent_faces[out.elem_faces[out.parent_elements < 0]] = -1
     out.parent_elements.setflags(write=False)
     out.parent_faces.setflags(write=False)
     return out

@@ -2,15 +2,17 @@
 
 None of them runs on the package's production path: closed-form integrals of
 barycentric monomials and a plain Gauss quadrature of a callable, the energy
-error per vertex star, a log-log decay rate and a mesh shape-regularity
-measure.
+error per vertex star, a log-log decay rate, a mesh shape-regularity
+measure and the operator matrix on every vertex.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from rdafem.galerkin import energy_error_sq_elements
+from rdafem.mesh import bary_grads
 from rdafem.quadrature import DEFAULT_DEGREE, map_to_triangle, simplex_rule
 
 
@@ -59,3 +61,18 @@ def shape_metric(mesh):
     d = p - p[:, [1, 2, 0]]
     perimeter = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2).sum(axis=1)
     return float((mesh.h_elem * perimeter / (4.0 * mesh.areas)).max())
+
+
+def full_matrix(mesh, kappa):
+    """Stiffness + kappa^2 * mass on every vertex, boundary ones included:
+    the local matrices of all elements scattered at once (COO, duplicates
+    summed by scipy), each in the local formula of `galerkin.assemble`.
+    Rows get their entries in element order, so its restriction to the free
+    vertices is `assemble`'s matrix bit for bit."""
+    g = bary_grads(mesh.vertices[mesh.elements])
+    area = mesh.areas[:, None, None]
+    stiff = (g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]) * area
+    local = stiff + kappa**2 * ((1.0 + np.eye(3)) * (area / 12.0))
+    rows, cols = np.repeat(mesh.elements, 3, axis=1), np.tile(mesh.elements, 3)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(mesh.n_vertices,) * 2).tocsr()

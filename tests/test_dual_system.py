@@ -301,6 +301,16 @@ def test_verify_face_checks_pass_at_large_kappa(corpus, name, kappa):
         assert checks[check]["pass"], checks[check]
 
 
+@pytest.mark.parametrize("kappa", [1e-8, 1.0, 1e4, 1e6, 1e10])
+@pytest.mark.parametrize("name", ["square2", "crisscross", "lshape", "square64"])
+def test_verify_passes_across_kappa(corpus, name, kappa):
+    # galerkin_orthogonality is measured against the load, as localize_check
+    # guards it: absolute, it read a few ulps of max |b| (1.4e-9 on square64
+    # at kappa 1e4, where max |b| = 3.9e6) and failed from there up
+    report = verify.run_verify(dict(corpus)[name], kappa)
+    assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+
+
 def test_project_pi_memory_bounded_on_a_fine_mesh():
     # f is evaluated at the squeezed points of the face bubbles in blocks of
     # faces: on a parentless 2^16-element square project_pi peaks at 53.9 MB,

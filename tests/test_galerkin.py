@@ -6,6 +6,8 @@ from rdafem import mesh as mesh_mod
 from rdafem.mesh import (uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
 
+from oracles import full_matrix
+
 # operator matrix on the 2-triangle square at kappa = 2, assembled by hand
 # from the P1 stiffness of right isoceles triangles and the exact mass matrix
 SQUARE2_A_K2 = np.array([
@@ -19,19 +21,31 @@ SQUARE2_A_K2 = np.array([
 def test_assemble_square2_matrix():
     m = unit_square_2tri()
     sys_ = g.assemble(m, 2.0)
-    assert np.allclose(sys_.matrix_full.toarray(), SQUARE2_A_K2, atol=1e-14)
+    assert np.allclose(full_matrix(m, 2.0).toarray(), SQUARE2_A_K2, atol=1e-14)
     # no interior vertices: the free block is empty
     assert sys_.matrix.shape == (0, 0)
 
 
 def test_assemble_symmetry_and_kernel():
     m = uniform_refine(unit_square_2tri(), 3)
-    sys_ = g.assemble(m, 3.0)
-    A = sys_.matrix_full
+    A = full_matrix(m, 3.0)
     assert abs(A - A.T).max() < 1e-13
     # the stiffness part (matrix minus exact mass) annihilates constants
-    lap = g.assemble(m, 1.0).matrix_full.toarray() - _mass_oracle(m)
+    lap = full_matrix(m, 1.0).toarray() - _mass_oracle(m)
     assert np.abs(lap @ np.ones(m.n_vertices)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e4])
+def test_free_block_is_the_full_matrix_restricted_bit_for_bit(corpus, kappa):
+    # assemble sums blocks of vertex rows and keeps the free columns; the
+    # oracle scatters every local matrix at once and is restricted after
+    for name, mesh in corpus:
+        system = g.assemble(mesh, kappa)
+        want = full_matrix(mesh, kappa)[system.free][:, system.free]
+        for part in ("data", "indices", "indptr"):
+            got = getattr(system.matrix, part)
+            assert got.dtype == getattr(want, part).dtype, (name, part)
+            assert np.array_equal(got, getattr(want, part)), (name, part)
 
 
 def _mass_oracle(m):
@@ -48,7 +62,7 @@ def _mass_oracle(m):
 
 def test_mass_part_matches_oracle():
     m = uniform_refine(unit_square_2tri(), 2)
-    diff = (g.assemble(m, 10.0).matrix_full - g.assemble(m, 1.0).matrix_full)
+    diff = full_matrix(m, 10.0) - full_matrix(m, 1.0)
     assert np.allclose(diff.toarray(), 99.0 * _mass_oracle(m), atol=1e-12)
 
 
@@ -187,7 +201,7 @@ def test_apply_operator_pairs_like_matrix():
         V = g.DiscreteFunction(m, vals)
         lv = g.apply_operator(m, kappa, V)
         pairs = lv.pair_hats()
-        ref = g.assemble(m, kappa).matrix_full @ vals
+        ref = full_matrix(m, kappa) @ vals
         free = m.free_vertices()
         scale = np.abs(ref).max()
         assert np.abs(pairs[free] - ref[free]).max() < 1e-12 * scale
@@ -384,7 +398,7 @@ def test_cached_gradients_and_jumps_cannot_go_stale():
     values[0] = 5.0  # U holds a copy
     assert U.values[0] == 0.0
     U.values[1] = 2.0  # writable until a derived quantity is cached
-    want = np.einsum("ei,eix->ex", U.element_values(),
+    want = np.einsum("ei,eix->ex", U.values[U.mesh.elements],
                      mesh_mod.bary_grads(m.vertices[m.elements]))
     grads = U.element_gradients()
     assert np.array_equal(grads, want)

@@ -1,14 +1,16 @@
 """Bounded memory on the solve path, and blocks that do not change a result.
 
 Every evaluation over the rows of a mesh runs in blocks of
-`mesh.BLOCK_POINTS` quadrature points (`mesh.row_blocks`): the quadrature
+`mesh.BLOCK_POINTS` quadrature points (`mesh.row_blocks`): the areas, edge
+lengths, rotation, face keys and face geometry of a `Mesh`, the quadrature
 data of `field_rows`, `error_rows` and the face-bubble pairings, the
 barycentric gradients and face rows of the dual system, the local matrices
-of `assemble`, the rows of `write_csv` and the hanging-vertex scan of the
-audit.  The bounds below hold on a parentless 2^16-element square.  Each
-row sums in one fixed order (`quadrature.node_sums`), so blocks of any size
-give the same arrays bit for bit, and so do carried rows and a parentless
-build.
+and sums of `assemble`, the strength test and row maxima of the SA set-up,
+the per-element energies, the rows of `write_csv` and the hanging-vertex
+scan of the audit.  The bounds below hold on a parentless 2^16-element
+square.  Each row sums in one fixed order (`quadrature.node_sums`, or row by
+row as scipy sums a CSR matrix), so blocks of any size give the same arrays
+bit for bit, and so do carried rows and a parentless build.
 """
 
 import numpy as np
@@ -44,12 +46,48 @@ def parentless(mesh):
 
 
 def test_assemble_memory_bounded(square):
-    # peaks at 12.3 MB, the barycentric gradients it builds and keeps (3 MB)
-    # and the two matrices (5.2 MB) included
+    # peaks at 9.9 MB, the barycentric gradients it builds and keeps (3 MB)
+    # and the free block (2.4 MB) included; 12.3 MB when it built the matrix
+    # of all vertices and took the free block from that
     mesh = parentless(square)
     peak, system = peak_bytes(lambda: g.assemble(mesh, 1.0))
-    assert peak < 20 * MB, peak
+    assert peak < 11 * MB, peak
     assert system.matrix.shape == (len(system.free),) * 2
+
+
+def test_sa_setup_memory_bounded(square):
+    # peaks at 7.3 MB, the hierarchy it keeps included; 8.7 MB with the
+    # strength test of all rows at once, |A| whole and A P as CSC
+    system = g.assemble(parentless(square), 1.0)
+    assert g._preconditioner_kind(system) == "sa"
+    peak, _ = peak_bytes(lambda: g._sa_preconditioner(system.matrix))
+    assert peak < 8 * MB, peak
+
+
+def test_energies_memory_bounded(square):
+    # peaks at 3.5 MB, the gradients of U it keeps (1 MB) included; 6.5 MB
+    # with (ne, 3) temporaries of the whole mesh
+    mesh = parentless(square)
+    problem = g.make_problem(mesh, 1.0, "sinsin")
+    g.element_bary_grads(mesh)
+    g.error_rows(mesh, problem.exact)
+    U = g.DiscreteFunction(mesh, np.where(mesh.boundary_vertex, 0.0,
+                                          np.cos(mesh.vertices[:, 0])))
+    peak, _ = peak_bytes(lambda: (g.energy_norm(mesh, 1.0, U),
+                                  g.energy_error_sq_elements(problem, U)))
+    assert peak < 5 * MB, peak
+
+
+def test_bisect_memory_bounded(square):
+    # a third of the elements marked: peaks at 24.6 MB, of which the
+    # 101,738-element child keeps 21.5 MB; 37.2 MB with the child's
+    # topology and geometry built for all of its rows at once
+    mesh = parentless(square)
+    marked = np.random.default_rng(0).choice(mesh.n_elements, mesh.n_elements // 3,
+                                             replace=False)
+    peak, child = peak_bytes(lambda: bisect(mesh, marked))
+    assert peak < 27 * MB, peak
+    assert child.n_elements == 101_738
 
 
 def test_quadrature_rows_memory_bounded(square):
@@ -62,12 +100,13 @@ def test_quadrature_rows_memory_bounded(square):
 
 
 def test_mesh_file_memory_bounded(square, tmp_path):
-    # load_mesh peaks at 25.3 MB, of which the Mesh keeps 14.4 MB; write_csv
-    # at 4.9 MB, and writes what one format call per cell writes
+    # load_mesh peaks at 18.4 MB, of which the Mesh keeps 14.4 MB (24.8 MB
+    # with the topology and geometry of all rows at once); write_csv at 3.8
+    # MB, and writes what one format call per cell writes
     path = tmp_path / "square.msh"
     save_mesh(square, str(path))
     peak, mesh = peak_bytes(lambda: load_mesh(str(path)))
-    assert peak < 32 * MB, peak
+    assert peak < 21 * MB, peak
     assert np.array_equal(mesh.elements, square.elements)
     columns = {"vertex_id": np.arange(mesh.n_vertices), "x": mesh.vertices[:, 0],
                "y": mesh.vertices[:, 1], "u": np.sin(mesh.vertices[:, 0])}
@@ -89,18 +128,44 @@ def test_audit_memory_bounded(square):
 # -- blocks of any size, and carried rows, give the same arrays -------------------
 
 
+MESH_ARRAYS = ("vertices", "elements", "areas", "h_elem", "faces", "face_elems",
+               "elem_faces", "interior_face", "boundary_vertex", "vertex_slots",
+               "vertex_starts", "face_len", "h_face", "normals")
+
+
 def blocked_arrays(mesh, kappa):
     """Every array that is built in blocks, on mesh."""
     problem = g.make_problem(mesh, kappa, "layer1d")
     system = ds.get_dual_system(mesh, kappa)
     field = g.field_rows(mesh, problem.rhs)
     error = g.error_rows(mesh, problem.exact)
-    matrix = g.assemble(mesh, kappa).matrix_full
+    matrix = g.assemble(mesh, kappa).matrix
     arrays = {name: getattr(error, name) for name in ERROR_ARRAYS}
     arrays.update(grads=g.element_bary_grads(mesh), thetas=system.thetas,
                   gammas=system.gammas, psi=system._psi_pair_field(problem.rhs),
                   load=field.load, mean=field.mean, dual=field.dual,
                   indptr=matrix.indptr, indices=matrix.indices, data=matrix.data)
+    # the mesh, and a copy given its triples turned, so the longest edge
+    # comes first again
+    turned = np.take_along_axis(mesh.elements, (np.arange(3) + np.arange(
+        mesh.n_elements)[:, None]) % 3, axis=1)
+    for prefix, m in (("", mesh), ("turned.", Mesh(mesh.vertices, turned))):
+        arrays.update({prefix + name: getattr(m, name) for name in MESH_ARRAYS})
+    # the SA hierarchy, below a coarsest size small enough for this mesh
+    arrays["aggregates"] = g._sa_aggregates(matrix)
+    levels, coarse = g._sa_levels(matrix)
+    for level, (A, wdinv, P) in enumerate(levels + [(coarse, None, None)]):
+        for name, array in (("A", A), ("P", P)):
+            if array is not None:
+                arrays.update({f"{name}{level}.{part}": getattr(array, part)
+                               for part in ("data", "indices", "indptr")})
+        if wdinv is not None:
+            arrays[f"wdinv{level}"] = wdinv
+    U = g.DiscreteFunction(mesh, np.where(mesh.boundary_vertex, 0.0,
+                                          np.sin(7.0 * mesh.vertices[:, 0])))
+    arrays.update(gradients=U.element_gradients(),
+                  energy=g.energy_norm_sq_elements(mesh, kappa, U),
+                  error=g.energy_error_sq_elements(problem, U))
     return arrays
 
 
@@ -124,9 +189,11 @@ def random_nvb(seed, steps):
 def test_blocks_of_any_size_give_the_same_arrays(monkeypatch, points):
     # kappa 1e4 squeezes the face bubbles; the element and face counts are
     # not multiples of seven, so the last block is ragged
+    monkeypatch.setattr(g, "_SA_COARSE", 4)
     mesh = random_nvb(3, 3)
     assert mesh.n_elements % 7 and mesh.interior_face.sum() % 3
     want = blocked_arrays(parentless(mesh), 1e4)
+    assert "P0.data" in want and "A1.data" in want
     monkeypatch.setattr(mesh_mod, "BLOCK_POINTS", points)
     assert_identical(blocked_arrays(parentless(mesh), 1e4), want)
 
@@ -137,6 +204,7 @@ def test_carried_rows_equal_a_parentless_build_bit_for_bit(monkeypatch, points):
     # a child computes only its new rows, in blocks of its own, and takes the
     # others from its parent: the order of every row's sum is fixed, so its
     # arrays are those of a parentless copy built in the default blocks
+    monkeypatch.setattr(g, "_SA_COARSE", 4)
     parent = random_nvb(4, 2)
     blocked_arrays(parent, 1e4)
     child = bisect(parent, np.arange(0, parent.n_elements, 5))
