@@ -120,8 +120,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
         if problem.exact is not None and problem.exact.grad is not None:
             err = float(np.sqrt(energy_error_sq_elements(
                 problem, U, quad_degree).sum()))
-        rd = residuals(problem, U, interpolated)
-        E = vertex_indicators(rd)
+        E = vertex_indicators(residuals(problem, U, interpolated), kappa)
         estimator = float(np.sqrt((E**2).sum()))
         record = {
             "iteration": it,
@@ -180,7 +179,8 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
         elems = star_union(mesh, verts)
         record["n_marked_vertices"] = int(len(verts))
         record["n_marked_elements"] = int(len(elems))
-        report.marked.append(elems)
+        if keep_meshes:
+            report.marked.append(elems)
         refined = bisect(mesh, elems)
         problem = problem.on_mesh(refined)
         record["seconds"] = time.perf_counter() - t0

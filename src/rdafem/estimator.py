@@ -44,8 +44,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .galerkin import (PiecewiseFunctional, _p1_mass_sq, as_source, data_minus,
-                       field_rows, grad_jumps, load_vector, residual_source)
+from .galerkin import (PiecewiseFunctional, _p1_mass_sq, apply_operator, as_source,
+                       data_minus, field_rows, grad_jumps, load_vector, residual_source)
 from .mesh import MeshError, cached_rows
 from .quadrature import DEFAULT_DEGREE
 
@@ -65,49 +65,23 @@ def weight_faces(mesh, kappa):
     return np.minimum(mesh.h_face, 1.0 / kappa)
 
 
-class ResidualData:
-    """Volume and jump residual coefficients of one discrete solution."""
-
-    def __init__(self, mesh, kappa, cell, face):
-        self.mesh = mesh
-        self.kappa = kappa
-        self.cell = cell  # (ne, 3) barycentric coefficients of r per element
-        self.face = face  # (nf,) constant j per interior face, 0 on boundary
-
-    def cell_norms_sq(self):
-        """||r||_T^2 per element (exact for the P1 representation)."""
-        return _p1_mass_sq(self.mesh.areas, self.cell)
-
-    def face_norms_sq(self):
-        """||j||_F^2 = j^2 |F| per face."""
-        return self.face**2 * self.mesh.face_len
-
-
 def residuals(problem, U, interpolated):
-    """Residual coefficients from the interpolated data and the solution.
+    """The residual interpolated - L(U) as a PiecewiseFunctional.
 
     `interpolated` is the volume+face interpolation of the right-hand side.
     Both parts vanish identically when f itself is the operator image of U.
     """
-    mesh = problem.mesh
-    cell = interpolated.cell_density - problem.kappa**2 * U.values[mesh.elements]
-    face = interpolated.face_density - grad_jumps(mesh, U)
-    face = np.where(mesh.interior_face, face, 0.0)
-    return ResidualData(mesh, problem.kappa, cell, face)
+    return interpolated - apply_operator(problem.mesh, problem.kappa, U)
 
 
-def vertex_indicators(rd):
-    """E(z) for every vertex, (nv,)."""
-    mesh = rd.mesh
-    wT2 = weight_elements(mesh, rd.kappa) ** 2
-    wF = weight_faces(mesh, rd.kappa)
-    elem_part = np.zeros(mesh.n_vertices)
-    np.add.at(elem_part, mesh.elements,
-              np.broadcast_to((wT2 * rd.cell_norms_sq())[:, None], mesh.elements.shape))
-    face_part = np.zeros(mesh.n_vertices)
-    contrib = wF * rd.face_norms_sq()
-    np.add.at(face_part, mesh.faces,
-              np.broadcast_to(contrib[:, None], mesh.faces.shape))
+def vertex_indicators(residual, kappa):
+    """E(z) for every vertex, (nv,), of a residual PiecewiseFunctional: per
+    vertex one sum over its elements and one over its faces, in index order."""
+    mesh = residual.mesh
+    elem_part = np.bincount(mesh.elements.ravel(), np.repeat(
+        weight_elements(mesh, kappa) ** 2 * residual.cell_norms_sq(), 3), mesh.n_vertices)
+    face_part = np.bincount(mesh.faces.ravel(), np.repeat(
+        weight_faces(mesh, kappa) * residual.face_norms_sq(), 2), mesh.n_vertices)
     return np.sqrt(elem_part) + np.sqrt(face_part)
 
 
@@ -234,9 +208,8 @@ class _RefBlocks:
             shape=(nt, len(self.quad_bary)))
 
         # integral of every sub-hat over parent face i, per unit face length
-        self.face_line = np.zeros((3, nt))
-        for i, edges in enumerate(tpl.face_edges):
-            np.add.at(self.face_line[i], edges.ravel(), 0.5 / 2**depth)
+        self.face_line = np.stack([np.bincount(edges.ravel(), minlength=nt)
+                                   for edges in tpl.face_edges]) * (0.5 / 2**depth)
 
         # topological class of every template vertex
         face = tpl.face_of >= 0

@@ -139,19 +139,26 @@ class PiecewiseFunctional:
         s = float(np.abs(self.cell_density).max(initial=0.0))
         return max(s, float(np.abs(self.face_density).max(initial=0.0)))
 
+    def cell_norms_sq(self):
+        """||density||_T^2 per element (exact for the P1 representation)."""
+        return _p1_mass_sq(self.mesh.areas, self.cell_density)
+
+    def face_norms_sq(self):
+        """||line source||_F^2 = density^2 |F| per face."""
+        return self.face_density**2 * self.mesh.face_len
+
     def pair_hats(self):
-        """Pairings with every nodal hat function, (nv,)."""
+        """Pairings with every nodal hat function, (nv,): one sum per vertex,
+        over its elements in element order, then the faces at either end."""
         mesh = self.mesh
-        out = np.zeros(mesh.n_vertices)
         a = self.cell_density
         contrib = (mesh.areas[:, None] / 12.0) * (a + a.sum(axis=1, keepdims=True))
-        np.add.at(out, mesh.elements, contrib)
         idx = np.nonzero(self.face_density)[0]
-        if idx.size:
-            half = 0.5 * self.face_density[idx] * self.mesh.face_len[idx]
-            np.add.at(out, mesh.faces[idx, 0], half)
-            np.add.at(out, mesh.faces[idx, 1], half)
-        return out
+        half = 0.5 * self.face_density[idx] * mesh.face_len[idx]
+        return np.bincount(np.concatenate([mesh.elements.ravel(), mesh.faces[idx, 0],
+                                           mesh.faces[idx, 1]]),
+                           np.concatenate([contrib.ravel(), half, half]),
+                           minlength=mesh.n_vertices)
 
 
 class SourceFunctional:
@@ -386,9 +393,7 @@ def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
 
 def load_vector(problem, quad_degree=DEFAULT_DEGREE):
     """Right-hand side pairings <f, hat_z>, all vertices."""
-    if isinstance(problem.rhs, PiecewiseFunctional):
-        return problem.rhs.pair_hats()
-    return field_load(problem.mesh, problem.rhs, quad_degree)
+    return as_source(problem.mesh, problem.rhs).pair_hats(quad_degree)
 
 
 def solve(problem, tol=1e-10, quad_degree=DEFAULT_DEGREE, system=None):

@@ -59,14 +59,6 @@ def bary_grads(p):
     return g / (2.0 * signed_areas(p))[..., None, None]
 
 
-def element_areas(vertices, elements):
-    """`signed_areas` of every triple of elements, in blocks."""
-    areas = np.empty(len(elements))
-    for block in row_blocks(len(elements), 6):
-        areas[block] = signed_areas(vertices[elements[block]])
-    return areas
-
-
 def _edge_lengths(vertices, elements):
     """Length of the edge opposite each corner of every element, (ne, 3)."""
     out = np.empty(elements.shape)
@@ -110,9 +102,9 @@ class Mesh:
         "longest" rotates each triple so the longest edge sits at (v0, v1);
         "asis" trusts the given order (used by bisect, whose children already
         encode their refinement edges).
-    areas : (ne,) float array, optional
-        `signed_areas(vertices[elements])` of the triples as given, when the
-        caller has already computed it.
+
+    The constructor is the one validator of its input (a MeshError names the
+    first bad element, vertex or face); every array attribute is read-only.
 
     `cache` holds the row arrays of `cached_rows` and nothing else: per
     element the barycentric gradients (`element_bary_grads`), the load
@@ -124,7 +116,7 @@ class Mesh:
     entries hold arrays only, so the cache goes with the mesh.
     """
 
-    def __init__(self, vertices, elements, ref_edge_policy="longest", areas=None):
+    def __init__(self, vertices, elements, ref_edge_policy="longest"):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         elements = np.ascontiguousarray(elements, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -134,23 +126,25 @@ class Mesh:
         if not len(elements):
             raise MeshError("mesh has no elements")
         if elements.min() < 0 or elements.max() >= len(vertices):
-            raise MeshError("element vertex index out of range")
+            bad = np.nonzero(((elements < 0) | (elements >= len(vertices))).any(axis=1))[0]
+            raise MeshError(f"element {bad[0]} references a vertex out of range")
         nonfinite = _nonfinite_vertex(vertices)
         if nonfinite is not None:
             raise MeshError(nonfinite[1])
 
-        if areas is None:
-            areas = element_areas(vertices, elements)
+        areas = np.empty(len(elements))
+        for block in row_blocks(len(elements), 6):
+            areas[block] = signed_areas(vertices[elements[block]])
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
-            raise MeshError(f"element {bad[0]} has non-positive area (not counter-clockwise)")
+            raise MeshError(f"element {bad[0]} is not counter-clockwise")
         if ref_edge_policy not in ("longest", "asis"):
             raise ValueError("ref_edge_policy must be 'longest' or 'asis'")
 
         self.vertices = vertices
         self.h_elem = np.empty(len(elements))
         if ref_edge_policy == "longest":
-            elements, areas = elements.copy(), areas.copy()
+            elements = elements.copy()
         for block in row_blocks(len(elements), 6):
             edge_len = _edge_lengths(vertices, elements[block])
             self.h_elem[block] = edge_len.max(axis=1)
@@ -164,10 +158,13 @@ class Mesh:
         self.cache = {}
         self._build_topology()
         self._build_geometry()
-        for arr in (self.vertices, self.elements, self.faces, self.face_elems,
-                    self.elem_faces, self.normals, self.areas, self.vertex_slots,
-                    self.vertex_starts):
-            arr.setflags(write=False)
+        self._freeze()
+
+    def _freeze(self):
+        """Make every array attribute read-only: nothing writes to a mesh."""
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @staticmethod
     def _rotate_longest(elements, edge_len):
@@ -314,16 +311,10 @@ class Mesh:
     # -- verification ------------------------------------------------------
 
     def audit(self):
-        """Exhaustive conformity audit; raises MeshError on any defect."""
-        if (self.areas <= 0).any():
-            raise MeshError("inverted element")
+        """Raise MeshError on a duplicate element or vertex, an unused vertex,
+        a hanging vertex or an open boundary (construction checks the rest)."""
         if _has_duplicate_rows(np.sort(self.elements, axis=1)):
             raise MeshError("duplicate element")
-        counts = (self.face_elems >= 0).sum(axis=1)
-        if not np.isin(counts, (1, 2)).all():
-            raise MeshError("face incidence count outside {1, 2}")
-        if (counts == 2).sum() != self.interior_face.sum():
-            raise MeshError("interior-face bookkeeping inconsistent")
         used = np.zeros(self.n_vertices, dtype=bool)
         used[self.elements.ravel()] = True
         if not used.all():
@@ -389,15 +380,8 @@ def load_mesh(path):
     blocks = _read_plain(data)
     vertices, elements = _read_lines(path, data) if blocks is None else blocks
     del data, blocks
-    if (elements < 0).any() or (elements >= len(vertices)).any():
-        bad = int(np.nonzero(((elements < 0) | (elements >= len(vertices))).any(axis=1))[0][0])
-        raise MeshError(f"{path}: element {bad} references a vertex out of range")
-    areas = element_areas(vertices, elements)
-    if (areas <= 0).any():
-        bad = int(np.nonzero(areas <= 0)[0][0])
-        raise MeshError(f"{path}: element {bad} is not counter-clockwise")
     try:
-        mesh = Mesh(vertices, elements, ref_edge_policy="longest", areas=areas)
+        mesh = Mesh(vertices, elements)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
     mesh.audit()
@@ -648,8 +632,7 @@ def bisect(mesh, marked_elements):
     out.parent_faces = np.full(out.n_faces, -1, dtype=np.int64)
     out.parent_faces[out.elem_faces[at]] = ef[kept]
     out.parent_faces[out.elem_faces[out.parent_elements < 0]] = -1
-    out.parent_elements.setflags(write=False)
-    out.parent_faces.setflags(write=False)
+    out._freeze()
     return out
 
 

@@ -27,6 +27,7 @@ INVARIANCE_TOL = 1e-9
 STABILITY_BOUND = 100.0
 LOCALIZE_WINDOW = (0.2, 20.0)
 MAX_SAMPLE = 24  # faces and elements sampled per check, a quarter as many stars
+INVARIANCE_SAMPLES = 20  # random functionals per invariance check, of each kind
 # a P1 density times a dual function is a quintic on each piece, and the
 # trace of phi*_F on F a quadratic: rules of this degree integrate them exactly
 P1_DEGREE = 5
@@ -305,10 +306,10 @@ def hat_face_residual(mesh, kappa, faces, quad_degree=DEFAULT_DEGREE):
     return worst
 
 
-def invariance_residuals(mesh, kappa, rng, n_random=20, quad_degree=DEFAULT_DEGREE):
+def invariance_residuals(mesh, kappa, rng, quad_degree=DEFAULT_DEGREE):
     """(random functional, operator image) invariance defects, scale relative."""
     worst_rand = 0.0
-    for _ in range(n_random):
+    for _ in range(INVARIANCE_SAMPLES):
         cell = rng.standard_normal((mesh.n_elements, 3))
         face = np.where(mesh.interior_face, rng.standard_normal(mesh.n_faces), 0.0)
         g = PiecewiseFunctional(mesh, cell, face)
@@ -316,7 +317,7 @@ def invariance_residuals(mesh, kappa, rng, n_random=20, quad_degree=DEFAULT_DEGR
         scale = max(1.0, g.coeff_scale())
         worst_rand = max(worst_rand, (back - g).coeff_scale() / scale)
     worst_op = 0.0
-    for _ in range(n_random):
+    for _ in range(INVARIANCE_SAMPLES):
         vals = np.where(mesh.boundary_vertex, 0.0,
                         rng.standard_normal(mesh.n_vertices))
         g = apply_operator(mesh, kappa, DiscreteFunction(mesh, vals))

@@ -3,7 +3,8 @@
 None of them runs on the package's production path: closed-form integrals of
 barycentric monomials and a plain Gauss quadrature of a callable, the energy
 error per vertex star, a log-log decay rate, a mesh shape-regularity
-measure and the operator matrix on every vertex.
+measure, the operator matrix on every vertex, and the per-vertex sums of
+the indicators and hat pairings by unbuffered `np.add.at` scatters.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from rdafem.estimator import weight_elements, weight_faces
 from rdafem.galerkin import energy_error_sq_elements
 from rdafem.mesh import bary_grads
 from rdafem.quadrature import DEFAULT_DEGREE, map_to_triangle, simplex_rule
@@ -76,3 +78,34 @@ def full_matrix(mesh, kappa):
     rows, cols = np.repeat(mesh.elements, 3, axis=1), np.tile(mesh.elements, 3)
     return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(mesh.n_vertices,) * 2).tocsr()
+
+
+def vertex_indicators_add_at(residual, kappa):
+    """E(z) per vertex from `np.add.at` scatters of the weighted element and
+    face norms, in element and face order."""
+    mesh = residual.mesh
+    elem_part = np.zeros(mesh.n_vertices)
+    np.add.at(elem_part, mesh.elements, np.broadcast_to(
+        (weight_elements(mesh, kappa) ** 2 * residual.cell_norms_sq())[:, None],
+        mesh.elements.shape))
+    face_part = np.zeros(mesh.n_vertices)
+    np.add.at(face_part, mesh.faces, np.broadcast_to(
+        (weight_faces(mesh, kappa) * residual.face_norms_sq())[:, None],
+        mesh.faces.shape))
+    return np.sqrt(elem_part) + np.sqrt(face_part)
+
+
+def pair_hats_add_at(functional):
+    """<functional, hat_z> per vertex from `np.add.at` scatters: the element
+    parts in element order, then the nonzero line sources at their first,
+    then at their second endpoints."""
+    mesh = functional.mesh
+    out = np.zeros(mesh.n_vertices)
+    a = functional.cell_density
+    np.add.at(out, mesh.elements,
+              (mesh.areas[:, None] / 12.0) * (a + a.sum(axis=1, keepdims=True)))
+    idx = np.nonzero(functional.face_density)[0]
+    half = 0.5 * functional.face_density[idx] * mesh.face_len[idx]
+    np.add.at(out, mesh.faces[idx, 0], half)
+    np.add.at(out, mesh.faces[idx, 1], half)
+    return out

@@ -103,6 +103,13 @@ def test_adaptive_loop_records_marked_sets():
         assert rec["n_marked_vertices"] >= 1
 
 
+def test_adaptive_loop_keeps_marked_sets_only_with_keep_meshes():
+    m = uniform_refine(unit_square_2tri(), 1)
+    run = adapt.adaptive_loop(g.make_problem(m, 10.0, "sinsin"), max_dof=100)
+    assert len(run.records) > 1
+    assert run.marked == [] and run.meshes == []
+
+
 def test_adaptive_loop_frees_its_meshes(monkeypatch):
     # the per-mesh DualSystem cache must not keep finished meshes alive
     refined = []

@@ -9,7 +9,7 @@ from rdafem import estimator as est
 from rdafem import galerkin as g
 from rdafem.dual_system import project_pi
 from rdafem.mesh import uniform_refine, unit_square_2tri, unit_square_crisscross
-from oracles import gauss_simplex, star_true_error_sq
+from oracles import gauss_simplex, star_true_error_sq, vertex_indicators_add_at
 from patch_oracle import PatchSpace
 
 
@@ -32,11 +32,11 @@ def test_residual_coefficients():
     interp = project_pi(m, 3.0, problem.rhs)
     rd = est.residuals(problem, U, interp)
     expect_cell = interp.cell_density - 9.0 * U.values[m.elements]
-    assert np.allclose(rd.cell, expect_cell, atol=1e-14)
-    assert np.all(rd.face[~m.interior_face] == 0.0)
+    assert np.allclose(rd.cell_density, expect_cell, atol=1e-14)
+    assert np.all(rd.face_density[~m.interior_face] == 0.0)
     jumps = g.grad_jumps(m, U)
     inner = m.interior_face
-    assert np.allclose(rd.face[inner], interp.face_density[inner] - jumps[inner],
+    assert np.allclose(rd.face_density[inner], interp.face_density[inner] - jumps[inner],
                        atol=1e-13)
 
 
@@ -44,7 +44,7 @@ def test_cell_norm_formula_vs_quadrature():
     m = unit_square_crisscross()
     rng = np.random.default_rng(5)
     cell = rng.standard_normal((m.n_elements, 3))
-    rd = est.ResidualData(m, 1.0, cell, np.zeros(m.n_faces))
+    rd = g.PiecewiseFunctional(m, cell, np.zeros(m.n_faces))
     got = rd.cell_norms_sq()
     for e in range(m.n_elements):
         coords = m.element_coords(e)
@@ -62,7 +62,7 @@ def test_single_vertex_indicator_matches_vectorized():
     problem, U = _solved(m, 40.0)
     interp = project_pi(m, 40.0, problem.rhs)
     rd = est.residuals(problem, U, interp)
-    E = est.vertex_indicators(rd)
+    E = est.vertex_indicators(rd, 40.0)
     elem_sq = est.weight_elements(m, 40.0) ** 2 * rd.cell_norms_sq()
     face_sq = est.weight_faces(m, 40.0) * rd.face_norms_sq()
     for z in (0, 7, m.n_vertices - 1):
@@ -71,6 +71,18 @@ def test_single_vertex_indicator_matches_vectorized():
         expect = (np.sqrt(elem_sq[m.star(z)].sum())
                   + np.sqrt(face_sq[faces].sum()))
         assert np.isclose(E[z], expect, rtol=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+def test_vertex_indicators_sum_like_add_at_bit_for_bit(corpus, kappa):
+    # Dörfler marking sees the last bit of near-tied indicators, so the
+    # per-vertex sums keep the scatter's order: elements, then faces, ascending
+    rng = np.random.default_rng(22)
+    for _, m in corpus:
+        r = g.PiecewiseFunctional(m, rng.standard_normal((m.n_elements, 3)),
+                                  np.where(m.interior_face, rng.standard_normal(m.n_faces), 0.0))
+        assert np.array_equal(est.vertex_indicators(r, kappa),
+                              vertex_indicators_add_at(r, kappa))
 
 
 def test_classic_piecewise_uses_coefficient_mean():
@@ -235,7 +247,7 @@ def test_report_on_mesh_bound_data_leaves_the_mesh_to_reference_counting():
     problem = g.Problem(m, 5.0, f)
     U = g.solve(problem)
     interpolated = project_pi(m, 5.0, f)
-    est.vertex_indicators(est.residuals(problem, U, interpolated))
+    est.vertex_indicators(est.residuals(problem, U, interpolated), 5.0)
     est.classic_indicators(problem, U)
     assert (est.all_oscillations(problem, interpolated) > 0.0).any()
     ref = weakref.ref(m)
@@ -260,6 +272,6 @@ def test_estimator_exact_on_operator_images():
     interp = project_pi(m, kappa, f)
     rd = est.residuals(problem, U, interp)
     scale = max(1.0, f.coeff_scale())
-    assert np.abs(rd.cell).max() / scale < 1e-13
-    assert np.abs(rd.face).max() / scale < 1e-13
+    assert np.abs(rd.cell_density).max() / scale < 1e-13
+    assert np.abs(rd.face_density).max() / scale < 1e-13
     assert est.classic_indicators(problem, U).sum() > 1e-8

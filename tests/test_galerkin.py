@@ -6,7 +6,7 @@ from rdafem import mesh as mesh_mod
 from rdafem.mesh import (uniform_refine, unit_square_2tri,
                          unit_square_crisscross)
 
-from oracles import full_matrix
+from oracles import full_matrix, pair_hats_add_at
 
 # operator matrix on the 2-triangle square at kappa = 2, assembled by hand
 # from the P1 stiffness of right isoceles triangles and the exact mass matrix
@@ -243,6 +243,17 @@ def test_pair_hats_face_oracle():
     expect = np.zeros(m.n_vertices)
     expect[m.faces[iface]] = 3.0 * m.face_len[iface] / 2.0
     assert np.allclose(got, expect, atol=1e-15)
+
+
+def test_pair_hats_sum_like_add_at_bit_for_bit(corpus):
+    # each vertex sums its elements, then its line sources, in the order of
+    # the scatter; some faces carry no line source
+    rng = np.random.default_rng(21)
+    for _, m in corpus:
+        face = np.where(m.interior_face & (rng.random(m.n_faces) < 0.7),
+                        rng.standard_normal(m.n_faces), 0.0)
+        f = g.PiecewiseFunctional(m, rng.standard_normal((m.n_elements, 3)), face)
+        assert np.array_equal(f.pair_hats(), pair_hats_add_at(f))
 
 
 def test_source_functional_matches_load_vector():

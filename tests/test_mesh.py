@@ -30,6 +30,28 @@ def test_crisscross_topology():
     assert m.boundary_vertex[0]
 
 
+def test_construction_errors_name_the_element():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for elements in ([[0, 1, 2], [0, 2, 4]], [[0, 1, 2], [-1, 2, 3]]):
+        with pytest.raises(MeshError, match=r"^element 1 references a vertex out of range$"):
+            Mesh(vertices, elements)
+    with pytest.raises(MeshError, match=r"^element 1 is not counter-clockwise$"):
+        Mesh(vertices, [[0, 1, 2], [0, 3, 2]])
+
+
+def test_every_mesh_array_is_read_only(tmp_path):
+    # rows carried across bisection are built from these arrays
+    path = tmp_path / "square.msh"
+    save_mesh(uniform_refine(unit_square_crisscross(), 1), str(path))
+    built = unit_square_crisscross()
+    for m in (built, load_mesh(str(path)), bisect(built, [0])):
+        arrays = {name: a for name, a in vars(m).items() if isinstance(a, np.ndarray)}
+        assert {"interior_face", "boundary_vertex", "h_elem", "h_face",
+                "face_len"} <= arrays.keys()
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+    assert "new_vertex_parents" in vars(m)
+
+
 def test_lshape_topology():
     m = l_shape()
     assert m.n_elements == 6

@@ -5,6 +5,9 @@ A name that appears nowhere in `src/rdafem` outside its own definition, nor
 in README.md, has no production caller: a test-only oracle belongs in
 `tests/oracles.py`, and dead code is deleted.  The package's `__getattr__`
 and `__dir__`, and dunder methods, are called by Python itself.
+
+Per-vertex sums go through `np.bincount` alone, so every one adds in the
+order of its indices: the package holds no `np.add.at` scatter.
 """
 
 import ast
@@ -54,3 +57,10 @@ def test_every_method_and_property_is_read_as_an_attribute():
                 and not (node.name.startswith("__") and node.name.endswith("__"))]
 
     assert unused_names(r"\.{}\b", class_members) == []
+
+
+def test_no_add_at_scatter_in_the_package():
+    uses = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"\badd\.at\b", line)]
+    assert uses == []
