@@ -118,6 +118,10 @@ def merge_options(args):
         if not kappas or not all(_valid_kappa(k) for k in kappas):
             raise UsageError("--kappas must be a nonempty list of positive, finite "
                              f"values with finite squares, got {opts['kappas']!r}")
+        repeated = sorted({k for i, k in enumerate(kappas) if k in kappas[:i]})
+        if repeated:
+            raise UsageError(f"--kappas lists {', '.join(map(repr, repeated))} "
+                             f"more than once, got {opts['kappas']!r}")
         opts["kappas"] = kappas
     return opts
 

@@ -35,6 +35,14 @@ together by one sparse solve of their block-diagonal system, so no memory
 grows with the square of a patch's size.  `discrete_dual_norm` prices vertex
 stars in chunks of bounded size, so memory does not grow with the mesh
 either; `global_dual_norm` prices the whole domain as one patch.
+
+Stars at depths up to 3 are condensed: each batch eliminates its parents'
+interior sub-vertices in one stacked solve, and a star solves for its
+center and face sub-vertices alone (1 + 3k unknowns, not 1 + 6k, at depth 2
+for valence k).  Deeper stars and the whole domain are solved uncondensed.
+The field part of the loads is cached per element by `star_loads` (120 B at
+depth 2, 360 B at depth 3), which `all_oscillations` and `localize_check`
+make; without it a batch evaluates the field on its own parents.
 """
 
 import functools
@@ -46,12 +54,12 @@ import scipy.sparse.linalg as spla
 from . import quadrature
 from .galerkin import (PiecewiseFunctional, _p1_mass_sq, apply_operator, as_source,
                        data_minus, field_rows, grad_jumps, load_vector, residual_source)
-from .mesh import MeshError, cached_rows
+from .mesh import cached_rows, index_array
 from .quadrature import DEFAULT_DEGREE
 
 _DENSE_MAX = 220  # patch systems up to this size are solved densely
-# Work entries (matrix entries plus gathered block entries and quadrature
-# values) per batch of stars; bounds the memory of one batch.
+# Work entries (matrix entries, gathered and per-parent block entries, and
+# quadrature values) per batch of stars; bounds the memory of one batch.
 _CHUNK_ENTRIES = 2**17
 
 
@@ -166,8 +174,9 @@ class _RefBlocks:
     `mass_bary` for P1 densities and from the sparse (node, point) matrix
     `field_weights` for field values at the points `quad_bary` (every
     quadrature point of every sub-triangle); line sources load through
-    `face_line`, per unit face length.  Nothing here is stored dense
-    in the node count squared, so deep templates stay small.
+    `face_line`, per unit face length.  Only the condensation blocks of
+    depths up to 3 (45 nodes at most) are stored dense in the node count
+    squared, so deep templates stay small.
     """
 
     def __init__(self, depth, quad_degree):
@@ -219,8 +228,33 @@ class _RefBlocks:
         self.face_local = tpl.face_of[face]
         self.face_step = np.rint(tpl.face_param[face] * 2**depth).astype(np.int64)
         self.inner_cols = np.nonzero((tpl.corner_of < 0) & ~face)[0]
-        # work entries one (star, parent) pair adds to a batch
-        self.pair_entries = len(self.rows) + len(self.quad_bary)
+
+        # condensation (depths <= 3): the blocks split into interior and
+        # boundary (corners, then face sub-vertices) parts, and per center
+        # corner the boundary positions a star can free: the corner and the
+        # sub-vertices of the two faces through it.  star_inner: interior
+        # sub-vertices a star's system keeps per element; pair_entries: the
+        # work one (star, parent) pair adds to a batch, besides quadrature
+        self.depth, self.quad_degree = depth, quad_degree
+        self.star_nodes, self.star_inner = None, self.inner_dofs
+        self.pair_entries = len(self.rows)
+        if depth > 3:
+            return
+        i = self.inner_cols
+        b = self.boundary = np.concatenate([self.corner_cols, self.face_cols])
+        dense = np.zeros((4, nt, nt))
+        dense[:, self.rows, self.cols] = self.values
+        self.blocks = [dense[:, r[:, None], c].reshape(4, -1) for r, c in ((i, i), (i, b),
+                                                                          (b, b))]
+        self.star_nodes = np.array([[c, *(3 + np.flatnonzero(self.face_local != c))]
+                                    for c in range(3)])
+        ns, nb, ni = self.star_nodes.shape[1], len(b), self.inner_dofs
+        self.star_rows, self.star_cols = np.divmod(np.arange(ns * ns), ns)
+        self.star_inner = 0
+        # the gathered block and loads, and a third of a parent's blocks,
+        # solve and loads (the stars of its three corners share them)
+        parent = ni * ni + 2 * ni * (nb + 1) + 2 * nb * nb + nt
+        self.pair_entries = ns * ns + ns + parent // 3
 
 
 _ref_blocks = functools.cache(_RefBlocks)
@@ -234,9 +268,7 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     `depth` times; it is monotone nondecreasing in `depth` (the spaces are
     nested).  A star without free sub-vertices gets exactly 0.
     """
-    vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= mesh.n_vertices):
-        raise MeshError("star vertex out of range")
+    vertices = index_array(vertices, mesh.n_vertices, "star vertices").reshape(-1)
     g = as_source(mesh, g)
     ref = _ref_blocks(int(depth), int(quad_degree))
     starts = mesh.vertex_starts
@@ -249,9 +281,10 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     inner_faces = np.bincount(mesh.faces[mesh.interior_face].ravel(),
                               minlength=mesh.n_vertices)[vertices]
     n = (~mesh.boundary_vertex[vertices] + inner_faces * ref.face_dofs
-         + valence * ref.inner_dofs)
-    cost = np.cumsum(np.where(n <= _DENSE_MAX, n**2, 0)
-                     + valence * ref.pair_entries)
+         + valence * ref.star_inner)
+    priced = g.field is not None and _loads_key(g.field, ref) not in mesh.cache
+    cost = np.cumsum(np.where(n <= _DENSE_MAX, n**2, 0) + valence * (
+        ref.pair_entries + priced * len(ref.quad_bary)))
     out = np.empty(len(vertices))
     start = 0
     while start < len(vertices):
@@ -281,9 +314,12 @@ def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
     on_face = n_v + (np.cumsum(inner) - 1)[f] * m + _face_steps(mesh.elements, ref)
     local[:, ref.face_cols] = np.where(inner[f], on_face, -1)
     local[:, ref.inner_cols] = n_v + n_f * m + np.arange(ne * n_int).reshape(ne, n_int)
-    energy = _patch_energies(mesh, g, kappa, ref, np.zeros(ne, dtype=np.int64),
-                             np.arange(ne), local, np.array([n_v + n_f * m + ne * n_int]))
-    return float(np.sqrt(energy[0]))
+    every = np.arange(ne)
+    energy = _patch_energies(np.array([n_v + n_f * m + ne * n_int]), np.zeros_like(every),
+                             local, ref.rows, ref.cols,
+                             _parent_weights(mesh, every, kappa) @ ref.values,
+                             _parent_loads(mesh, g, every, ref))
+    return float(np.sqrt(max(energy[0], 0.0)))
 
 
 def _face_steps(tri, ref):
@@ -294,7 +330,8 @@ def _face_steps(tri, ref):
 
 
 def _star_batch(mesh, centers, g, kappa, ref):
-    """Dual norms of g on the stars of `centers` (one batch)."""
+    """Dual norms of g on the stars of `centers` (one batch), condensed at
+    depths up to 3."""
     starts = mesh.vertex_starts
     ns = len(centers)
     k = starts[centers + 1] - starts[centers]
@@ -317,7 +354,7 @@ def _star_batch(mesh, centers, g, kappa, ref):
     # star-local index of every template vertex of every pair (-1: not free)
     m, n_int = ref.face_dofs, ref.inner_dofs
     center = (~mesh.boundary_vertex[centers]).astype(np.int64)
-    n = center + n_if * m + k * n_int
+    n = center + n_if * m
     local = np.empty((len(star), ref.n_nodes), dtype=np.int64)
     local[:, ref.corner_cols] = np.where(
         (ref.corner_local == iz[:, None]) & (center[star] == 1)[:, None], 0, -1)
@@ -326,30 +363,56 @@ def _star_batch(mesh, centers, g, kappa, ref):
         through[:, fl],
         center[star][:, None] + slot[:, fl] * m + _face_steps(mesh.elements[elem], ref),
         -1)
-    local[:, ref.inner_cols] = ((center + n_if * m)[star][:, None]
-                                + rank[:, None] * n_int + np.arange(n_int))
-    return np.sqrt(_patch_energies(mesh, g, kappa, ref, star, elem, local, n))
+    parents, parent_of = np.unique(elem, return_inverse=True)
+    weights = _parent_weights(mesh, parents, kappa)
+    loads = _parent_loads(mesh, g, parents, ref)
+    if ref.star_nodes is None:
+        local[:, ref.inner_cols] = (n[star][:, None] + rank[:, None] * n_int
+                                    + np.arange(n_int))
+        energy = _patch_energies(n + k * n_int, star, local, ref.rows, ref.cols,
+                                 weights[parent_of] @ ref.values, loads[parent_of])
+    else:
+        schur, cond, interior = _condense(ref, weights, loads)
+        pos, at = ref.star_nodes[iz], parent_of[:, None]
+        energy = np.bincount(star, interior[parent_of], ns) + _patch_energies(
+            n, star, np.take_along_axis(local[:, ref.boundary], pos, axis=1),
+            ref.star_rows, ref.star_cols,
+            schur[at[:, :, None], pos[:, :, None], pos[:, None, :]].reshape(len(star), -1),
+            cond[at, pos])
+    return np.sqrt(np.maximum(energy, 0.0))
 
 
-def _patch_energies(mesh, g, kappa, ref, patch, elem, local, n):
-    """Energies of the Riesz representatives of g on red-refined patches.
+def _condense(ref, weights, loads):
+    """Static condensation of parents with `_parent_weights` and
+    `_parent_loads`: per parent the Schur complement onto the boundary
+    sub-vertices, (p, nb, nb), the condensed loads (p, nb) and the energy of
+    the interior part, (p,)."""
+    p, nb, ni = len(weights), len(ref.boundary), ref.inner_dofs
+    k_ii, k_ib, k_bb = ((weights @ block).reshape(p, *shape) for block, shape
+                        in zip(ref.blocks, ((ni, ni), (ni, nb), (nb, nb))))
+    b_i = loads[:, ref.inner_cols, None]
+    x = np.linalg.solve(k_ii, np.concatenate([k_ib, b_i], axis=2))
+    y = k_ib.transpose(0, 2, 1) @ x
+    return (k_bb - y[..., :nb], loads[:, ref.boundary] - y[..., nb],
+            (b_i[..., 0] * x[..., nb]).sum(axis=1))
 
-    Pair i puts the parent element elem[i] into patch patch[i]; local[i] is
-    the patch-local index of each of its template vertices (-1: not free),
-    and n the free count of every patch.  A patch without free sub-vertices
-    gets exactly 0.
+
+def _patch_energies(n, patch, local, rows, cols, vals, loads):
+    """Energies b.w of the Riesz representatives A w = b on patches with n
+    free unknowns each.
+
+    Pair i adds vals[i] to A at (local[i, rows], local[i, cols]) and
+    loads[i] to b at local[i] in patch patch[i] (-1: not free).  A patch
+    without free unknowns gets exactly 0.
     """
     n_patch = len(n)
-    parents, parent_of = np.unique(elem, return_inverse=True)
     base = np.zeros(n_patch + 1, dtype=np.int64)
     np.cumsum(n, out=base[1:])
     free = local >= 0
-    rhs = np.bincount((base[patch][:, None] + local)[free],
-                      weights=_parent_loads(mesh, g, parents, ref)[parent_of][free],
+    rhs = np.bincount((base[patch][:, None] + local)[free], weights=loads[free],
                       minlength=base[-1])
 
-    rows, cols = local[:, ref.rows], local[:, ref.cols]
-    vals = _parent_weights(mesh, parents, kappa)[parent_of] @ ref.values
+    rows, cols = local[:, rows], local[:, cols]
     keep = (rows >= 0) & (cols >= 0)
     energy = np.zeros(n_patch)
 
@@ -373,8 +436,7 @@ def _patch_energies(mesh, g, kappa, ref, patch, elem, local, n):
         members = by_size[first_of[i]:first_of[i] + counts[i]]
         A = matrices[offset[i]:offset[i + 1]].reshape(-1, size, size)
         b = rhs[base[members][:, None] + np.arange(size)]
-        w = np.linalg.solve(A, b[..., None])[..., 0]
-        energy[members] = (w * (A @ w[..., None])[..., 0]).sum(axis=1)
+        energy[members] = (b * np.linalg.solve(A, b[..., None])[..., 0]).sum(axis=1)
 
     # large patches: one sparse solve of their block-diagonal system,
     # assembled from the gathered entries without a dense matrix
@@ -388,10 +450,9 @@ def _patch_energies(mesh, g, kappa, ref, patch, elem, local, n):
         at = shift[patch][:, None]
         A = sp.csc_matrix((vals[pick], ((at + rows)[pick], (at + cols)[pick])),
                           shape=(total, total))
-        w = spla.spsolve(A, rhs[np.repeat(base[large] - shift[large], n[large])
-                                + np.arange(total)])
-        energy[large] = np.add.reduceat(w * (A @ w), shift[large])
-    return np.maximum(energy, 0.0)
+        b = rhs[np.repeat(base[large] - shift[large], n[large]) + np.arange(total)]
+        energy[large] = np.add.reduceat(b * spla.spsolve(A, b), shift[large])
+    return energy
 
 
 def _parent_weights(mesh, parents, kappa):
@@ -413,16 +474,41 @@ def _parent_loads(mesh, g, parents, ref):
     area = mesh.areas[parents]
     out = np.zeros((len(parents), ref.n_nodes))
     if g.field is not None:
-        corners = mesh.vertices[mesh.elements[parents]]
-        x = corners[..., 0] @ ref.quad_bary.T
-        y = corners[..., 1] @ ref.quad_bary.T
-        fv = np.asarray(g.field.value(x, y), dtype=float)
-        out += area[:, None] * (ref.field_weights @ fv.T).T
+        rows = mesh.cache.get(_loads_key(g.field, ref))
+        out += (_field_loads(mesh, g.field, parents, ref) if rows is None
+                else rows.loads[parents])
     if g.piecewise is not None:
         out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
         ef = mesh.elem_faces[parents]
         out += (0.5 * g.piecewise.face_density[ef] * mesh.face_len[ef]) @ ref.face_line
     return out
+
+
+def _field_loads(mesh, field, parents, ref):
+    """<f, sub-hat> for every template vertex of every parent, each parent
+    alone (rounding included), so that cached rows carry across bisection."""
+    pts = ref.quad_bary @ mesh.vertices[mesh.elements[parents]]
+    fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
+    return mesh.areas[parents, None] * (ref.field_weights @ fv.T).T
+
+
+def _loads_key(field, ref):
+    return ("star_loads", field, ref.depth, ref.quad_degree)
+
+
+def star_loads(mesh, field, depth=2, quad_degree=DEFAULT_DEGREE):
+    """Cache the field part of every element's sub-hat loads on mesh
+    (`cached_rows`) for the condensed depths, up to 3; no field, nothing.
+    The rows move down a bisection chain: once a child holds them its
+    parent's are dropped, so a run that keeps its meshes keeps one set."""
+    ref = _ref_blocks(int(depth), int(quad_degree))
+    if field is not None and ref.star_nodes is not None:
+        key = _loads_key(field, ref)
+        cached_rows(mesh, key, "elements",
+                    lambda new: {"loads": _field_loads(mesh, field, new, ref)},
+                    width=2 * len(ref.quad_bary))
+        if mesh.parent is not None:
+            mesh.parent.cache.pop(key, None)
 
 
 # -- oscillation -----------------------------------------------------------------
@@ -449,6 +535,7 @@ def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE)
     mesh = problem.mesh
 
     def price(stars):
+        star_loads(mesh, g.field, depth, quad_degree)
         return {"values": discrete_dual_norm(mesh, stars, g, problem.kappa, depth,
                                              quad_degree)}
 
@@ -494,6 +581,7 @@ def localize_check(problem, U, depth=2, quad_degree=DEFAULT_DEGREE):
         raise ValueError(
             f"residual is not orthogonal to the discrete space "
             f"(violation {viol:.3e} vs scale {scale:.3e})")
+    star_loads(mesh, g.field, depth, quad_degree)
     local = discrete_dual_norm(mesh, np.arange(mesh.n_vertices), g, problem.kappa,
                                depth, quad_degree)
     glob = global_dual_norm(mesh, g, problem.kappa, depth, quad_degree)

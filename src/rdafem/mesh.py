@@ -40,6 +40,18 @@ class MeshError(Exception):
     """Raised for format errors, non-conforming input, or inverted elements."""
 
 
+def index_array(indices, n, what):
+    """`indices` as int64 entries in [0, n) (MeshError otherwise).  A boolean
+    mask would cast to indices 0 and 1, so it is refused (TypeError)."""
+    if np.asarray(indices).dtype == bool:
+        raise TypeError(f"{what} must be indices, not a boolean mask: "
+                        f"pass np.flatnonzero(mask)")
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise MeshError(f"{what} out of range")
+    return indices
+
+
 def signed_areas(p):
     """Signed areas of triangles with corners p, (..., 3, 2) -> (...)."""
     return 0.5 * (
@@ -570,10 +582,7 @@ def bisect(mesh, marked_elements):
     and coordinates, so its rows of any element or face array are the
     parent's.
     """
-    marked_elements = np.asarray(marked_elements, dtype=np.int64)
-    if marked_elements.size and (marked_elements.min() < 0
-                                 or marked_elements.max() >= mesh.n_elements):
-        raise MeshError("marked element index out of range")
+    marked_elements = index_array(marked_elements, mesh.n_elements, "marked elements")
 
     ef = mesh.elem_faces
     marked_face = np.zeros(mesh.n_faces, dtype=bool)

@@ -8,8 +8,9 @@ the values of stars without a new element from the parent's, when the
 parent priced them at the same kappa and depth.  A parentless copy of the
 same mesh computes every row; both must agree, on random newest-vertex
 bisection chains over the corpus, for kappa across 1e-8 ... 1e10 and for
-smooth and layer data.  Discrete functions prolongate exactly along the
-same chains.
+smooth and layer data.  The field part of the star loads is carried per
+element as well, bit for bit.  Discrete functions prolongate exactly along
+the same chains.
 """
 
 import pathlib
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from rdafem import estimator, galerkin
 from rdafem.dual_system import dual_faces_key, get_dual_system, project_pi
-from rdafem.estimator import all_oscillations, discrete_dual_norm
+from rdafem.estimator import all_oscillations, discrete_dual_norm, star_loads
 from rdafem.mesh import (Mesh, bisect, l_shape, load_mesh, uniform_refine,
                          unit_square_2tri, unit_square_crisscross)
 
@@ -242,6 +243,73 @@ def test_oscillations_carry_only_from_the_same_kappa_and_depth(monkeypatch, kapp
     assert new_stars < child.n_vertices
     fresh = oscillations(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
                          10.0, field, 2)
+    noise = np.maximum(1e-12 * np.abs(fresh), 1e-13 * np.abs(fresh).max())
+    assert (np.abs(got - fresh) <= noise).all(), np.abs(got - fresh).max()
+
+
+def loads_key(field, depth):
+    return ("star_loads", field, depth, galerkin.DEFAULT_DEGREE)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(chains(), st.integers(2, 3))
+def test_carried_star_loads_equal_a_parentless_build(chain, depth):
+    # each row depends on its element alone, rounding included, so a
+    # child's rows (new ones built in blocks, kept ones the parent's) are
+    # the rows of a fresh build of the same mesh, bit for bit
+    name, data, kappa, seed, fractions = chain
+    mesh = MESHES[name]()
+    field = galerkin.make_problem(mesh, kappa, data).rhs
+    star_loads(mesh, field, depth)
+    rng = np.random.default_rng(seed)
+    for fraction in fractions:
+        marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
+                           replace=False)
+        child = bisect(mesh, marks)
+        fresh = Mesh(child.vertices, child.elements, ref_edge_policy="asis")
+        for m in (child, fresh):
+            star_loads(m, field, depth)
+        carried, built = (m.cache[loads_key(field, depth)] for m in (child, fresh))
+        # the rows moved to the child: the parent no longer holds them
+        assert loads_key(field, depth) not in mesh.cache
+        assert np.array_equal(carried.new, np.flatnonzero(child.parent_elements < 0))
+        assert len(built.new) == child.n_elements
+        assert np.array_equal(carried.loads, built.loads)
+        mesh = child
+
+
+def test_pricing_a_few_stars_caches_no_star_loads():
+    # verify's stability samples price single stars of fresh fields: the
+    # field is evaluated on the stars' elements only, and nothing is kept
+    mesh = uniform_refine(l_shape(), 2)
+    field = galerkin.make_problem(mesh, 1.0, "sinsin").rhs
+    evaluated = []
+
+    def value(x, y):
+        evaluated.append(x.shape[0])
+        return field.value(x, y)
+
+    fresh = galerkin.ScalarField(value)
+    for depth in (2, 3):
+        discrete_dual_norm(mesh, [7], fresh, 1.0, depth)
+        assert loads_key(fresh, depth) not in mesh.cache
+    assert evaluated == [len(mesh.star(7))] * 2
+    assert not any(key[0] == "star_loads" for key in mesh.cache if isinstance(key, tuple))
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_oscillations_with_carried_star_loads_equal_a_fresh_pricing(depth):
+    # at another kappa the child prices every star, reading the loads of
+    # its kept elements from the parent's rows
+    mesh = uniform_refine(l_shape(), 2)
+    field = galerkin.make_problem(mesh, 1.0, "sinsin").rhs
+    oscillations(mesh, 1.0, field, depth)
+    child = bisect(mesh, np.arange(0, mesh.n_elements, 3))
+    got = oscillations(child, 30.0, field, depth)
+    rows = child.cache[loads_key(field, depth)]
+    assert 0 < len(rows.new) < child.n_elements
+    fresh = oscillations(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
+                         30.0, field, depth)
     noise = np.maximum(1e-12 * np.abs(fresh), 1e-13 * np.abs(fresh).max())
     assert (np.abs(got - fresh) <= noise).all(), np.abs(got - fresh).max()
 

@@ -244,6 +244,21 @@ def test_kappa_with_overflowing_square_is_a_usage_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_repeated_kappa_is_a_usage_error(tmp_path, capsys):
+    # a study runs each kappa once; a repeat would run twice and keep one
+    for value in ("1,1,1e2", "1,1.0", "1e2,1,100"):
+        assert run_cli("study", "--kappas", value, "--max-dof", "20",
+                       "--out", str(tmp_path)) == cli.EXIT_USAGE == 2
+        err = capsys.readouterr().err
+        assert "more than once" in err and value in err
+        assert ("100.0" if value.startswith("1e2") else "1.0") in err.split("once")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappas = 1,1,1e2\n")
+    assert run_cli("study", "--config", str(cfg), "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "--kappas lists 1.0 more than once" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def assert_finite_artifacts(outdir):
     """Every number in the JSON and CSV files of outdir is finite."""
     def refuse(constant):

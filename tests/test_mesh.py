@@ -136,6 +136,17 @@ def test_bisect_rejects_bad_marks():
         bisect(m, np.array([7]))
 
 
+def test_bisect_refuses_a_boolean_mask():
+    # cast to int64, a mask marking only the last element would mark 0 and 1
+    m = uniform_refine(l_shape(), 1)
+    mask = np.zeros(m.n_elements, dtype=bool)
+    mask[-1] = True
+    with pytest.raises(TypeError, match=r"indices.*np\.flatnonzero\(mask\)"):
+        bisect(m, mask)
+    assert np.array_equal(bisect(m, np.flatnonzero(mask)).elements,
+                          bisect(m, [m.n_elements - 1]).elements)
+
+
 def test_uniform_refine_keeps_shape():
     m = unit_square_2tri()
     fine = uniform_refine(m, 4)

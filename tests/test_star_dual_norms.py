@@ -141,6 +141,86 @@ def test_vertex_order_subsets_and_batches(monkeypatch):
         est.discrete_dual_norm(mesh, [mesh.n_vertices], src, 30.0)
 
 
+def test_boolean_vertex_mask_is_refused():
+    # cast to int64, a mask would price star 0 or star 1 once per vertex
+    mesh = mesh_mod.uniform_refine(mesh_mod.l_shape(), 2)
+    src = g.make_problem(mesh, 1.0, "sinsin").rhs
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[-3:] = True
+    with pytest.raises(TypeError, match=r"indices.*np\.flatnonzero\(mask\)"):
+        est.discrete_dual_norm(mesh, mask, src, 1.0)
+    assert est.discrete_dual_norm(mesh, np.flatnonzero(mask), src, 1.0).shape == (3,)
+
+
+def _condensed_size(mesh, z, depth):
+    """Unknowns of the star of z once its parents' interiors are condensed:
+    the center if free, and the sub-vertices of the interior faces through it."""
+    through = mesh.interior_face & (mesh.faces == z).any(axis=1)
+    return int(not mesh.boundary_vertex[z]) + int(through.sum()) * (2**depth - 1)
+
+
+def _special_stars():
+    """(label, mesh, vertex, depth) for the stars the condensed path treats
+    apart: a corner of one element, where nothing is left after condensing;
+    boundary stars; depths without interior sub-vertices; and an interior
+    star of valence 8 at depth 3, which is solved sparse uncondensed."""
+    square2, nvb = dict(MESHES)["square2"], _random_nvb()
+    lshape = dict(MESHES)["lshape"]
+    corner = int(np.flatnonzero(np.bincount(lshape.elements.ravel()) == 1)[0])
+    edge = int(np.flatnonzero(nvb.boundary_vertex
+                              & (np.bincount(nvb.elements.ravel()) > 2))[0])
+    valence = np.bincount(nvb.elements.ravel())
+    eight = int(np.flatnonzero(~nvb.boundary_vertex & (valence == 8))[0])
+    inner = int(np.flatnonzero(~nvb.boundary_vertex)[0])
+    return ([("corner", lshape, corner, d) for d in (2, 3)]
+            + [("boundary", nvb, edge, d) for d in (2, 3)]
+            + [("two triangles", square2, z, d) for z in (0, 1) for d in (0, 1)]
+            + [("interior", nvb, inner, d) for d in (0, 1)]
+            + [("valence 8", nvb, eight, 3)])
+
+
+@pytest.mark.parametrize("label,mesh,z,depth", _special_stars(),
+                         ids=[f"{c[0]}-{c[3]}" for c in _special_stars()])
+def test_condensed_special_stars_match_patch_space(label, mesh, z, depth, monkeypatch):
+    space = PatchSpace(mesh, mesh.star(z), depth)
+    size = _condensed_size(mesh, z, depth)
+    if label == "corner":
+        # only interior sub-vertices are free: the value is the parents'
+        # interior energies alone
+        assert size == 0 < len(space.free)
+    if label == "valence 8":
+        assert size <= est._DENSE_MAX < len(space.free)
+    rng = np.random.default_rng(z)
+    for kappa in KAPPAS:
+        for name, src in _sources(mesh, kappa, rng):
+            with monkeypatch.context() as patch:
+                # no star of depth <= 3 takes the sparse solve any more
+                patch.setattr(est.spla, "spsolve", None)
+                got = est.discrete_dual_norm(mesh, [z], src, kappa, depth)
+            ref = np.array([space.dual_norm(g.as_source(mesh, src), kappa)])
+            _assert_matches(got, ref, (label, depth, kappa, name))
+            if depth == 0 and mesh.boundary_vertex[z]:
+                assert got[0] == 0.0
+
+
+def test_one_star_per_batch_at_depth_3(monkeypatch):
+    mesh = _random_nvb()
+    problem = g.make_problem(mesh, 1e4, "sinsin")
+    src = g.data_minus(problem, project_pi(mesh, 1e4, problem.rhs))
+    vertices = np.arange(mesh.n_vertices)
+    monkeypatch.setattr(est, "_CHUNK_ENTRIES", 2**40)  # every star in one batch
+    batches = []
+    star_batch = est._star_batch
+    monkeypatch.setattr(est, "_star_batch",
+                        lambda mesh, centers, *args: batches.append(len(centers))
+                        or star_batch(mesh, centers, *args))
+    whole = est.discrete_dual_norm(mesh, vertices, src, 1e4, depth=3)
+    monkeypatch.setattr(est, "_CHUNK_ENTRIES", 1)
+    single = est.discrete_dual_norm(mesh, vertices, src, 1e4, depth=3)
+    assert batches == [mesh.n_vertices] + [1] * mesh.n_vertices
+    assert np.allclose(single, whole, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("label", ["lshape_24", "random-nvb"])
 def test_localize_check_local_norms_match_patch_space(label):
     mesh = dict(MESHES)[label]
