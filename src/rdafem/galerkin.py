@@ -46,12 +46,19 @@ class ScalarField:
     """Analytic scalar function, vectorized over point arrays.
 
     `value(x, y)` returns an array; `grad(x, y)`, when available, returns the
-    pair (d/dx, d/dy) of arrays.
+    pair (d/dx, d/dy) of arrays.  The data f of a preset also knows its
+    exact solution u (`exact`) and evaluates f, u, du/dx and du/dy at one
+    set of nodes in one `kernel(x, y)` call, which shares their common
+    factors and gives the bits of `value`, `exact.value` and `exact.grad`.
     """
 
-    def __init__(self, value, grad=None):
+    def __init__(self, value, grad=None, exact=None, kernel=None):
+        if (exact is None) != (kernel is None):
+            raise ValueError("an exact solution comes with the kernel of both")
         self.value = value
         self.grad = grad
+        self.exact = exact
+        self.kernel = kernel
 
 
 class DiscreteFunction:
@@ -232,7 +239,12 @@ def _sinsin(kappa):
                       pi * np.sin(pi * x) * np.cos(pi * y)),
     )
     c = 2.0 * pi**2 + kappa**2
-    f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y))
+
+    def kernel(x, y):
+        sx, cx, sy, cy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
+        return c * sx * sy, sx * sy, pi * cx * sy, pi * sx * cy
+
+    f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y), exact=u, kernel=kernel)
     return f, u
 
 
@@ -264,8 +276,15 @@ def _layer1d(kappa):
         return (-(k * (left - right) / scale) * np.sin(pi * y),
                 pi * (1.0 - (left + right) / scale) * np.cos(pi * y))
 
+    def kernel(x, y):
+        left, right = decays(x)
+        rest, sy, cy = 1.0 - (left + right) / scale, np.sin(pi * y), np.cos(pi * y)
+        return ((k**2 + pi**2 * rest) * sy, rest * sy,
+                -(k * (left - right) / scale) * sy, pi * rest * cy)
+
     u = ScalarField(lambda x, y: (1.0 - ratio(x)) * np.sin(pi * y), grad)
-    f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - ratio(x))) * np.sin(pi * y))
+    f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - ratio(x))) * np.sin(pi * y),
+                    exact=u, kernel=kernel)
     return f, u
 
 
@@ -360,29 +379,73 @@ def assemble(mesh, kappa):
 
 def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
     """One field integrated against the element quadrature of one mesh,
-    cached on it (`cached_rows`).
-
-    f is evaluated once, in blocks of elements, at the nodes of the rows
-    `new`.  A block's node values give one `node_sums` against seven weight
-    columns and are then dropped: `load[e, i] = <f, lam_i>_T`, the
+    cached on it (`_node_rows`): `load[e, i] = <f, lam_i>_T`, the
     contributions `field_load` scatters; `mean[e]`, the mean of f on T; and
     `dual[e, z] = <f, phi*_{z;T}>`, the pairings with the element duals of
     `dual_system`.
+
+    Where the field knows its exact solution u and the rule is one that
+    `error_rows` takes (degree 2 at least), the same pass fills u's
+    `error_rows` too: one entry, cached under both keys, carried along
+    bisection as one.
     """
-    rule = quadrature.simplex_rule(int(quad_degree))
-    # the weights of load, mean and dual side by side: one sum per node
-    weights = np.column_stack([rule.weights[:, None] * rule.points, rule.weights,
-                               element_dual_weights(rule)])
+    degree = int(quad_degree)
+    exact = field.exact if degree >= 2 else None
+    rows = _node_rows(mesh, ("field_rows", field, degree), degree, field, exact)
+    if exact is not None:
+        mesh.cache.setdefault(("error_rows", exact, degree), rows)
+    return rows
+
+
+def _node_rows(mesh, key, degree, field=None, exact=None):
+    """The rows of `field_rows` (given a field) and of `error_rows` (given an
+    exact solution) against the rule of one degree, cached on the mesh
+    under key (`cached_rows`).
+
+    The data are evaluated once, in blocks of elements, at the nodes of the
+    rows `new`: by the field's kernel where both are asked for (u is then
+    the field's own), else by `value` and `grad`.  A block's node values
+    give its `node_sums` and are then dropped.
+    """
+    rule = quadrature.simplex_rule(degree)
+    w = rule.weights
+    if field is not None:
+        # the weights of load, mean and dual side by side: one sum per node
+        weights = np.column_stack([w[:, None] * rule.points, w, element_dual_weights(rule)])
+    if exact is not None:
+        wsum = w.sum()
+        # c_T = u at the nodes @ proj: the rule's Gram matrix of the
+        # barycentrics, inverted, against the weighted barycentrics
+        lw = rule.points * w[:, None]
+        proj = np.linalg.solve(rule.points.T @ lw, lw.T).T
 
     def build(new):
         pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[new]])
-        sums = 2.0 * node_sums(field.value(pts[..., 0], pts[..., 1]), weights)
-        # against the 2|T| Jacobian: the mean is over |T|, duals' psi_z has 1/|T|
-        return {"load": mesh.areas[new, None] * sums[:, :3], "mean": sums[:, 3],
-                "dual": sums[:, 4:]}
+        x, y = pts[..., 0], pts[..., 1]
+        if field is not None and exact is not None:
+            f, u, gx, gy = field.kernel(x, y)
+        elif field is not None:
+            f = field.value(x, y)
+        else:
+            u, (gx, gy) = exact.value(x, y), exact.grad(x, y)
+        rows = {}
+        if field is not None:
+            sums = 2.0 * node_sums(f, weights)
+            # against the 2|T| Jacobian: the mean is over |T|, duals' psi_z has 1/|T|
+            rows.update(load=mesh.areas[new, None] * sums[:, :3], mean=sums[:, 3],
+                        dual=sums[:, 4:])
+        if exact is not None:
+            mx, my = node_sums(gx, w) / wsum, node_sums(gy, w) / wsum
+            jac = 2.0 * mesh.areas[new]
+            c = node_sums(u, proj)
+            rows.update(grad_mean=np.column_stack([mx, my]),
+                        grad_spread=jac * node_sums((gx - mx[:, None]) ** 2
+                                                    + (gy - my[:, None]) ** 2, w),
+                        proj=c,
+                        proj_residual=jac * node_sums((u - node_sums(c, rule.points.T)) ** 2, w))
+        return rows
 
-    return cached_rows(mesh, ("field_rows", field, int(quad_degree)), "elements", build,
-                       width=len(rule.weights))
+    return cached_rows(mesh, key, "elements", build, width=len(w))
 
 
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
@@ -645,7 +708,7 @@ def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
     """The part of the energy error of u - U that does not depend on U, per
     element of one mesh, for one exact solution u and one rule of degree 2
     at least (which integrates P1^2 exactly), cached on the mesh
-    (`cached_rows`).
+    (`_node_rows`; `field_rows` of data that know u fills it on the way).
 
     u and grad u are evaluated once, in blocks of elements, at the nodes of
     the rows `new`, and split orthogonally in the rule's inner product on
@@ -663,29 +726,7 @@ def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
     terms are nonnegative, so nothing cancels where the error is small.
     """
     degree = max(int(quad_degree), 2)
-    rule = quadrature.simplex_rule(degree)
-    w = rule.weights
-    wsum = w.sum()
-    # c_T = u at the nodes @ proj: the rule's Gram matrix of the
-    # barycentrics, inverted, against the weighted barycentrics
-    lw = rule.points * w[:, None]
-    proj = np.linalg.solve(rule.points.T @ lw, lw.T).T
-
-    def build(new):
-        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[new]])
-        x, y = pts[..., 0], pts[..., 1]
-        gx, gy = exact.grad(x, y)
-        mx, my = node_sums(gx, w) / wsum, node_sums(gy, w) / wsum
-        jac = 2.0 * mesh.areas[new]
-        u = exact.value(x, y)
-        c = node_sums(u, proj)
-        return {"grad_mean": np.column_stack([mx, my]),
-                "grad_spread": jac * node_sums((gx - mx[:, None]) ** 2
-                                               + (gy - my[:, None]) ** 2, w), "proj": c,
-                "proj_residual": jac * node_sums((u - node_sums(c, rule.points.T)) ** 2, w)}
-
-    return cached_rows(mesh, ("error_rows", exact, degree), "elements", build,
-                       width=len(w))
+    return _node_rows(mesh, ("error_rows", exact, degree), degree, exact=exact)
 
 
 def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):

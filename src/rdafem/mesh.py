@@ -117,11 +117,14 @@ class Mesh:
 
     The constructor is the one validator of its input (a MeshError names the
     first bad element, vertex or face); every array attribute is read-only.
+    The face geometry (`normals`, `face_len`, `h_face`) is built on its
+    first read, in one pass for all three.
 
     `cache` holds the row arrays of `cached_rows` and nothing else: per
     element the barycentric gradients (`element_bary_grads`), the load
     rows, means and element-dual pairings of a field (`field_rows`) and the
-    exact solution's part of the energy error (`error_rows`); per interior
+    exact solution's part of the energy error (`error_rows`), one entry
+    under both keys for a preset's data and solution; per interior
     face the squeeze factors and gamma coefficients of the face duals and
     the pairings of a field with the face bubbles (`dual_system`); per
     vertex the star oscillations (`estimator.all_oscillations`).  Its
@@ -169,7 +172,6 @@ class Mesh:
         self.areas = areas
         self.cache = {}
         self._build_topology()
-        self._build_geometry()
         self._freeze()
 
     def _freeze(self):
@@ -246,6 +248,14 @@ class Mesh:
         np.cumsum(np.bincount(flat, minlength=len(self.vertices)),
                   out=self.vertex_starts[1:])
 
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the face geometry is built
+        # on first read, since a solve never reads it
+        if name not in ("face_len", "h_face", "normals"):
+            raise AttributeError(f"'Mesh' object has no attribute '{name}'")
+        self._build_geometry()
+        return getattr(self, name)
+
     def _build_geometry(self):
         nf = len(self.faces)
         self.face_len, self.h_face = np.empty(nf), np.empty(nf)
@@ -266,6 +276,7 @@ class Mesh:
             mid -= (centroid + self.vertices[owner[:, 2]]) / 3.0
             normals[np.einsum("ij,ij->i", normals, mid) < 0.0] *= -1.0
             self.face_len[f], self.normals[f] = face_len, normals
+        self._freeze()
 
     # -- reuse along bisection --------------------------------------------
 
@@ -325,7 +336,12 @@ class Mesh:
     def audit(self):
         """Raise MeshError on a duplicate element or vertex, an unused vertex,
         a hanging vertex or an open boundary (construction checks the rest)."""
-        if _has_duplicate_rows(np.sort(self.elements, axis=1)):
+        # two elements are duplicates exactly when they share two faces (and
+        # so all three): an element's neighbours across its faces 0 and 1
+        # are then one element, and the sums of both faces' elements agree
+        f0, f1 = self.elem_faces[:, 0], self.elem_faces[:, 1]
+        if (self.interior_face[f0] & (self.face_elems[f0].sum(axis=1)
+                                      == self.face_elems[f1].sum(axis=1))).any():
             raise MeshError("duplicate element")
         used = np.zeros(self.n_vertices, dtype=bool)
         used[self.elements.ravel()] = True

@@ -4,7 +4,9 @@ None of them runs on the package's production path: closed-form integrals of
 barycentric monomials and a plain Gauss quadrature of a callable, the energy
 error per vertex star, a log-log decay rate, a mesh shape-regularity
 measure, the operator matrix on every vertex, and the per-vertex sums of
-the indicators and hat pairings by unbuffered `np.add.at` scatters.
+the indicators and hat pairings by unbuffered `np.add.at` scatters, the
+quadrature rows of a field and of an exact solution each from its own
+evaluation, and the face geometry of every face at once.
 """
 
 import math
@@ -13,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from rdafem.estimator import weight_elements, weight_faces
-from rdafem.galerkin import energy_error_sq_elements
+from rdafem.galerkin import element_dual_weights, energy_error_sq_elements
 from rdafem.mesh import bary_grads
-from rdafem.quadrature import DEFAULT_DEGREE, map_to_triangle, simplex_rule
+from rdafem.quadrature import (DEFAULT_DEGREE, map_points, map_to_triangle, node_sums,
+                               simplex_rule)
 
 
 def integrate_barycentric(area, exponents):
@@ -109,3 +112,49 @@ def pair_hats_add_at(functional):
     np.add.at(out, mesh.faces[idx, 0], half)
     np.add.at(out, mesh.faces[idx, 1], half)
     return out
+
+
+def field_rows_apart(mesh, field, degree):
+    """The load, mean and dual rows of `galerkin.field_rows`, from f alone
+    (`field.value`) at the nodes of every element at once."""
+    rule = simplex_rule(degree)
+    w = rule.weights
+    pts = map_points(rule, mesh.vertices[mesh.elements])
+    weights = np.column_stack([w[:, None] * rule.points, w, element_dual_weights(rule)])
+    sums = 2.0 * node_sums(field.value(pts[..., 0], pts[..., 1]), weights)
+    return {"load": mesh.areas[:, None] * sums[:, :3], "mean": sums[:, 3],
+            "dual": sums[:, 4:]}
+
+
+def error_rows_apart(mesh, exact, degree):
+    """The rows of `galerkin.error_rows` for the rule of a degree of 2 at
+    least, from `exact.value` and `exact.grad` alone at the nodes of every
+    element at once."""
+    rule = simplex_rule(degree)
+    w = rule.weights
+    pts = map_points(rule, mesh.vertices[mesh.elements])
+    x, y = pts[..., 0], pts[..., 1]
+    u, (gx, gy) = exact.value(x, y), exact.grad(x, y)
+    mx, my = node_sums(gx, w) / w.sum(), node_sums(gy, w) / w.sum()
+    lw = rule.points * w[:, None]
+    c = node_sums(u, np.linalg.solve(rule.points.T @ lw, lw.T).T)
+    jac = 2.0 * mesh.areas
+    return {"grad_mean": np.column_stack([mx, my]),
+            "grad_spread": jac * node_sums((gx - mx[:, None]) ** 2 + (gy - my[:, None]) ** 2, w),
+            "proj": c,
+            "proj_residual": jac * node_sums((u - node_sums(c, rule.points.T)) ** 2, w)}
+
+
+def face_geometry(mesh):
+    """face_len, h_face and normals (unit, from the lower adjacent element
+    to the higher, out of the domain on the boundary) of every face at once."""
+    p0, p1 = mesh.vertices[mesh.faces[:, 0]], mesh.vertices[mesh.faces[:, 1]]
+    tang = p1 - p0
+    face_len = np.sqrt(tang[:, 0] * tang[:, 0] + tang[:, 1] * tang[:, 1])
+    lo, hi = mesh.face_elems[:, 0], mesh.face_elems[:, 1]
+    h_face = np.where(hi >= 0, np.maximum(mesh.h_elem[lo], mesh.h_elem[hi]), mesh.h_elem[lo])
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / face_len[:, None]
+    owner = mesh.vertices[mesh.elements[lo]]
+    away = 0.5 * (p0 + p1) - (owner[:, 0] + owner[:, 1] + owner[:, 2]) / 3.0
+    normals[np.einsum("ij,ij->i", normals, away) < 0.0] *= -1.0
+    return {"face_len": face_len, "h_face": h_face, "normals": normals}

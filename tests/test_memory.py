@@ -1,9 +1,11 @@
 """Bounded memory on the solve path, and blocks that do not change a result.
 
 Every evaluation over the rows of a mesh runs in blocks of
-`mesh.BLOCK_POINTS` quadrature points (`mesh.row_blocks`): the areas, edge
-lengths, rotation, face keys and face geometry of a `Mesh`, the quadrature
-data of `field_rows`, `error_rows` and the face-bubble pairings, the
+`mesh.BLOCK_POINTS` (2^16) quadrature points (`mesh.row_blocks`): the
+areas, edge lengths, rotation and face keys of a `Mesh` and its face
+geometry, which is built on first read and so never by `rdafem solve`, the
+quadrature data of `field_rows` and `error_rows` (one pass for the data
+and exact solution of a preset) and of the face-bubble pairings, the
 barycentric gradients and face rows of the dual system, the local matrices
 and sums of `assemble`, the strength test and row maxima of the SA set-up,
 the per-element energies, the rows of `write_csv` and the hanging-vertex
@@ -25,6 +27,7 @@ from rdafem.mesh import (Mesh, bisect, load_mesh, save_mesh, uniform_refine,
 from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
 from memtrace import peak_bytes
+from oracles import face_geometry
 
 MB = 2**20
 NQ = len(simplex_rule(DEFAULT_DEGREE).weights)
@@ -91,7 +94,8 @@ def test_bisect_memory_bounded(square):
 
 
 def test_quadrature_rows_memory_bounded(square):
-    # peaks at 12.3 MB, of which the rows keep 7 MB
+    # peaks at 13.0 MB in the one pass of the data and the exact solution
+    # (12.3 MB in two passes), of which the rows keep 7 MB
     mesh = parentless(square)
     problem = g.make_problem(mesh, 1.0, "sinsin")
     peak, _ = peak_bytes(lambda: (g.field_rows(mesh, problem.rhs),
@@ -100,9 +104,10 @@ def test_quadrature_rows_memory_bounded(square):
 
 
 def test_mesh_file_memory_bounded(square, tmp_path):
-    # load_mesh peaks at 18.4 MB, of which the Mesh keeps 14.4 MB (24.8 MB
-    # with the topology and geometry of all rows at once); write_csv at 3.8
-    # MB, and writes what one format call per cell writes
+    # load_mesh peaks at 14.1 MB (17.4 MB with the face geometry built at
+    # once and duplicate elements found by sorting all triples, 24.8 MB with
+    # the topology and geometry of all rows at once); write_csv at 3.8 MB,
+    # and writes what one format call per cell writes
     path = tmp_path / "square.msh"
     save_mesh(square, str(path))
     peak, mesh = peak_bytes(lambda: load_mesh(str(path)))
@@ -118,8 +123,31 @@ def test_mesh_file_memory_bounded(square, tmp_path):
     assert (tmp_path / "u.csv").read_bytes() == want.encode()
 
 
+def test_solve_builds_no_face_geometry(tmp_path, monkeypatch):
+    # `rdafem solve` never reads the face geometry, so its mesh holds none;
+    # the first read builds all of it, read-only, as an eager build would
+    path = tmp_path / "mesh.msh"
+    save_mesh(uniform_refine(unit_square_crisscross(), 4), str(path))
+    loaded = []
+
+    def load(name):
+        loaded.append(load_mesh(name))
+        return loaded[-1]
+
+    monkeypatch.setattr(mesh_mod, "load_mesh", load)
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["solve", "--preset", "sinsin", "--mesh", str(path),
+                  "--out", str(tmp_path / "out")])
+    assert stop.value.code == cli.EXIT_OK
+    (mesh,) = loaded
+    assert not {"face_len", "h_face", "normals"} & vars(mesh).keys()
+    for name, want in face_geometry(mesh).items():
+        got = getattr(mesh, name)
+        assert not got.flags.writeable and np.array_equal(got, want), name
+
+
 def test_audit_memory_bounded(square):
-    # peaks at 4.0 MB: the hanging-vertex scan pairs boundary faces with
+    # peaks at 3.2 MB: the hanging-vertex scan pairs boundary faces with
     # boundary vertices in blocks
     peak, _ = peak_bytes(square.audit)
     assert peak < 8 * MB, peak

@@ -45,6 +45,7 @@ def test_every_mesh_array_is_read_only(tmp_path):
     save_mesh(uniform_refine(unit_square_crisscross(), 1), str(path))
     built = unit_square_crisscross()
     for m in (built, load_mesh(str(path)), bisect(built, [0])):
+        m.normals  # the face geometry is built on first read
         arrays = {name: a for name, a in vars(m).items() if isinstance(a, np.ndarray)}
         assert {"interior_face", "boundary_vertex", "h_elem", "h_face",
                 "face_len"} <= arrays.keys()
