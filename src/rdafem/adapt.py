@@ -82,12 +82,12 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
     most.  A solver failure or a non-finite record (which is dropped) ends
     the run, as `failed`; stop_reason says why it ended.
 
-    Each refined mesh takes the rows of the elements, faces and stars
-    bisection kept from the previous mesh's cached arrays (`cached_rows`:
-    the barycentric gradients, the face rows of the `DualSystem` and of the
-    field's face pairings, the load rows, element means and element-dual
-    pairings of the data, the exact solution's part of the energy error and
-    the star oscillations) and computes only the new rows.
+    `bisect` hands the previous mesh's cached arrays (the barycentric
+    gradients, the face rows of the `DualSystem` and of the field's face
+    pairings, the data's load rows, element means and element-dual pairings,
+    the exact solution's part of the energy error and the star oscillations)
+    down to the refined mesh, which takes the rows bisection kept and computes
+    only the new ones (`cached_rows`); the previous mesh goes at once.
     `repriced_elements` counts the element rows of the data priced,
     `repriced_faces` the face rows of the dual system, and `repriced_stars`
     the stars priced, None where oscillation was not priced: an iteration
@@ -100,13 +100,8 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
                         "refined meshes; a mesh-bound right-hand side cannot")
     report = RunReport(problem.kappa)
     kappa = problem.kappa
-    mesh = None
     for it in range(MAX_ITER):
-        # the previous mesh is held until the arrays cached on this mesh (the
-        # gradients and data rows in the solve, the dual system and its face
-        # pairings, the exact solution's rows of the energy error, the star
-        # oscillations) have taken their kept rows from it
-        parent, mesh = mesh, problem.mesh
+        mesh = problem.mesh
         t0 = time.perf_counter()
         system = galerkin.assemble(mesh, kappa)
         dofs = int(len(system.free))
@@ -152,7 +147,6 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
                 mesh.cache[oscillation_key(problem, depth, quad_degree)].new)
             record["oscillation"] = float(np.sqrt((osc**2).sum()))
             record["total"] = float(np.sqrt((E**2).sum() + (osc**2).sum()))
-        del parent
         if err is not None:
             record["error"] = err
             if err > 0.0:
@@ -181,8 +175,9 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
         record["n_marked_elements"] = int(len(elems))
         if keep_meshes:
             report.marked.append(elems)
-        refined = bisect(mesh, elems)
-        problem = problem.on_mesh(refined)
+        del U, system, interpolated  # the previous mesh goes with them
+        mesh = bisect(mesh, elems)
+        problem = problem.on_mesh(mesh)
         record["seconds"] = time.perf_counter() - t0
     else:
         report.stop_reason = "max_iter reached"

@@ -71,7 +71,7 @@ class DualSystem:
     row depends only on its face, the face's two elements and kappa, so the
     face rows, and the pairings of a field with the face bubbles, are
     `cached_rows` entries: on a mesh made by `bisect` only the rows of new
-    faces are computed while the parent mesh lives.
+    faces are computed.
     """
 
     def __init__(self, mesh, kappa, quad_degree=DEFAULT_DEGREE):

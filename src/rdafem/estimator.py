@@ -498,17 +498,12 @@ def _loads_key(field, ref):
 
 def star_loads(mesh, field, depth=2, quad_degree=DEFAULT_DEGREE):
     """Cache the field part of every element's sub-hat loads on mesh
-    (`cached_rows`) for the condensed depths, up to 3; no field, nothing.
-    The rows move down a bisection chain: once a child holds them its
-    parent's are dropped, so a run that keeps its meshes keeps one set."""
+    (`cached_rows`) for the condensed depths, up to 3; no field, nothing."""
     ref = _ref_blocks(int(depth), int(quad_degree))
     if field is not None and ref.star_nodes is not None:
-        key = _loads_key(field, ref)
-        cached_rows(mesh, key, "elements",
+        cached_rows(mesh, _loads_key(field, ref), "elements",
                     lambda new: {"loads": _field_loads(mesh, field, new, ref)},
                     width=2 * len(ref.quad_bary))
-        if mesh.parent is not None:
-            mesh.parent.cache.pop(key, None)
 
 
 # -- oscillation -----------------------------------------------------------------
@@ -526,8 +521,8 @@ def all_oscillations(problem, interpolated, depth=2, quad_degree=DEFAULT_DEGREE)
     and rule (`project_pi`).  The values of a field's data are cached on the
     mesh under `oscillation_key` (`cached_rows`): a star that contains no
     new element has the parent mesh's elements, and the faces through its
-    center keep their rows of the interpolation, so while the parent lives
-    its value is the parent's and only the other stars are priced.  Data
+    center keep their rows of the interpolation, so where the parent priced
+    them its value is the parent's and only the other stars are priced.  Data
     bound to the mesh (a PiecewiseFunctional) would keep the mesh alive
     from its own cache, so it is priced in full on every call.
     """

@@ -445,7 +445,8 @@ def _node_rows(mesh, key, degree, field=None, exact=None):
                         proj_residual=jac * node_sums((u - node_sums(c, rule.points.T)) ** 2, w))
         return rows
 
-    return cached_rows(mesh, key, "elements", build, width=len(w))
+    # u and grad u are three arrays per node where f alone is one: twice the width
+    return cached_rows(mesh, key, "elements", build, width=(1 + (exact is not None)) * len(w))
 
 
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):

@@ -14,9 +14,9 @@ as well, since every other module needs them.
 
 Data derived from a mesh is cached on it (`Mesh.cache`).  `bisect` keeps
 every unrefined element as it was, so its output records which of its
-elements and faces are unchanged from the parent mesh; `cached_rows` lets
-the arrays cached on the child take those rows from the parent's arrays
-and compute only the new ones.
+elements and faces are unchanged from the parent mesh, and it moves the
+parent's cached arrays to the child: the child's first lookup (`cached_rows`)
+takes those rows from them and computes only the new ones.
 """
 
 import io
@@ -128,7 +128,7 @@ class Mesh:
     face the squeeze factors and gamma coefficients of the face duals and
     the pairings of a field with the face bubbles (`dual_system`); per
     vertex the star oscillations (`estimator.all_oscillations`).  Its
-    entries hold arrays only, so the cache goes with the mesh.
+    entries hold arrays only, so the cache goes with the mesh or its child.
     """
 
     def __init__(self, vertices, elements, ref_edge_policy="longest"):
@@ -171,6 +171,7 @@ class Mesh:
         self.elements = elements
         self.areas = areas
         self.cache = {}
+        self._handed = {}  # the parent's entries, handed down by bisect
         self._build_topology()
         self._freeze()
 
@@ -206,9 +207,9 @@ class Mesh:
             a, b = elements[block][:, [1, 2, 0]], elements[block][:, [2, 0, 1]]
             key[block] = np.minimum(a, b) * nv + np.maximum(a, b)
         key = key.ravel()
-        # keys sort the faces lexicographically; the sort is stable, so the
-        # slots of one face, and so its owner elements, come out ascending
-        order = np.argsort(key, kind="stable")
+        # keys sort the faces lexicographically (the default sort: the two
+        # slots of a face may come out in either order)
+        order = np.argsort(key)
         key = key[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = key[1:] != key[:-1]
@@ -228,9 +229,12 @@ class Mesh:
             raise MeshError(f"face {tuple(self.faces[f].tolist())} shared by "
                             f"{counts[f]} elements (non-conforming)")
         self.interior_face = counts == 2
+        del counts
         face_elems = np.full((len(starts), 2), -1, dtype=np.int64)
         face_elems[:, 0] = order[starts] // 3
-        face_elems[self.interior_face, 1] = order[starts[self.interior_face] + 1] // 3
+        second = order[starts[self.interior_face] + 1] // 3
+        face_elems[self.interior_face, 1] = np.maximum(face_elems[self.interior_face, 0], second)
+        face_elems[self.interior_face, 0] = np.minimum(face_elems[self.interior_face, 0], second)
         self.face_elems = face_elems
         del order
 
@@ -243,7 +247,8 @@ class Mesh:
         # vertex_slots[vertex_starts[z]:vertex_starts[z + 1]], each one
         # 3 * element + local index, elements ascending
         flat = elements.ravel()
-        self.vertex_slots = np.argsort(flat, kind="stable")
+        # unique keys: the default sort gives the order of a stable one
+        self.vertex_slots = np.argsort(flat * len(flat) + np.arange(len(flat)))
         self.vertex_starts = np.zeros(len(self.vertices) + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=len(self.vertices)),
                   out=self.vertex_starts[1:])
@@ -543,20 +548,21 @@ def cached_rows(mesh, key, kind, build, width=None):
 
     A row belongs to an element, an interior face (in face order) or a
     vertex star: kind is "elements", "faces" or "stars".  build(new) returns
-    a dict name -> array of the rows listed in `new` (ascending).  While the
-    mesh this one was bisected from is alive and holds an entry under the
-    same key, `new` lists only the new elements, the faces next to one and
-    the stars that contain one, and every other row is the parent's: it
-    depends on its element, face or star alone, and `bisect` keeps those.
-    Given the `width` of its widest per-row array, build runs on each of
-    the `row_blocks` of `new`, treating each row alone, rounding included.
-    The entry holds the arrays, read-only, as attributes, and `new`.
+    a dict name -> array of the rows listed in `new` (ascending).  Where
+    `bisect` handed the mesh its parent's entry under key, `new` lists only
+    the new elements, the faces next to one and the stars that contain one,
+    and every other row is the parent's: it depends on its element, face or
+    star alone, and `bisect` keeps those.  Given the `width` of its widest
+    per-row array, build runs on each of the `row_blocks` of `new`, treating
+    each row alone, rounding included.  The entry holds the arrays,
+    read-only, as attributes, and `new`.
     """
     rows = mesh.cache.get(key)
     if rows is not None:
         return rows
-    parent = mesh.parent
-    old = None if parent is None else parent.cache.get(key)
+    old = mesh._handed.pop(key, None)
+    # an entry handed down under two keys is filled under one
+    mesh._handed = {k: entry for k, entry in mesh._handed.items() if entry is not old}
     if old is None:
         n = {"elements": mesh.n_elements, "faces": int(mesh.interior_face.sum()),
              "stars": mesh.n_vertices}[kind]
@@ -565,7 +571,7 @@ def cached_rows(mesh, key, kind, build, width=None):
         sources = mesh.parent_elements
     elif kind == "faces":
         kept = mesh.parent_faces[mesh.interior_face]
-        sources = np.where(kept >= 0, (np.cumsum(parent.interior_face) - 1)[kept], -1)
+        sources = np.where(kept >= 0, (np.cumsum(mesh._parent_interior) - 1)[kept], -1)
     else:
         # old vertices keep their ids, and every new vertex is in a new element
         sources = np.arange(mesh.n_vertices)
@@ -596,7 +602,8 @@ def bisect(mesh, marked_elements):
     `n_parent_vertices`, and the parent links of `Mesh.parent`: every
     unrefined element keeps its triple, and old vertices keep their indices
     and coordinates, so its rows of any element or face array are the
-    parent's.
+    parent's: its cache moves to the new mesh (`cached_rows`), and entries
+    handed to it and not looked up are dropped.
     """
     marked_elements = index_array(marked_elements, mesh.n_elements, "marked elements")
 
@@ -657,7 +664,9 @@ def bisect(mesh, marked_elements):
     out.parent_faces = np.full(out.n_faces, -1, dtype=np.int64)
     out.parent_faces[out.elem_faces[at]] = ef[kept]
     out.parent_faces[out.elem_faces[out.parent_elements < 0]] = -1
+    out._parent_interior = mesh.interior_face  # the parent's face rows
     out._freeze()
+    out._handed, mesh.cache, mesh._handed = mesh.cache, {}, {}
     return out
 
 

@@ -314,6 +314,19 @@ def test_study_reference_proxy_for_const1():
     assert all(r["effectivity"] > 0 for r in run.records)
 
 
+def test_kept_meshes_hold_no_rows_but_the_last():
+    # bisection moves a mesh's cached rows to its child, so a run or a study
+    # that keeps its meshes holds the rows of one mesh per run, not of each
+    problem = g.make_problem(uniform_refine(unit_square_2tri(), 2), 1e4, "layer1d")
+    run = adapt.adaptive_loop(problem, max_dof=300, keep_meshes=True)
+    study = adapt.robustness_study("const1", [1.0, 1e4], max_dof=150,
+                                   mesh=uniform_refine(unit_square_2tri(), 1))
+    assert run.meshes[-1].cache
+    for meshes in [run.meshes, *(r.meshes for r in study.runs.values())]:
+        assert len(meshes) >= 3
+        assert [m for m in meshes[:-1] if m.cache or m._handed] == []
+
+
 def test_reference_errors_requires_kept_meshes():
     m = uniform_refine(unit_square_2tri(), 1)
     problem = g.make_problem(m, 10.0, "sinsin")

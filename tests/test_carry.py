@@ -1,10 +1,10 @@
 """Rows carried along bisection chains against a fresh build.
 
-A mesh made by `bisect` takes the rows of its kept elements and faces from
-the arrays cached on its parent (the barycentric gradients, the dual system,
-the data at the element quadrature nodes, the field parts of the
-interpolation) and computes only the new rows; the star oscillations take
-the values of stars without a new element from the parent's, when the
+A mesh made by `bisect` takes over the arrays cached on its parent (the
+barycentric gradients, the dual system, the data at the element quadrature
+nodes, the field parts of the interpolation) with the rows of its kept
+elements and faces, and computes only the new rows; the star oscillations
+take the values of stars without a new element from the parent's, when the
 parent priced them at the same kappa and depth.  A parentless copy of the
 same mesh computes every row; both must agree, on random newest-vertex
 bisection chains over the corpus, for kappa across 1e-8 ... 1e10 and for
@@ -154,9 +154,13 @@ def test_child_holds_its_parent_weakly():
     ref = weakref.ref(mesh)
     del mesh
     assert ref() is None and child.parent is None
-    # with the parent gone, every row is priced fresh
+    # the child took the parent's rows at bisection: with the parent gone it
+    # still builds only its new rows, and its rows are those of a fresh build
     system = get_dual_system(child, 1.0)
-    assert new_faces(system) == len(system.iface)
+    fresh = get_dual_system(Mesh(child.vertices, child.elements, ref_edge_policy="asis"), 1.0)
+    assert 0 < new_faces(system) < len(system.iface) == new_faces(fresh)
+    for name in SYSTEM_ARRAYS:
+        assert np.array_equal(getattr(system, name), getattr(fresh, name)), name
 
 
 ERROR_ARRAYS = ("grad_mean", "grad_spread", "proj", "proj_residual")

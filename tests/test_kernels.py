@@ -249,8 +249,8 @@ def ref_energy_error(problem, U):
 @pytest.mark.parametrize("preset", ["sinsin", "layer1d"])
 @pytest.mark.parametrize("kappa", [1e-8, 1.0, 1e4, 1e10])
 def test_energy_error_split_matches_the_pointwise_formula(preset, kappa):
-    # a parentless mesh, then children that carry the exact solution's rows
-    # from a live parent
+    # a parentless mesh, then children that carry the exact solution's rows,
+    # handed down to them by bisection
     rng = np.random.default_rng(3)
     parent, mesh = None, uniform_refine(unit_square_2tri(), 4)
     problem = g.make_problem(mesh, kappa, preset)
@@ -259,9 +259,10 @@ def test_energy_error_split_matches_the_pointwise_formula(preset, kappa):
         U = g.solve(problem)
         assert_close(g.energy_error_sq_elements(problem, U), ref_energy_error(problem, U))
         if parent is not None:
-            assert mesh.parent is parent
-            assert ("error_rows", problem.exact, DEFAULT_DEGREE) in parent.cache
-            assert 0 < (mesh.parent_elements >= 0).sum() < mesh.n_elements
+            # the parent holds no rows; the child built those of its new elements
+            assert mesh.parent is parent and not parent.cache
+            rows = mesh.cache[("error_rows", problem.exact, DEFAULT_DEGREE)]
+            assert 0 < len(rows.new) == (mesh.parent_elements < 0).sum() < mesh.n_elements
         marks = rng.choice(mesh.n_elements, mesh.n_elements // 5, replace=False)
         parent, mesh = mesh, bisect(mesh, marks)
 

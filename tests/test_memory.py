@@ -18,7 +18,7 @@ bit for bit, and so do carried rows and a parentless build.
 import numpy as np
 import pytest
 
-from rdafem import cli
+from rdafem import adapt, cli
 from rdafem import dual_system as ds
 from rdafem import galerkin as g
 from rdafem import mesh as mesh_mod
@@ -94,8 +94,9 @@ def test_bisect_memory_bounded(square):
 
 
 def test_quadrature_rows_memory_bounded(square):
-    # peaks at 13.0 MB in the one pass of the data and the exact solution
-    # (12.3 MB in two passes), of which the rows keep 7 MB
+    # peaks at 10.8 MB in the one pass of the data and the exact solution,
+    # its blocks sized for both (13.0 MB in blocks sized for one pass alone,
+    # 12.3 MB in two passes), of which the rows keep 7 MB
     mesh = parentless(square)
     problem = g.make_problem(mesh, 1.0, "sinsin")
     peak, _ = peak_bytes(lambda: (g.field_rows(mesh, problem.rhs),
@@ -151,6 +152,17 @@ def test_audit_memory_bounded(square):
     # boundary vertices in blocks
     peak, _ = peak_bytes(square.audit)
     assert peak < 8 * MB, peak
+
+
+def test_adaptive_loop_memory_bounded():
+    # oscillation priced every iteration, layer1d kappa = 1e4 to 3,141 dofs
+    # (27 iterations): peaks at 8.7 MB, the previous mesh dropped at
+    # bisection and its rows handed down; 11.5 MB with the previous mesh
+    # and its rows held until the oscillation had taken its kept rows
+    problem = g.make_problem(uniform_refine(unit_square_crisscross(), 2), 1e4, "layer1d")
+    peak, run = peak_bytes(lambda: adapt.adaptive_loop(problem, max_dof=3000))
+    assert peak < 10 * MB, peak
+    assert run.final["dofs"] == 3141 and run.final["oscillation"] is not None
 
 
 # -- blocks of any size, and carried rows, give the same arrays -------------------

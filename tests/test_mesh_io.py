@@ -308,6 +308,9 @@ def test_areas_are_those_of_the_stored_corners(tmp_path):
         for name, value in vars(fresh).items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(mesh, name), value), name
+        # the face geometry is built on its first read, so not in vars
+        for name in ("normals", "face_len", "h_face"):
+            assert np.array_equal(getattr(mesh, name), getattr(fresh, name)), name
 
 
 # -- the whole-file path for plain files ------------------------------------------
