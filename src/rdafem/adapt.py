@@ -38,7 +38,8 @@ def star_union(mesh, vertices):
     """All elements touching any of the given vertices."""
     mask = np.zeros(mesh.n_vertices, dtype=bool)
     mask[vertices] = True
-    return np.nonzero(mask[mesh.elements].any(axis=1))[0]
+    touch = mask.take(mesh.elements)
+    return np.nonzero(touch[:, 0] | touch[:, 1] | touch[:, 2])[0]
 
 
 class RunReport:

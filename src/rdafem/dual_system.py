@@ -52,7 +52,7 @@ def dual_faces_key(kappa, quad_degree):
 
 def _apex(mesh, faces, adj):
     """Local index of the vertex opposite faces (n,) in their elements adj (n, 2)."""
-    return np.argmax(mesh.elem_faces[adj] == faces[:, None, None], axis=2)
+    return np.argmax(mesh.elem_faces.take(adj, axis=0) == faces[:, None, None], axis=2)
 
 
 # -- assembled system and the interpolation -----------------------------------
@@ -79,7 +79,7 @@ class DualSystem:
         self.kappa = float(kappa)
         self.quad_degree = int(quad_degree)
         self.iface = np.nonzero(mesh.interior_face)[0]
-        self.adj = mesh.face_elems[self.iface]  # (nfi, 2), lower first
+        self.adj = mesh.face_elems.take(self.iface, axis=0)  # (nfi, 2), lower first
         rows = cached_rows(mesh, dual_faces_key(kappa, quad_degree), "faces",
                            self._build_faces, width=6)
         self.thetas, self.gammas = rows.thetas, rows.gammas
@@ -87,11 +87,11 @@ class DualSystem:
     def _build_faces(self, new):
         """theta and gamma of the interior faces at rows `new`."""
         mesh = self.mesh
-        faces = self.iface[new]
-        adj = self.adj[new]
-        thetas = theta_factor(mesh.h_elem[adj], self.kappa)  # (nfi, 2)
+        faces = self.iface.take(new)
+        adj = self.adj.take(new, axis=0)
+        thetas = theta_factor(mesh.h_elem.take(adj), self.kappa)  # (nfi, 2)
         # gamma at the corners (v0, v1, apex); local vertex z is corner z - apex - 1
-        scale = thetas * mesh.areas[adj] / (10.0 * mesh.face_len[faces][:, None])
+        scale = thetas * mesh.areas.take(adj) / (10.0 * mesh.face_len.take(faces)[:, None])
         corner = scale[..., None] * np.stack(
             [3.0 - thetas, np.full_like(thetas, 2.0), thetas], axis=-1)
         order = (np.arange(3) - _apex(mesh, faces, adj)[..., None] + 2) % 3
@@ -121,9 +121,9 @@ class DualSystem:
             # a P1 density d pairs with psi_F to sum_z d_z gamma_{z;T}; the
             # trace of psi_F integrates to one over F and to zero elsewhere
             out += (np.einsum("fsz,fsz->f", self.gammas,
-                              f.piecewise.cell_density[self.adj])
-                    + f.piecewise.face_density[self.iface])
-        out -= np.einsum("fsz,fsz->f", self.gammas, elem_pairs[self.adj])
+                              f.piecewise.cell_density.take(self.adj, axis=0))
+                    + f.piecewise.face_density.take(self.iface))
+        out -= np.einsum("fsz,fsz->f", self.gammas, elem_pairs.take(self.adj, axis=0))
         return out
 
     def _psi_pair_field(self, field):
@@ -135,18 +135,17 @@ class DualSystem:
         bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
 
         def build(new):
-            faces, adj, thetas = self.iface[new], self.adj[new], self.thetas[new]
+            faces, adj, thetas = (a.take(new, 0) for a in (self.iface, self.adj, self.thetas))
             # corners (v0, v1, apex) of each side, the apex squeezed toward F
             apex = _apex(mesh, faces, adj)[..., None]
-            tri = np.take_along_axis(mesh.elements[adj], (apex + [1, 2, 0]) % 3, axis=2)
-            p0, p1, pA = np.moveaxis(mesh.vertices[tri], 2, 0)
+            tri = np.take_along_axis(mesh.elements.take(adj, axis=0), (apex + [1, 2, 0]) % 3, 2)
+            p0, p1, pA = np.moveaxis(mesh.vertices.take(tri, axis=0), 2, 0)
             th = thetas[..., None]
             squeezed = np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2)
             pts = quadrature.map_points(rule, squeezed)
             fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-            jac = 2.0 * thetas * mesh.areas[adj]
-            return {"pairs": 6.0 / mesh.face_len[faces] * (
-                node_sums(fv, bubble_w) * jac).sum(axis=1)}
+            sides = node_sums(fv, bubble_w) * (2.0 * thetas * mesh.areas.take(adj))
+            return {"pairs": 6.0 / mesh.face_len.take(faces) * (sides[:, 0] + sides[:, 1])}
 
         # f at the squeezed points of both sides, in blocks of faces
         return cached_rows(mesh, ("psi_pairs", field, self.kappa, self.quad_degree),

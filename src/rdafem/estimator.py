@@ -106,11 +106,11 @@ def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
         f_mean = problem.rhs.cell_density.mean(axis=1)
     else:
         f_mean = field_rows(mesh, problem.rhs, quad_degree).mean
-    coeffs = f_mean[:, None] - kappa**2 * U.values[mesh.elements]
+    coeffs = f_mean[:, None] - kappa**2 * U.values.take(mesh.elements)
     vol = weight_elements(mesh, kappa) ** 2 * _p1_mass_sq(mesh.areas, coeffs)
     jumps_sq = grad_jumps(mesh, U) ** 2 * mesh.face_len * weight_faces(mesh, kappa)
-    jump_part = 0.5 * jumps_sq[mesh.elem_faces] * mesh.interior_face[mesh.elem_faces]
-    return vol + jump_part.sum(axis=1)
+    jump = 0.5 * jumps_sq.take(mesh.elem_faces) * mesh.interior_face.take(mesh.elem_faces)
+    return vol + (jump[:, 0] + jump[:, 1] + jump[:, 2])
 
 
 # -- P1 spaces on red-refined patches -------------------------------------------
@@ -276,7 +276,7 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     # stars in the order of their lowest element, so that a batch shares
     # most of its parents (bisection numbers children next to each other)
     perm = np.argsort(mesh.vertex_slots[starts[vertices]], kind="stable")
-    vertices = vertices[perm]
+    vertices = vertices.take(perm)
     valence = starts[vertices + 1] - starts[vertices]
     inner_faces = np.bincount(mesh.faces[mesh.interior_face].ravel(),
                               minlength=mesh.n_vertices)[vertices]
@@ -340,11 +340,11 @@ def _star_batch(mesh, centers, g, kappa, ref):
     np.cumsum(k, out=first[1:])
     rank = np.arange(len(star)) - first[star]
     elem, iz = np.divmod(mesh.vertex_slots[starts[centers][star] + rank], 3)
-    ef = mesh.elem_faces[elem]
+    ef, tri = (a.take(elem, axis=0) for a in (mesh.elem_faces, mesh.elements))
 
     # interior faces through the center, numbered per star in face-id order
     nf = mesh.n_faces
-    through = (np.arange(3) != iz[:, None]) & mesh.interior_face[ef]
+    through = (np.arange(3) != iz[:, None]) & mesh.interior_face.take(ef)
     keys = star[:, None] * nf + ef
     faces = np.unique(keys[through])
     bounds = np.searchsorted(faces, np.arange(ns + 1) * nf)
@@ -361,7 +361,7 @@ def _star_batch(mesh, centers, g, kappa, ref):
     fl = ref.face_local
     local[:, ref.face_cols] = np.where(
         through[:, fl],
-        center[star][:, None] + slot[:, fl] * m + _face_steps(mesh.elements[elem], ref),
+        center[star][:, None] + slot[:, fl] * m + _face_steps(tri, ref),
         -1)
     parents, parent_of = np.unique(elem, return_inverse=True)
     weights = _parent_weights(mesh, parents, kappa)
@@ -374,7 +374,7 @@ def _star_batch(mesh, centers, g, kappa, ref):
     else:
         schur, cond, interior = _condense(ref, weights, loads)
         pos, at = ref.star_nodes[iz], parent_of[:, None]
-        energy = np.bincount(star, interior[parent_of], ns) + _patch_energies(
+        energy = np.bincount(star, interior.take(parent_of), ns) + _patch_energies(
             n, star, np.take_along_axis(local[:, ref.boundary], pos, axis=1),
             ref.star_rows, ref.star_cols,
             schur[at[:, :, None], pos[:, :, None], pos[:, None, :]].reshape(len(star), -1),
@@ -457,10 +457,10 @@ def _patch_energies(n, patch, local, rows, cols, vals, loads):
 
 def _parent_weights(mesh, parents, kappa):
     """(cot theta_0, cot theta_1, cot theta_2, kappa^2 |T|) per parent."""
-    p = mesh.vertices[mesh.elements[parents]]
-    u = p[:, [1, 2, 0]] - p
-    v = p[:, [2, 0, 1]] - p
-    area = mesh.areas[parents]
+    p = mesh.element_coords(parents)
+    u = p.take([1, 2, 0], axis=1) - p
+    v = p.take([2, 0, 1], axis=1) - p
+    area = mesh.areas.take(parents)
     cot = np.einsum("pkx,pkx->pk", u, v) / (2.0 * area[:, None])
     return np.column_stack([cot, kappa**2 * area])
 
@@ -471,25 +471,25 @@ def _parent_loads(mesh, g, parents, ref):
     Each side of a face carries half of the face's line source, so a face
     inside a patch gets all of it.
     """
-    area = mesh.areas[parents]
+    area = mesh.areas.take(parents)
     out = np.zeros((len(parents), ref.n_nodes))
     if g.field is not None:
         rows = mesh.cache.get(_loads_key(g.field, ref))
         out += (_field_loads(mesh, g.field, parents, ref) if rows is None
-                else rows.loads[parents])
+                else rows.loads.take(parents, axis=0))
     if g.piecewise is not None:
-        out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
-        ef = mesh.elem_faces[parents]
-        out += (0.5 * g.piecewise.face_density[ef] * mesh.face_len[ef]) @ ref.face_line
+        out += area[:, None] * (g.piecewise.cell_density.take(parents, axis=0) @ ref.mass_bary)
+        ef = mesh.elem_faces.take(parents, axis=0)
+        out += (0.5 * g.piecewise.face_density.take(ef) * mesh.face_len.take(ef)) @ ref.face_line
     return out
 
 
 def _field_loads(mesh, field, parents, ref):
     """<f, sub-hat> for every template vertex of every parent, each parent
     alone (rounding included), so that cached rows carry across bisection."""
-    pts = ref.quad_bary @ mesh.vertices[mesh.elements[parents]]
+    pts = ref.quad_bary @ mesh.element_coords(parents)
     fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
-    return mesh.areas[parents, None] * (ref.field_weights @ fv.T).T
+    return mesh.areas.take(parents)[:, None] * (ref.field_weights @ fv.T).T
 
 
 def _loads_key(field, ref):

@@ -94,7 +94,7 @@ class DiscreteFunction:
             bary, elements = element_bary_grads(self.mesh), self.mesh.elements
             grads = np.empty((len(elements), 2))
             for block in row_blocks(len(elements), 6):
-                grads[block] = np.einsum("ei,eix->ex", self._values[elements[block]],
+                grads[block] = np.einsum("ei,eix->ex", self._values.take(elements[block]),
                                          bary[block])
             grads.setflags(write=False)
             self._gradients = grads
@@ -312,7 +312,7 @@ def make_problem(mesh, kappa, preset):
     if preset == "layer1d":
         outside = np.nonzero(((mesh.vertices < 0.0) | (mesh.vertices > 1.0)).any(axis=1))[0]
         if outside.size:
-            x, y = mesh.vertices[outside[0]]
+            x, y = mesh.vertices.take(outside[0], axis=0)
             raise MeshError(f"preset 'layer1d' is posed on the unit square, but vertex "
                             f"{outside[0]} at ({x:g}, {y:g}) lies outside [0, 1]^2")
     problem = Problem(mesh, kappa, None, name=preset)  # checks kappa first
@@ -339,7 +339,7 @@ def element_bary_grads(mesh):
     mesh (`cached_rows`): a bisected mesh takes the rows of its kept
     elements from its parent."""
     return cached_rows(mesh, ("bary_grads",), "elements", lambda new: {
-        "grads": bary_grads(mesh.vertices[mesh.elements[new]])}, width=6).grads
+        "grads": bary_grads(mesh.element_coords(new))}, width=6).grads
 
 
 def assemble(mesh, kappa):
@@ -358,11 +358,14 @@ def assemble(mesh, kappa):
     data, indices, counts = [], [], []
     for rows in row_blocks(mesh.n_vertices, 9 * int(np.diff(starts).max())):
         bounds = starts[rows.start:rows.stop + 1]
-        e, i = np.divmod(slots[bounds[0]:bounds[-1]], 3)
-        gi, ge, area = g[e, i], g[e], mesh.areas[e, None]
+        slot = slots[bounds[0]:bounds[-1]]
+        e, i = np.divmod(slot, 3)
+        gi, ge = g.reshape(-1, 2).take(slot, axis=0), g.take(e, axis=0)
+        area = mesh.areas[e, None]
         stiff = (gi[:, None, 0] * ge[:, :, 0] + gi[:, None, 1] * ge[:, :, 1]) * area
         mass = (1.0 + (i[:, None] == np.arange(3))) * (area / 12.0)
-        local = sp.csr_matrix(((stiff + kappa**2 * mass).ravel(), mesh.elements[e].ravel(),
+        cols = mesh.elements.take(e, axis=0).ravel()
+        local = sp.csr_matrix(((stiff + kappa**2 * mass).ravel(), cols,
                                3 * (bounds - bounds[0])), shape=(len(bounds) - 1, len(dof)))
         local.sum_duplicates()
         row = np.repeat(np.arange(len(bounds) - 1), np.diff(local.indptr))
@@ -420,7 +423,7 @@ def _node_rows(mesh, key, degree, field=None, exact=None):
         proj = np.linalg.solve(rule.points.T @ lw, lw.T).T
 
     def build(new):
-        pts = quadrature.map_points(rule, mesh.vertices[mesh.elements[new]])
+        pts = quadrature.map_points(rule, mesh.element_coords(new))
         x, y = pts[..., 0], pts[..., 1]
         if field is not None and exact is not None:
             f, u, gx, gy = field.kernel(x, y)
@@ -432,11 +435,11 @@ def _node_rows(mesh, key, degree, field=None, exact=None):
         if field is not None:
             sums = 2.0 * node_sums(f, weights)
             # against the 2|T| Jacobian: the mean is over |T|, duals' psi_z has 1/|T|
-            rows.update(load=mesh.areas[new, None] * sums[:, :3], mean=sums[:, 3],
+            rows.update(load=mesh.areas.take(new)[:, None] * sums[:, :3], mean=sums[:, 3],
                         dual=sums[:, 4:])
         if exact is not None:
             mx, my = node_sums(gx, w) / wsum, node_sums(gy, w) / wsum
-            jac = 2.0 * mesh.areas[new]
+            jac = 2.0 * mesh.areas.take(new)
             c = node_sums(u, proj)
             rows.update(grad_mean=np.column_stack([mx, my]),
                         grad_spread=jac * node_sums((gx - mx[:, None]) ** 2
@@ -650,8 +653,8 @@ def grad_jumps(mesh, U):
         grads = U.element_gradients()
         out = np.zeros(mesh.n_faces)
         idx = np.nonzero(mesh.interior_face)[0]
-        lo, hi = mesh.face_elems[idx, 0], mesh.face_elems[idx, 1]
-        out[idx] = np.einsum("fx,fx->f", grads[lo] - grads[hi], mesh.normals[idx])
+        adj = grads.take(mesh.face_elems.take(idx, axis=0), axis=0)
+        out[idx] = np.einsum("fx,fx->f", adj[:, 0] - adj[:, 1], mesh.normals.take(idx, axis=0))
         out.setflags(write=False)
         U._jumps = out
     return U._jumps
@@ -664,7 +667,7 @@ def apply_operator(mesh, kappa, U):
     gives <L(U), v> = sum_T int_T kappa^2 U v + sum_F jump_F int_F v, so the
     representation has cell density kappa^2 * U and face density grad_jumps.
     """
-    cell = kappa**2 * U.values[mesh.elements]
+    cell = kappa**2 * U.values.take(mesh.elements)
     return PiecewiseFunctional(mesh, cell, grad_jumps(mesh, U))
 
 
@@ -673,7 +676,8 @@ def apply_operator(mesh, kappa, U):
 
 def _p1_mass_sq(areas, vals):
     # int_T (sum v_i lam_i)^2 = |T|/12 * (sum v_i^2 + (sum v_i)^2)
-    return areas / 12.0 * ((vals**2).sum(axis=1) + vals.sum(axis=1) ** 2)
+    v0, v1, v2 = vals[:, 0], vals[:, 1], vals[:, 2]
+    return areas / 12.0 * ((v0 * v0 + v1 * v1 + v2 * v2) + (v0 + v1 + v2) ** 2)
 
 
 # |T| psi_z for the element duals phi*_{z;T} = psi_z b_T, the same on every
@@ -696,7 +700,7 @@ def energy_norm_sq_elements(mesh, kappa, v):
     grads, out = v.element_gradients(), np.empty(mesh.n_elements)
     for e in row_blocks(mesh.n_elements, 3):
         e2 = mesh.areas[e] * np.einsum("ex,ex->e", grads[e], grads[e])
-        out[e] = e2 + kappa**2 * _p1_mass_sq(mesh.areas[e], v.values[mesh.elements[e]])
+        out[e] = e2 + kappa**2 * _p1_mass_sq(mesh.areas[e], v.values.take(mesh.elements[e]))
     return out
 
 
@@ -742,7 +746,7 @@ def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
         dg = rows.grad_mean[e] - grads[e]
         grad_part = rows.grad_spread[e] + mesh.areas[e] * (dg[:, 0] ** 2 + dg[:, 1] ** 2)
         mass_part = rows.proj_residual[e] + _p1_mass_sq(
-            mesh.areas[e], rows.proj[e] - U.values[mesh.elements[e]])
+            mesh.areas[e], rows.proj[e] - U.values.take(mesh.elements[e]))
         out[e] = grad_part + problem.kappa**2 * mass_part
     return out
 

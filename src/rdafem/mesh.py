@@ -17,6 +17,10 @@ every unrefined element as it was, so its output records which of its
 elements and faces are unchanged from the parent mesh, and it moves the
 parent's cached arrays to the child: the child's first lookup (`cached_rows`)
 takes those rows from them and computes only the new ones.
+
+Rows are gathered with `take`, scattered with `scatter_rows` and, two or three
+wide, reduced column by column: NumPy's indexing and short-axis reductions
+take slower paths to the same bits.
 """
 
 import io
@@ -52,6 +56,17 @@ def index_array(indices, n, what):
     return indices
 
 
+def scatter_rows(out, idx, rows):
+    """out[idx] = rows, each row written as one void item (NumPy copies it
+    faster than a row's entries); out is C-contiguous, and no rows, no write."""
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_rows writes to C-contiguous rows only")
+    if len(rows):
+        row = np.dtype((np.void, out[0].nbytes))
+        rows = np.ascontiguousarray(rows, dtype=out.dtype).reshape(len(rows), -1)
+        out.reshape(len(out), -1).view(row)[idx, 0] = rows.view(row)[:, 0]
+
+
 def signed_areas(p):
     """Signed areas of triangles with corners p, (..., 3, 2) -> (...)."""
     return 0.5 * (
@@ -66,16 +81,16 @@ def bary_grads(p):
     Entry [..., i, :] is the gradient of the coordinate of corner i: the edge
     opposite corner i turned by a quarter, over twice the signed area.
     """
-    edges = p[..., [2, 0, 1], :] - p[..., [1, 2, 0], :]
+    edges = p.take([2, 0, 1], axis=-2) - p.take([1, 2, 0], axis=-2)
     g = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
     return g / (2.0 * signed_areas(p))[..., None, None]
 
 
-def _edge_lengths(vertices, elements):
-    """Length of the edge opposite each corner of every element, (ne, 3)."""
-    out = np.empty(elements.shape)
+def _edge_lengths(p):
+    """Length of the edge opposite each corner of triangles p (ne, 3, 2), (ne, 3)."""
+    out = np.empty(p.shape[:2])
     for i in range(3):
-        d = vertices[elements[:, (i + 2) % 3]] - vertices[elements[:, (i + 1) % 3]]
+        d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         out[:, i] = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     return out
 
@@ -86,7 +101,7 @@ def _nonfinite_vertex(vertices):
     if not bad.size:
         return None
     v = int(bad[0])
-    return v, f"vertex {v} has non-finite coordinates {tuple(vertices[v].tolist())}"
+    return v, f"vertex {v} has non-finite coordinates {tuple(vertices.take(v, axis=0).tolist())}"
 
 
 def _has_duplicate_rows(a):
@@ -149,7 +164,7 @@ class Mesh:
 
         areas = np.empty(len(elements))
         for block in row_blocks(len(elements), 6):
-            areas[block] = signed_areas(vertices[elements[block]])
+            areas[block] = signed_areas(vertices.take(elements[block], axis=0))
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
             raise MeshError(f"element {bad[0]} is not counter-clockwise")
@@ -161,13 +176,14 @@ class Mesh:
         if ref_edge_policy == "longest":
             elements = elements.copy()
         for block in row_blocks(len(elements), 6):
-            edge_len = _edge_lengths(vertices, elements[block])
-            self.h_elem[block] = edge_len.max(axis=1)
+            edge_len = _edge_lengths(vertices.take(elements[block], axis=0))
+            np.maximum(np.maximum(edge_len[:, 0], edge_len[:, 1]), edge_len[:, 2],
+                       out=self.h_elem[block])
             if ref_edge_policy == "longest":
                 rotated, turned = self._rotate_longest(elements[block], edge_len)
                 elements[block] = rotated
                 # rotated corners can round the area differently in the last bit
-                areas[block][turned] = signed_areas(vertices[rotated[turned]])
+                areas[block][turned] = signed_areas(vertices.take(rotated[turned], axis=0))
         self.elements = elements
         self.areas = areas
         self.cache = {}
@@ -210,7 +226,7 @@ class Mesh:
         # keys sort the faces lexicographically (the default sort: the two
         # slots of a face may come out in either order)
         order = np.argsort(key)
-        key = key[order]
+        key = key.take(order)
         first = np.ones(len(order), dtype=bool)
         first[1:] = key[1:] != key[:-1]
         starts = np.nonzero(first)[0]
@@ -231,7 +247,7 @@ class Mesh:
         self.interior_face = counts == 2
         del counts
         face_elems = np.full((len(starts), 2), -1, dtype=np.int64)
-        face_elems[:, 0] = order[starts] // 3
+        face_elems[:, 0] = order.take(starts) // 3
         second = order[starts[self.interior_face] + 1] // 3
         face_elems[self.interior_face, 1] = np.maximum(face_elems[self.interior_face, 0], second)
         face_elems[self.interior_face, 0] = np.minimum(face_elems[self.interior_face, 0], second)
@@ -266,19 +282,17 @@ class Mesh:
         self.face_len, self.h_face = np.empty(nf), np.empty(nf)
         self.normals = np.empty((nf, 2))
         for f in row_blocks(nf, 6):
-            p0, p1 = self.vertices[self.faces[f, 0]], self.vertices[self.faces[f, 1]]
+            p0, p1 = self.vertices.take(self.faces[f], axis=0).transpose(1, 0, 2)
             tang = p1 - p0
             face_len = np.sqrt(tang[:, 0] * tang[:, 0] + tang[:, 1] * tang[:, 1])
             adjacent = self.face_elems[f]
-            self.h_face[f] = np.where(adjacent[:, 1] >= 0, np.maximum(
-                self.h_elem[adjacent[:, 0]], self.h_elem[adjacent[:, 1]]),
-                self.h_elem[adjacent[:, 0]])
+            h = self.h_elem.take(adjacent)  # a boundary face's -1 reads a row np.where drops
+            self.h_face[f] = np.where(adjacent[:, 1] >= 0, np.maximum(h[:, 0], h[:, 1]), h[:, 0])
             normals = np.column_stack([tang[:, 1], -tang[:, 0]])
             normals /= face_len[:, None]
             mid = 0.5 * (p0 + p1)
-            owner = self.elements[adjacent[:, 0]]
-            centroid = self.vertices[owner[:, 0]] + self.vertices[owner[:, 1]]
-            mid -= (centroid + self.vertices[owner[:, 2]]) / 3.0
+            owner = self.element_coords(adjacent[:, 0])
+            mid -= (owner[:, 0] + owner[:, 1] + owner[:, 2]) / 3.0
             normals[np.einsum("ij,ij->i", normals, mid) < 0.0] *= -1.0
             self.face_len[f], self.normals[f] = face_len, normals
         self._freeze()
@@ -317,7 +331,7 @@ class Mesh:
         return np.nonzero(~self.boundary_vertex)[0]
 
     def element_coords(self, e):
-        return self.vertices[self.elements[e]]
+        return self.vertices.take(self.elements.take(e, axis=0), axis=0)
 
     def barycentric(self, e, points):
         """Barycentric coordinates of (n, 2) points w.r.t. element e."""
@@ -344,9 +358,9 @@ class Mesh:
         # two elements are duplicates exactly when they share two faces (and
         # so all three): an element's neighbours across its faces 0 and 1
         # are then one element, and the sums of both faces' elements agree
-        f0, f1 = self.elem_faces[:, 0], self.elem_faces[:, 1]
-        if (self.interior_face[f0] & (self.face_elems[f0].sum(axis=1)
-                                      == self.face_elems[f1].sum(axis=1))).any():
+        f0 = self.elem_faces[:, 0]
+        e0, e1 = (self.face_elems.take(self.elem_faces[:, i], axis=0) for i in (0, 1))
+        if (self.interior_face.take(f0) & (e0[:, 0] + e0[:, 1] == e1[:, 0] + e1[:, 1])).any():
             raise MeshError("duplicate element")
         used = np.zeros(self.n_vertices, dtype=bool)
         used[self.elements.ravel()] = True
@@ -363,9 +377,9 @@ class Mesh:
             # cannot close a fan: it is an endpoint of a once-counted face
             # itself, and only those endpoints (ascending) are candidates.
             cand = np.unique(bfaces)
-            pc = self.vertices[cand]
-            a = self.vertices[bfaces[:, 0]]
-            ab = self.vertices[bfaces[:, 1]] - a
+            pc = self.vertices.take(cand, axis=0)
+            a = self.vertices.take(bfaces[:, 0], axis=0)
+            ab = self.vertices.take(bfaces[:, 1], axis=0) - a
             L2 = np.einsum("ij,ij->i", ab, ab)[:, None]
             for f in row_blocks(len(bfaces), len(cand)):
                 rx = pc[None, :, 0] - a[f, 0, None]
@@ -561,8 +575,6 @@ def cached_rows(mesh, key, kind, build, width=None):
     if rows is not None:
         return rows
     old = mesh._handed.pop(key, None)
-    # an entry handed down under two keys is filled under one
-    mesh._handed = {k: entry for k, entry in mesh._handed.items() if entry is not old}
     if old is None:
         n = {"elements": mesh.n_elements, "faces": int(mesh.interior_face.sum()),
              "stars": mesh.n_vertices}[kind]
@@ -586,10 +598,13 @@ def cached_rows(mesh, key, kind, build, width=None):
                 arrays[name] = (getattr(old, name).take(np.maximum(sources, 0), axis=0)
                                 if carry else
                                 np.empty((len(sources),) + fresh.shape[1:], fresh.dtype))
-            arrays[name][new[block] if carry else block] = fresh
+            scatter_rows(arrays[name], new[block] if carry else block, fresh)
     for array in arrays.values():
         array.setflags(write=False)
     rows = mesh.cache[key] = types.SimpleNamespace(new=new, **arrays)
+    if old is not None and vars(old).keys() <= vars(rows).keys():
+        # an entry handed down under two keys and filled whole under this one
+        mesh._handed = {k: entry for k, entry in mesh._handed.items() if entry is not old}
     return rows
 
 
@@ -612,8 +627,8 @@ def bisect(mesh, marked_elements):
     marked_face[ef[marked_elements, 2]] = True
     # closure: an element with any marked edge must have its refinement edge marked
     while True:
-        any_marked = marked_face[ef].any(axis=1)
-        need = any_marked & ~marked_face[ef[:, 2]]
+        marked = marked_face.take(ef)
+        need = (marked[:, 0] | marked[:, 1]) & ~marked[:, 2]
         if not need.any():
             break
         marked_face[ef[need, 2]] = True
@@ -621,15 +636,16 @@ def bisect(mesh, marked_elements):
     face_ids = np.nonzero(marked_face)[0]
     midpoint_of = np.full(mesh.n_faces, -1, dtype=np.int64)
     midpoint_of[face_ids] = mesh.n_vertices + np.arange(len(face_ids))
-    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[mesh.faces[face_ids, 0]]
-                                                + mesh.vertices[mesh.faces[face_ids, 1]])])
+    new_vertex_parents = mesh.faces.take(face_ids, axis=0)
+    ends = mesh.vertices.take(new_vertex_parents, axis=0)
+    vertices = np.vstack([mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])])
 
     # Children are built per refinement pattern with array operations, in
     # element order: an unrefined element keeps its triple; a refined one is
     # cut along its refinement edge (v0, v1) at m2, and each half, (v2, v0)
     # side first, is kept or cut once more at m1 (side v2-v0) or m0 (v1-v2).
     v0, v1, v2 = mesh.elements.T
-    m0, m1, m2 = midpoint_of[ef].T
+    m0, m1, m2 = midpoint_of.take(ef).T
     cut = m2 >= 0
     left_two = cut & (m1 >= 0)
     right_two = cut & (m0 >= 0)
@@ -639,7 +655,7 @@ def bisect(mesh, marked_elements):
     children = np.empty((int(n_children.sum()), 3), dtype=np.int64)
 
     def put(mask, at, *corners):
-        children[at[mask]] = np.column_stack([c[mask] for c in corners])
+        scatter_rows(children, at[mask], np.column_stack([c[mask] for c in corners]))
 
     put(~cut, left, v0, v1, v2)
     put(cut & ~left_two, left, v2, v0, m2)
@@ -651,10 +667,10 @@ def bisect(mesh, marked_elements):
     kept = np.nonzero(~cut)[0]
     at = left[kept]
     # no temporary of the parent's size outlives the children
-    del midpoint_of, m0, m1, m2, cut, left_two, right_two, n_children, left, right
+    del midpoint_of, ends, m0, m1, m2, cut, left_two, right_two, n_children, left, right
 
     out = Mesh(vertices, children, ref_edge_policy="asis")
-    out.new_vertex_parents = mesh.faces[face_ids].copy()
+    out.new_vertex_parents = new_vertex_parents
     out.n_parent_vertices = mesh.n_vertices
     out._parent = weakref.ref(mesh)
     out.parent_elements = np.full(len(children), -1, dtype=np.int64)
@@ -662,7 +678,7 @@ def bisect(mesh, marked_elements):
     # a kept element's local faces are its parent's; a face stays kept when
     # no adjacent element is new
     out.parent_faces = np.full(out.n_faces, -1, dtype=np.int64)
-    out.parent_faces[out.elem_faces[at]] = ef[kept]
+    out.parent_faces[out.elem_faces.take(at, axis=0)] = ef.take(kept, axis=0)
     out.parent_faces[out.elem_faces[out.parent_elements < 0]] = -1
     out._parent_interior = mesh.interior_face  # the parent's face rows
     out._freeze()

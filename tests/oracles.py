@@ -7,6 +7,12 @@ measure, the operator matrix on every vertex, and the per-vertex sums of
 the indicators and hat pairings by unbuffered `np.add.at` scatters, the
 quadrature rows of a field and of an exact solution each from its own
 evaluation, and the face geometry of every face at once.
+
+The last group keeps the indexing the package replaced: rows gathered and
+scattered by advanced indexing and short rows reduced by `sum`, `max` and
+`any` along axis 1, in the hot sites' own formulas.  The package gathers
+with `take`, scatters with `mesh.scatter_rows` and reduces column by column;
+both must give the same bits.
 """
 
 import math
@@ -15,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from rdafem.estimator import weight_elements, weight_faces
-from rdafem.galerkin import element_dual_weights, energy_error_sq_elements
-from rdafem.mesh import bary_grads
+from rdafem.galerkin import element_dual_weights, energy_error_sq_elements, error_rows
+from rdafem.mesh import bary_grads, signed_areas
 from rdafem.quadrature import (DEFAULT_DEGREE, map_points, map_to_triangle, node_sums,
                                simplex_rule)
 
@@ -158,3 +164,149 @@ def face_geometry(mesh):
     away = 0.5 * (p0 + p1) - (owner[:, 0] + owner[:, 1] + owner[:, 2]) / 3.0
     normals[np.einsum("ij,ij->i", normals, away) < 0.0] *= -1.0
     return {"face_len": face_len, "h_face": h_face, "normals": normals}
+
+
+# -- advanced indexing and axis-1 reductions ----------------------------------
+
+
+def fancy_gather(a, idx):
+    """The rows a[idx]."""
+    return a[idx]
+
+
+def fancy_scatter(out, idx, rows):
+    """A copy of out with out[idx] = rows."""
+    out = out.copy()
+    out[idx] = rows
+    return out
+
+
+def row_sums(a):
+    return a.sum(axis=1)
+
+
+def row_maxima(a):
+    return a.max(axis=1)
+
+
+def row_any(a):
+    return a.any(axis=1)
+
+
+def p1_mass_sq(areas, vals):
+    """int_T (sum v_i lam_i)^2 per element."""
+    return areas / 12.0 * (row_sums(vals**2) + row_sums(vals) ** 2)
+
+
+def bary_grads_fancy(p):
+    """`mesh.bary_grads` of triangles p, (..., 3, 2)."""
+    edges = p[..., [2, 0, 1], :] - p[..., [1, 2, 0], :]
+    g = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
+    return g / (2.0 * signed_areas(p))[..., None, None]
+
+
+def element_diameters(mesh):
+    """The longest edge of every element."""
+    p = mesh.vertices[mesh.elements]
+    d = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    return row_maxima(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
+
+
+def duplicate_elements(mesh):
+    """Whether an element's neighbours across its faces 0 and 1 agree, per
+    element: the test `Mesh.audit` makes for duplicate elements."""
+    f0, f1 = mesh.elem_faces[:, 0], mesh.elem_faces[:, 1]
+    return mesh.interior_face[f0] & (row_sums(mesh.face_elems[f0])
+                                     == row_sums(mesh.face_elems[f1]))
+
+
+def star_union(mesh, vertices):
+    """The elements touching any of the vertices."""
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[vertices] = True
+    return np.nonzero(row_any(mask[mesh.elements]))[0]
+
+
+def element_gradients(mesh, values):
+    """The gradient of the P1 function with vertex values per element."""
+    return np.einsum("ei,eix->ex", values[mesh.elements],
+                     bary_grads_fancy(mesh.vertices[mesh.elements]))
+
+
+def grad_jumps(mesh, values):
+    """`galerkin.grad_jumps` of the P1 function with vertex values."""
+    grads = element_gradients(mesh, values)
+    out = np.zeros(mesh.n_faces)
+    idx = np.nonzero(mesh.interior_face)[0]
+    lo, hi = mesh.face_elems[idx, 0], mesh.face_elems[idx, 1]
+    out[idx] = np.einsum("fx,fx->f", grads[lo] - grads[hi], mesh.normals[idx])
+    return out
+
+
+def energy_norm_sq_elements(mesh, kappa, values):
+    """`galerkin.energy_norm_sq_elements` of the P1 function with vertex values."""
+    grads = element_gradients(mesh, values)
+    return (mesh.areas * np.einsum("ex,ex->e", grads, grads)
+            + kappa**2 * p1_mass_sq(mesh.areas, values[mesh.elements]))
+
+
+def energy_error_sq(problem, values, quad_degree=DEFAULT_DEGREE):
+    """`galerkin.energy_error_sq_elements` of the P1 function with vertex values."""
+    mesh = problem.mesh
+    rows = error_rows(mesh, problem.exact, quad_degree)
+    dg = rows.grad_mean - element_gradients(mesh, values)
+    grad_part = rows.grad_spread + mesh.areas * (dg[:, 0] ** 2 + dg[:, 1] ** 2)
+    mass_part = rows.proj_residual + p1_mass_sq(mesh.areas, rows.proj - values[mesh.elements])
+    return grad_part + problem.kappa**2 * mass_part
+
+
+def classic_indicators(problem, values, f_mean):
+    """`estimator.classic_indicators` of the P1 function with vertex values,
+    given the element means of the data."""
+    mesh, kappa = problem.mesh, problem.kappa
+    coeffs = f_mean[:, None] - kappa**2 * values[mesh.elements]
+    vol = weight_elements(mesh, kappa) ** 2 * p1_mass_sq(mesh.areas, coeffs)
+    jumps_sq = grad_jumps(mesh, values) ** 2 * mesh.face_len * weight_faces(mesh, kappa)
+    jump_part = 0.5 * jumps_sq[mesh.elem_faces] * mesh.interior_face[mesh.elem_faces]
+    return vol + row_sums(jump_part)
+
+
+def psi_pairs(system, field):
+    """<field, psi_F> per interior face of a `DualSystem`, every face at once."""
+    mesh = system.mesh
+    rule = simplex_rule(system.quad_degree)
+    bubble_w = rule.weights * rule.points[:, 0] * rule.points[:, 1]
+    faces, adj, thetas = system.iface, system.adj, system.thetas
+    apex = np.argmax(mesh.elem_faces[adj] == faces[:, None, None], axis=2)[..., None]
+    tri = np.take_along_axis(mesh.elements[adj], (apex + [1, 2, 0]) % 3, axis=2)
+    p0, p1, pA = np.moveaxis(mesh.vertices[tri], 2, 0)
+    th = thetas[..., None]
+    pts = map_points(rule, np.stack([p0, p1, (1.0 - th) * p0 + th * pA], axis=2))
+    fv = np.asarray(field.value(pts[..., 0], pts[..., 1]), dtype=float)
+    jac = 2.0 * thetas * mesh.areas[adj]
+    return 6.0 / mesh.face_len[faces] * row_sums(node_sums(fv, bubble_w) * jac)
+
+
+def parent_weights(mesh, parents, kappa):
+    """`estimator._parent_weights`: cotangents and kappa^2 |T| per parent."""
+    p = mesh.vertices[mesh.elements[parents]]
+    u, v = p[:, [1, 2, 0]] - p, p[:, [2, 0, 1]] - p
+    area = mesh.areas[parents]
+    cot = np.einsum("pkx,pkx->pk", u, v) / (2.0 * area[:, None])
+    return np.column_stack([cot, kappa**2 * area])
+
+
+def parent_loads(mesh, g, parents, ref):
+    """`estimator._parent_loads` of a SourceFunctional g, the field part
+    evaluated on the parents."""
+    area = mesh.areas[parents]
+    out = np.zeros((len(parents), ref.n_nodes))
+    if g.field is not None:
+        pts = ref.quad_bary @ mesh.vertices[mesh.elements[parents]]
+        fv = np.asarray(g.field.value(pts[..., 0], pts[..., 1]), dtype=float)
+        out += mesh.areas[parents, None] * (ref.field_weights @ fv.T).T
+    if g.piecewise is not None:
+        out += area[:, None] * (g.piecewise.cell_density[parents] @ ref.mass_bary)
+        ef = mesh.elem_faces[parents]
+        out += (0.5 * g.piecewise.face_density[ef] * mesh.face_len[ef]) @ ref.face_line
+    return out

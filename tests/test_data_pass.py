@@ -98,3 +98,26 @@ def test_data_without_a_kernel_is_evaluated_apart():
     assert_rows_equal(rows, field_rows_apart(mesh, f, 8))
     g.energy_error(problem, U)
     assert_rows_equal(g.error_rows(mesh, problem.exact), error_rows_apart(mesh, u, 8))
+
+
+@pytest.mark.parametrize("order", [("error", "field"), ("field", "error")])
+def test_a_child_takes_the_joint_rows_under_either_key_first(order):
+    # the joint entry is handed down under both keys; looking up one key
+    # first leaves the other's kept rows to take
+    parent = uniform_refine(unit_square_crisscross(), 2)
+    problem = g.make_problem(parent, 1.0, "sinsin")
+    g.field_rows(parent, problem.rhs)
+    child = bisect(parent, np.arange(10))
+
+    def lookup(mesh):
+        get = {"error": lambda: g.error_rows(mesh, problem.exact),
+               "field": lambda: g.field_rows(mesh, problem.rhs)}
+        rows = {key: get[key]() for key in order}
+        return rows["error"], rows["field"]
+
+    new = np.flatnonzero(child.parent_elements < 0)
+    fresh = lookup(Mesh(child.vertices, child.elements, ref_edge_policy="asis"))
+    names = (("grad_mean", "grad_spread", "proj", "proj_residual"), ("load", "mean", "dual"))
+    for rows, want, arrays in zip(lookup(child), fresh, names):
+        assert np.array_equal(rows.new, new)
+        assert_rows_equal(rows, {name: getattr(want, name) for name in arrays})

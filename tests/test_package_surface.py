@@ -7,7 +7,8 @@ in README.md, has no production caller: a test-only oracle belongs in
 and `__dir__`, and dunder methods, are called by Python itself.
 
 Per-vertex sums go through `np.bincount` alone, so every one adds in the
-order of its indices: the package holds no `np.add.at` scatter.
+order of its indices: the package holds no `np.add.at` scatter.  The hot
+layers gather vertex coordinates with `take`, never by advanced indexing.
 """
 
 import ast
@@ -63,4 +64,28 @@ def test_no_add_at_scatter_in_the_package():
     uses = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), start=1)
             if re.search(r"\badd\.at\b", line)]
+    assert uses == []
+
+
+def _basic(index):
+    """Whether a subscript is basic: slices, integer literals, None and ..."""
+    parts = index.elts if isinstance(index, ast.Tuple) else [index]
+    return all(isinstance(part, ast.Slice)
+               or (isinstance(part, ast.UnaryOp) and isinstance(part.op, ast.USub)
+                   and _basic(part.operand))
+               or (isinstance(part, ast.Constant)
+                   and (part.value is None or part.value is Ellipsis
+                        or type(part.value) is int))
+               for part in parts)
+
+
+def test_vertex_coordinates_are_gathered_with_take():
+    # advanced indexing of the (nv, 2) coordinates takes NumPy's slow path
+    # for rows; `vertices.take(idx, axis=0)` gives the same rows
+    uses = [f"{name}:{node.lineno}"
+            for name in ("mesh.py", "galerkin.py", "dual_system.py", "estimator.py")
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+            if isinstance(node, ast.Subscript) and not _basic(node.slice)
+            and "vertices" in (getattr(node.value, "id", None),
+                               getattr(node.value, "attr", None))]
     assert uses == []
