@@ -21,28 +21,24 @@ surrogates price the oscillation f - Pi f and back the verification of the
 localization and error-residual identities.
 
 One engine builds every red-refined system.  A free sub-vertex of a patch
-has its whole hat support inside the patch, so every patch system is a
-principal submatrix of the operator on the red-refined mesh.  Red-refined
-sub-triangles are similar to their parent, so the refined block of a parent
-T is sum_k cot(theta_k) S_k + kappa^2 |T| M with reference blocks S_k, M
-fixed per depth, and its loads are reference loads scaled per parent.
-Sub-vertices are numbered topologically per patch (vertices, then face id
-with the dyadic index from the face's lower endpoint, then element
-interiors), and `_patch_energies` gathers the parent blocks and loads into
-each patch's free set.  Patches with equal free count are solved by one
-stacked dense solve; patches above `_DENSE_MAX` free sub-vertices are solved
-together by one sparse solve of their block-diagonal system, so no memory
-grows with the square of a patch's size.  `discrete_dual_norm` prices vertex
-stars in chunks of bounded size, so memory does not grow with the mesh
-either; `global_dual_norm` prices the whole domain as one patch.
-
-Stars at depths up to 3 are condensed: each batch eliminates its parents'
-interior sub-vertices in one stacked solve, and a star solves for its
-center and face sub-vertices alone (1 + 3k unknowns, not 1 + 6k, at depth 2
-for valence k).  Deeper stars and the whole domain are solved uncondensed.
-The field part of the loads is cached per element by `star_loads` (120 B at
-depth 2, 360 B at depth 3), which `all_oscillations` and `localize_check`
-make; without it a batch evaluates the field on its own parents.
+has its whole hat support inside the patch, so a patch system is a
+principal submatrix of the operator on the red-refined mesh, and the
+interior of every parent is condensed by nested dissection (A. George,
+SINUM 10, 1973; E. L. Wilson, IJNME 8, 1974).  Every red-refined
+sub-triangle is the image of its parent's corners, so `_condense` eliminates
+level by level, with one stacked solve per level, the sub-vertices on each
+sub-triangle's middle child's edges, leaving per parent the Schur complement
+onto its corners and face sub-vertices, their loads and the eliminated
+energy.  A patch then solves for its free vertices and face sub-vertices
+alone (face id, then the dyadic index from the face's lower endpoint):
+1 + 3k unknowns at depth 2 and 1 + 63k at depth 6 for an interior star of k
+elements.  Patches of equal size are solved by one stacked dense solve,
+those above `_DENSE_MAX` by one sparse solve of their block-diagonal system.
+`discrete_dual_norm` prices stars in batches of bounded size, so memory does
+not grow with the mesh; `global_dual_norm` prices the whole domain as one
+patch.  The field part of the loads is cached per element by `star_loads`
+(120 B at depth 2, 360 B at depth 3), which `all_oscillations` and
+`localize_check` make; without it a batch evaluates the field on its parents.
 """
 
 import functools
@@ -117,7 +113,8 @@ def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
 
 
 class _Template:
-    """Uniform red refinement of the reference triangle, in barycentrics."""
+    """Uniform red refinement of the reference triangle: the vertices'
+    barycentrics `bary` and the sub-triangles `tris`."""
 
     def __init__(self, depth):
         verts = [np.eye(3)[i] for i in range(3)]
@@ -139,70 +136,99 @@ class _Template:
             tris = nxt
         self.bary = np.array(verts)
         self.tris = np.array(tris, dtype=np.int64)
-        # classify: barycentric entries stay exact dyadic rationals
-        self.corner_of = np.full(len(verts), -1, dtype=np.int64)
-        self.face_of = np.full(len(verts), -1, dtype=np.int64)
-        self.face_param = np.zeros(len(verts))
-        for v, lam in enumerate(self.bary):
-            zero = np.nonzero(lam == 0.0)[0]
-            if len(zero) == 2:
-                self.corner_of[v] = int(np.nonzero(lam == 1.0)[0][0])
-            elif len(zero) == 1:
-                i = int(zero[0])
-                self.face_of[v] = i
-                self.face_param[v] = lam[(i + 2) % 3]  # toward local endpoint i+2
-        edges = np.sort(self.tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-        edges = np.unique(edges, axis=0)
-        self.face_edges = []
-        for i in range(3):
-            on = (self.bary[edges[:, 0], i] == 0.0) & (self.bary[edges[:, 1], i] == 0.0)
-            self.face_edges.append(edges[on])
 
 
 _template = functools.cache(_Template)
 
 
-class _RefBlocks:
-    """Reference blocks and loads of the depth-d template, shared by all parents.
+def _places(level):
+    """Integer barycentrics (sum 2^level) of a level-`level` skeleton: the
+    boundary (corners, then faces 0, 1, 2 by step toward the face's second
+    endpoint), then the sub-vertices on the middle child's edges."""
+    n, h = 2**level, 2**level // 2
+    e = np.eye(3, dtype=np.int64)
+    step, half = np.arange(1, n)[:, None], np.arange(1, h)[:, None]
+    return np.concatenate(
+        [n * e] + [(n - step) * e[(i + 1) % 3] + step * e[(i + 2) % 3] for i in range(3)]
+        + [h * e[i] + (h - half) * e[(i + 1) % 3] + half * e[(i + 2) % 3] for i in range(3)])
 
-    The refined block of a parent T with angles theta_k is
-    sum_k cot(theta_k) S_k + kappa^2 |T| M: on a sub-triangle t the gradient
-    of a sub-hat is sum_i d_i grad(lam_i) in the parent barycentrics, and
-    grad(lam_i).grad(lam_j) = -cot(theta_k) / (2|T|) for {i, j, k} = {0, 1, 2}.
-    `values` holds S_0, S_1, S_2 and M (unit parent area) on the nonzero
-    pattern (`rows`, `cols`).  Loads per unit parent area come from
+
+def _children(q, level):
+    """Points q of a level-`level` - 1 triangle in the four children of a
+    level-`level` one, (4, ..., 3): corner children 0, 1, 2, then the middle."""
+    h = 2 ** (level - 1)
+    return np.stack([q + h * np.eye(3, dtype=np.int64)[c] for c in range(3)] + [h - q])
+
+
+def _sub_corners(top, level):
+    """Corners of the level-`level` sub-triangles of a level-`top` triangle;
+    sub-triangle t has the children 4t..4t+3 one level down."""
+    corners = 2**top * np.eye(3, dtype=np.int64)[None]
+    for up in range(top, level, -1):
+        child = _children(2 ** (up - 1) * np.eye(3, dtype=np.int64), up)
+        corners = (child[None] @ corners[:, None] // 2**up).reshape(-1, 3, 3)
+    return corners
+
+
+def _lookup(table):
+    """The row of `table` (integer barycentrics) at each of some points."""
+    n = int(table[0].sum()) + 1
+    rows = np.full(n * n, -1)
+    rows[table[:, 0] * n + table[:, 1]] = np.arange(len(table))
+    return lambda q: rows[q[..., 0] * n + q[..., 1]]
+
+
+class _RefBlocks:
+    """Reference data of the depth-d template, shared by all parents.
+
+    A corner child is its parent halved toward that corner, the middle child
+    its parent halved and turned by half a turn, so every sub-triangle has
+    the parent's angles theta_k at its local corners k, and its block is the
+    unit P1 element sum_k cot(theta_k) S_k + kappa^2 |T| 4^-d M.  `levels`
+    holds, bottom up for the levels l = min(d, 2)..d, the boundary size nb,
+    `where` (the skeleton places of the four children's boundaries; None at
+    the lowest level, whose skeleton is `start` times the weights) and `elim`
+    (the template vertex of every eliminated place of each of the 4^(d-l)
+    sub-triangles); `boundary` is the template vertex of each of the
+    parent's boundary places.  Loads per unit parent area come from
     `mass_bary` for P1 densities and from the sparse (node, point) matrix
     `field_weights` for field values at the points `quad_bary` (every
     quadrature point of every sub-triangle); line sources load through
-    `face_line`, per unit face length.  Only the condensation blocks of
-    depths up to 3 (45 nodes at most) are stored dense in the node count
-    squared, so deep templates stay small.
+    `face_line`, per unit face length.
     """
 
     def __init__(self, depth, quad_degree):
         tpl = _template(depth)
         n_sub = 4**depth
-        nt = len(tpl.bary)
-        self.n_nodes = nt
-        self.face_dofs = 2**depth - 1
-        self.inner_dofs = self.face_dofs * (self.face_dofs - 1) // 2
-        # coefficient of lam_i in sub-hat m on sub-triangle t, (t, m, i)
-        coeff = np.linalg.inv(tpl.bary[tpl.tris]).transpose(0, 2, 1)
-        rows = np.repeat(tpl.tris, 3, axis=1).ravel()
-        cols = np.tile(tpl.tris, (1, 3)).ravel()
-        entries = np.empty((4, len(rows)))
-        for k in range(3):
-            edge = np.zeros(3)
-            edge[(k + 1) % 3], edge[(k + 2) % 3] = 1.0, -1.0
-            d = coeff @ edge
-            entries[k] = (d[:, :, None] * d[:, None, :]).ravel() / (2.0 * n_sub)
-        mass = (np.ones((3, 3)) + np.eye(3)) / (12.0 * n_sub)
-        entries[3] = np.tile(mass.ravel(), len(tpl.tris))
-        pattern, where = np.unique(rows * nt + cols, return_inverse=True)
-        self.rows, self.cols = np.divmod(pattern, nt)
-        self.values = np.stack([np.bincount(where, weights=e, minlength=len(pattern))
-                                for e in entries])
-        mass = sp.csr_matrix((self.values[3], (self.rows, self.cols)), shape=(nt, nt))
+        nt = self.n_nodes = len(tpl.bary)
+        self.depth, self.quad_degree = depth, quad_degree
+        m = self.face_dofs = 2**depth - 1
+        self.face_local = np.repeat(np.arange(3), m)
+        self.face_step = np.tile(np.arange(1, m + 1), 3)
+
+        # the template vertex of every place, found by its dyadic barycentrics
+        vertex_at = _lookup(np.rint(tpl.bary * 2**depth).astype(np.int64))
+        bottom = min(depth, 2)
+        self.levels = []
+        for level in range(bottom, depth + 1):
+            places, nb = _places(level), 3 * 2**level
+            where = None if level == bottom else _lookup(places)(
+                _children(_places(level - 1)[:nb // 2], level))
+            elim = vertex_at(places[nb:] @ _sub_corners(depth, level) // 2**level)
+            self.levels.append((nb, where, elim))
+        self.boundary = vertex_at(places[:nb])
+
+        # S_k: grad(lam_i).grad(lam_j) = -cot(theta_k) / (2|T|), {i, j, k} = {0, 1, 2}
+        edge = np.array([np.roll([0.0, 1.0, -1.0], k) for k in range(3)])
+        unit = [*(edge[:, :, None] * edge[:, None, :] / 2.0),
+                (np.ones((3, 3)) + np.eye(3)) / (12.0 * n_sub)]
+        n = len(_places(bottom))
+        tris = _lookup(_places(bottom))(_sub_corners(bottom, 0))
+        pattern = (tris[:, :, None] * n + tris[:, None, :]).ravel()
+        self.start = np.stack([np.bincount(pattern, np.tile(u.ravel(), len(tris)), n * n)
+                               for u in unit])
+        pairs = np.repeat(tpl.tris, 3, axis=1).ravel(), np.tile(tpl.tris, (1, 3)).ravel()
+        mass = sp.csr_matrix((np.tile(unit[3].ravel(), len(tpl.tris)), pairs), shape=(nt, nt))
         self.mass_bary = np.ascontiguousarray((mass @ tpl.bary).T)
 
         rule = quadrature.simplex_rule(quad_degree)
@@ -217,43 +243,20 @@ class _RefBlocks:
             shape=(nt, len(self.quad_bary)))
 
         # integral of every sub-hat over parent face i, per unit face length
-        self.face_line = np.stack([np.bincount(edges.ravel(), minlength=nt)
-                                   for edges in tpl.face_edges]) * (0.5 / 2**depth)
+        self.face_line = np.zeros((3, nt))
+        self.face_line[self.face_local, self.boundary[3:]] = 1.0 / 2**depth
+        self.face_line[[0, 0, 1, 1, 2, 2], self.boundary[[1, 2, 2, 0, 0, 1]]] = 0.5 / 2**depth
 
-        # topological class of every template vertex
-        face = tpl.face_of >= 0
-        self.corner_cols = np.nonzero(tpl.corner_of >= 0)[0]
-        self.corner_local = tpl.corner_of[self.corner_cols]
-        self.face_cols = np.nonzero(face)[0]
-        self.face_local = tpl.face_of[face]
-        self.face_step = np.rint(tpl.face_param[face] * 2**depth).astype(np.int64)
-        self.inner_cols = np.nonzero((tpl.corner_of < 0) & ~face)[0]
-
-        # condensation (depths <= 3): the blocks split into interior and
-        # boundary (corners, then face sub-vertices) parts, and per center
-        # corner the boundary positions a star can free: the corner and the
-        # sub-vertices of the two faces through it.  star_inner: interior
-        # sub-vertices a star's system keeps per element; pair_entries: the
-        # work one (star, parent) pair adds to a batch, besides quadrature
-        self.depth, self.quad_degree = depth, quad_degree
-        self.star_nodes, self.star_inner = None, self.inner_dofs
-        self.pair_entries = len(self.rows)
-        if depth > 3:
-            return
-        i = self.inner_cols
-        b = self.boundary = np.concatenate([self.corner_cols, self.face_cols])
-        dense = np.zeros((4, nt, nt))
-        dense[:, self.rows, self.cols] = self.values
-        self.blocks = [dense[:, r[:, None], c].reshape(4, -1) for r, c in ((i, i), (i, b),
-                                                                          (b, b))]
+        # per center corner the places a star can free (the corner and the
+        # sub-vertices of the two faces through it), and the work one (star,
+        # parent) pair adds to a batch besides quadrature: the gathered block
+        # and loads, and a third of the parent's condensation
         self.star_nodes = np.array([[c, *(3 + np.flatnonzero(self.face_local != c))]
                                     for c in range(3)])
-        ns, nb, ni = self.star_nodes.shape[1], len(b), self.inner_dofs
+        ns = self.star_nodes.shape[1]
         self.star_rows, self.star_cols = np.divmod(np.arange(ns * ns), ns)
-        self.star_inner = 0
-        # the gathered block and loads, and a third of a parent's blocks,
-        # solve and loads (the stars of its three corners share them)
-        parent = ni * ni + 2 * ni * (nb + 1) + 2 * nb * nb + nt
+        parent = nt + sum(elim.shape[1] * (elim.shape[1] + 2 * (nb + len(elim))) + 2 * nb * nb
+                          for nb, _, elim in self.levels)
         self.pair_entries = ns * ns + ns + parent // 3
 
 
@@ -280,8 +283,7 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
     valence = starts[vertices + 1] - starts[vertices]
     inner_faces = np.bincount(mesh.faces[mesh.interior_face].ravel(),
                               minlength=mesh.n_vertices)[vertices]
-    n = (~mesh.boundary_vertex[vertices] + inner_faces * ref.face_dofs
-         + valence * ref.star_inner)
+    n = ~mesh.boundary_vertex[vertices] + inner_faces * ref.face_dofs
     priced = g.field is not None and _loads_key(g.field, ref) not in mesh.cache
     cost = np.cumsum(np.where(n <= _DENSE_MAX, n**2, 0) + valence * (
         ref.pair_entries + priced * len(ref.quad_bary)))
@@ -299,39 +301,39 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
 def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
     """Same surrogate on the whole domain with zero trace on its boundary.
 
-    The domain is one patch: the free vertices first, then the sub-vertices
-    of every interior face, then the element interiors.
+    Every parent is condensed onto its boundary sub-vertices, and the domain
+    solves for its free vertices, then the sub-vertices of every interior
+    face.
     """
     g = as_source(mesh, g)
     ref = _ref_blocks(int(depth), int(quad_degree))
-    m, n_int = ref.face_dofs, ref.inner_dofs
+    m, nb = ref.face_dofs, len(ref.boundary)
     free, inner = ~mesh.boundary_vertex, mesh.interior_face
-    n_v, n_f, ne = int(free.sum()), int(inner.sum()), mesh.n_elements
-    local = np.empty((ne, ref.n_nodes), dtype=np.int64)
-    local[:, ref.corner_cols] = np.where(free, np.cumsum(free) - 1, -1)[
-        mesh.elements[:, ref.corner_local]]
-    f = mesh.elem_faces[:, ref.face_local]
-    on_face = n_v + (np.cumsum(inner) - 1)[f] * m + _face_steps(mesh.elements, ref)
-    local[:, ref.face_cols] = np.where(inner[f], on_face, -1)
-    local[:, ref.inner_cols] = n_v + n_f * m + np.arange(ne * n_int).reshape(ne, n_int)
-    every = np.arange(ne)
-    energy = _patch_energies(np.array([n_v + n_f * m + ne * n_int]), np.zeros_like(every),
-                             local, ref.rows, ref.cols,
-                             _parent_weights(mesh, every, kappa) @ ref.values,
-                             _parent_loads(mesh, g, every, ref))
-    return float(np.sqrt(max(energy[0], 0.0)))
+    n_v, n_f, every = int(free.sum()), int(inner.sum()), np.arange(mesh.n_elements)
+    local = _local(ref, mesh.elements, np.where(free, np.cumsum(free) - 1, -1)[mesh.elements],
+                   np.where(inner, n_v + (np.cumsum(inner) - 1) * m, -1)[mesh.elem_faces])
+    schur, cond, interior = _condense(ref, _parent_weights(mesh, every, kappa),
+                                      _parent_loads(mesh, g, every, ref))
+    rows, cols = np.divmod(np.arange(nb * nb), nb)
+    energy = interior.sum() + _patch_energies(
+        np.array([n_v + n_f * m]), np.zeros_like(every), local, rows, cols,
+        schur.reshape(len(every), -1), cond)[0]
+    return float(np.sqrt(max(energy, 0.0)))
 
 
-def _face_steps(tri, ref):
-    """Index of every face sub-vertex along its face, from the lower endpoint."""
+def _local(ref, tri, corners, faces):
+    """Patch-local index of every boundary place of parents with vertices
+    `tri` (-1: not free): `corners` (p, 3) at the corners, faces[:, i] + j
+    at the j-th sub-vertex of face i from its lower endpoint (-1 with it)."""
     fl = ref.face_local
     flip = tri[:, (fl + 1) % 3] > tri[:, (fl + 2) % 3]
-    return np.where(flip, ref.face_dofs + 1 - ref.face_step, ref.face_step) - 1
+    on = faces[:, fl] + np.where(flip, ref.face_dofs - ref.face_step, ref.face_step - 1)
+    return np.concatenate([corners, np.where(faces[:, fl] >= 0, on, -1)], axis=1)
 
 
 def _star_batch(mesh, centers, g, kappa, ref):
-    """Dual norms of g on the stars of `centers` (one batch), condensed at
-    depths up to 3."""
+    """Dual norms of g on the stars of `centers` (one batch): each star
+    solves for the free boundary sub-vertices of its condensed parents."""
     starts = mesh.vertex_starts
     ns = len(centers)
     k = starts[centers + 1] - starts[centers]
@@ -351,50 +353,55 @@ def _star_batch(mesh, centers, g, kappa, ref):
     n_if = np.diff(bounds)
     slot = np.searchsorted(faces, keys) - bounds[star][:, None]
 
-    # star-local index of every template vertex of every pair (-1: not free)
-    m, n_int = ref.face_dofs, ref.inner_dofs
+    # star-local index of every boundary place of every pair
     center = (~mesh.boundary_vertex[centers]).astype(np.int64)
-    n = center + n_if * m
-    local = np.empty((len(star), ref.n_nodes), dtype=np.int64)
-    local[:, ref.corner_cols] = np.where(
-        (ref.corner_local == iz[:, None]) & (center[star] == 1)[:, None], 0, -1)
-    fl = ref.face_local
-    local[:, ref.face_cols] = np.where(
-        through[:, fl],
-        center[star][:, None] + slot[:, fl] * m + _face_steps(tri, ref),
-        -1)
+    n = center + n_if * ref.face_dofs
+    local = _local(ref, tri, np.where((np.arange(3) == iz[:, None])
+                                      & (center[star] == 1)[:, None], 0, -1),
+                   np.where(through, center[star][:, None] + slot * ref.face_dofs, -1))
     parents, parent_of = np.unique(elem, return_inverse=True)
-    weights = _parent_weights(mesh, parents, kappa)
-    loads = _parent_loads(mesh, g, parents, ref)
-    if ref.star_nodes is None:
-        local[:, ref.inner_cols] = (n[star][:, None] + rank[:, None] * n_int
-                                    + np.arange(n_int))
-        energy = _patch_energies(n + k * n_int, star, local, ref.rows, ref.cols,
-                                 weights[parent_of] @ ref.values, loads[parent_of])
-    else:
-        schur, cond, interior = _condense(ref, weights, loads)
-        pos, at = ref.star_nodes[iz], parent_of[:, None]
-        energy = np.bincount(star, interior.take(parent_of), ns) + _patch_energies(
-            n, star, np.take_along_axis(local[:, ref.boundary], pos, axis=1),
-            ref.star_rows, ref.star_cols,
-            schur[at[:, :, None], pos[:, :, None], pos[:, None, :]].reshape(len(star), -1),
-            cond[at, pos])
+    schur, cond, interior = _condense(ref, _parent_weights(mesh, parents, kappa),
+                                      _parent_loads(mesh, g, parents, ref))
+    pos, at = ref.star_nodes[iz], parent_of[:, None]
+    energy = np.bincount(star, interior.take(parent_of), ns) + _patch_energies(
+        n, star, np.take_along_axis(local, pos, axis=1), ref.star_rows, ref.star_cols,
+        schur[at[:, :, None], pos[:, :, None], pos[:, None, :]].reshape(len(star), -1),
+        cond[at, pos])
     return np.sqrt(np.maximum(energy, 0.0))
 
 
 def _condense(ref, weights, loads):
-    """Static condensation of parents with `_parent_weights` and
+    """Nested dissection of parents with `_parent_weights` and
     `_parent_loads`: per parent the Schur complement onto the boundary
-    sub-vertices, (p, nb, nb), the condensed loads (p, nb) and the energy of
-    the interior part, (p,)."""
-    p, nb, ni = len(weights), len(ref.boundary), ref.inner_dofs
-    k_ii, k_ib, k_bb = ((weights @ block).reshape(p, *shape) for block, shape
-                        in zip(ref.blocks, ((ni, ni), (ni, nb), (nb, nb))))
-    b_i = loads[:, ref.inner_cols, None]
-    x = np.linalg.solve(k_ii, np.concatenate([k_ib, b_i], axis=2))
-    y = k_ib.transpose(0, 2, 1) @ x
-    return (k_bb - y[..., :nb], loads[:, ref.boundary] - y[..., nb],
-            (b_i[..., 0] * x[..., nb]).sum(axis=1))
+    places, (p, nb, nb), the condensed loads (p, nb) and the energy of the
+    eliminated part, (p,).
+
+    Level by level, every sub-triangle's skeleton is assembled from its
+    children's Schur complements (one matrix per parent, the children being
+    images of the parent) and their condensed loads, and its middle child's
+    edges are eliminated by one stacked solve per level, whose right-hand
+    sides are the boundary columns and one load column per sub-triangle.
+    """
+    p = len(weights)
+    energy = np.zeros(p)
+    for nb, where, elim in ref.levels:
+        s, n = elim.shape[0], nb + elim.shape[1]
+        if where is None:
+            k = (weights @ ref.start).reshape(p, n, n)
+            b = np.zeros((p, s, n))
+        else:
+            k = np.zeros((p, n, n))
+            for w in where:
+                k[:, w[:, None], w] += schur
+            b = np.bincount((np.arange(p * s)[:, None] * n + where.ravel()).ravel(),
+                            cond.ravel(), p * s * n).reshape(p, s, n)
+        b_e = b[..., nb:].transpose(0, 2, 1) + loads.take(elim.T, axis=1)
+        x = np.linalg.solve(k[:, nb:, nb:], np.concatenate([k[:, nb:, :nb], b_e], axis=2))
+        y = k[:, :nb, nb:] @ x
+        schur = k[:, :nb, :nb] - y[..., :nb]
+        cond = b[..., :nb] - y[..., nb:].transpose(0, 2, 1)
+        energy += (b_e * x[..., nb:]).sum(axis=(1, 2))
+    return schur, cond[:, 0] + loads[:, ref.boundary], energy
 
 
 def _patch_energies(n, patch, local, rows, cols, vals, loads):
@@ -498,9 +505,10 @@ def _loads_key(field, ref):
 
 def star_loads(mesh, field, depth=2, quad_degree=DEFAULT_DEGREE):
     """Cache the field part of every element's sub-hat loads on mesh
-    (`cached_rows`) for the condensed depths, up to 3; no field, nothing."""
+    (`cached_rows`) at depths up to 3: a row holds every template vertex,
+    (2^d + 1)(2^d + 2)/2 floats, 2,145 at depth 6.  No field, nothing."""
     ref = _ref_blocks(int(depth), int(quad_degree))
-    if field is not None and ref.star_nodes is not None:
+    if field is not None and depth <= 3:
         cached_rows(mesh, _loads_key(field, ref), "elements",
                     lambda new: {"loads": _field_loads(mesh, field, new, ref)},
                     width=2 * len(ref.quad_bary))

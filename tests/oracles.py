@@ -6,7 +6,9 @@ error per vertex star, a log-log decay rate, a mesh shape-regularity
 measure, the operator matrix on every vertex, and the per-vertex sums of
 the indicators and hat pairings by unbuffered `np.add.at` scatters, the
 quadrature rows of a field and of an exact solution each from its own
-evaluation, and the face geometry of every face at once.
+evaluation, the face geometry of every face at once, and the blocks of a
+red-refined template on all its vertices, assembled sub-triangle by
+sub-triangle.
 
 The last group keeps the indexing the package replaced: rows gathered and
 scattered by advanced indexing and short rows reduced by `sum`, `max` and
@@ -20,7 +22,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from rdafem.estimator import weight_elements, weight_faces
+from rdafem.estimator import _template, weight_elements, weight_faces
 from rdafem.galerkin import element_dual_weights, energy_error_sq_elements, error_rows
 from rdafem.mesh import bary_grads, signed_areas
 from rdafem.quadrature import (DEFAULT_DEGREE, map_points, map_to_triangle, node_sums,
@@ -310,3 +312,27 @@ def parent_loads(mesh, g, parents, ref):
         ef = mesh.elem_faces[parents]
         out += (0.5 * g.piecewise.face_density[ef] * mesh.face_len[ef]) @ ref.face_line
     return out
+
+
+def template_blocks(depth):
+    """S_0, S_1, S_2 and M of the depth-d template on all its vertices, unit
+    parent area, (4, nt, nt): on a sub-triangle the gradient of a sub-hat is
+    sum_i d_i grad(lam_i) in the parent barycentrics, with d from the
+    inverse of the sub-triangle's corner barycentrics, and
+    grad(lam_i).grad(lam_j) = -cot(theta_k) / (2|T|) for {i, j, k} = {0, 1, 2};
+    the per-sub-triangle entries are summed by scipy (COO duplicates)."""
+    tpl = _template(depth)
+    n_sub, nt = 4**depth, len(tpl.bary)
+    coeff = np.linalg.inv(tpl.bary[tpl.tris]).transpose(0, 2, 1)  # (t, sub-hat, i)
+    rows = np.repeat(tpl.tris, 3, axis=1).ravel()
+    cols = np.tile(tpl.tris, (1, 3)).ravel()
+    entries = np.empty((4, len(rows)))
+    for k in range(3):
+        edge = np.zeros(3)
+        edge[(k + 1) % 3], edge[(k + 2) % 3] = 1.0, -1.0
+        d = coeff @ edge
+        entries[k] = (d[:, :, None] * d[:, None, :]).ravel() / (2.0 * n_sub)
+    mass = (np.ones((3, 3)) + np.eye(3)) / (12.0 * n_sub)
+    entries[3] = np.tile(mass.ravel(), len(tpl.tris))
+    return np.stack([sp.coo_matrix((e, (rows, cols)), shape=(nt, nt)).toarray()
+                     for e in entries])

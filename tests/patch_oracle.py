@@ -2,8 +2,9 @@
 
 `PatchSpace` numbers the sub-vertices of a patch through a Python dict and
 assembles the refined operator triangle by triangle from physical
-coordinates.  It shares only the template refinement with the batched
-engine in `rdafem.estimator`, so the tests use it as an independent
+coordinates.  It shares only the template refinement (barycentrics and
+sub-triangles) with the batched engine in `rdafem.estimator` and classifies
+the template vertices itself, so the tests use it as an independent
 cross-check of the star and global dual norms.
 """
 
@@ -15,6 +16,29 @@ from rdafem import quadrature
 from rdafem.estimator import _DENSE_MAX, _template
 from rdafem.mesh import bary_grads, signed_areas
 from rdafem.quadrature import DEFAULT_DEGREE
+
+
+def classify(tpl):
+    """Per template vertex its corner (-1: none), its face (-1: none) and its
+    parameter along that face toward the face's local endpoint i+2, and per
+    face i the sub-edges on it; barycentric entries are exact dyadic
+    rationals."""
+    corner_of = np.full(len(tpl.bary), -1, dtype=np.int64)
+    face_of = np.full(len(tpl.bary), -1, dtype=np.int64)
+    face_param = np.zeros(len(tpl.bary))
+    for v, lam in enumerate(tpl.bary):
+        zero = np.nonzero(lam == 0.0)[0]
+        if len(zero) == 2:
+            corner_of[v] = int(np.nonzero(lam == 1.0)[0][0])
+        elif len(zero) == 1:
+            i = int(zero[0])
+            face_of[v] = i
+            face_param[v] = lam[(i + 2) % 3]
+    edges = np.sort(tpl.tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    edges = np.unique(edges, axis=0)
+    face_edges = [edges[(tpl.bary[edges[:, 0], i] == 0.0) & (tpl.bary[edges[:, 1], i] == 0.0)]
+                  for i in range(3)]
+    return corner_of, face_of, face_param, face_edges
 
 
 class PatchSpace:
@@ -31,6 +55,7 @@ class PatchSpace:
         self.depth = int(depth)
         tpl = _template(self.depth)
         self.tpl = tpl
+        corner_of, face_of, face_param, self.face_edges = classify(tpl)
         npar = len(self.parents)
         ntv = len(tpl.bary)
 
@@ -42,14 +67,14 @@ class PatchSpace:
             efaces = mesh.elem_faces[e]
             phys = tpl.bary @ mesh.vertices[tri]
             for tv in range(ntv):
-                i = tpl.corner_of[tv]
+                i = corner_of[tv]
                 if i >= 0:
                     key = ("v", int(tri[i]))
                 else:
-                    i = tpl.face_of[tv]
+                    i = face_of[tv]
                     if i >= 0:
                         a, b = int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])
-                        t = float(tpl.face_param[tv])  # parameter toward b
+                        t = float(face_param[tv])  # parameter toward b
                         if a > b:
                             t = 1.0 - t
                         key = ("f", int(efaces[i]), t)
@@ -116,7 +141,7 @@ class PatchSpace:
         for face, (p, i) in seen.items():
             c = g.face_density[face]
             sub_len = self.mesh.face_len[face] / 2**self.depth
-            ids = self.vert_map[p, tpl.face_edges[i]]
+            ids = self.vert_map[p, self.face_edges[i]]
             np.add.at(out, ids.ravel(), 0.5 * c * sub_len)
 
     def dual_norm(self, g, kappa, quad_degree=DEFAULT_DEGREE):

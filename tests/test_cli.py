@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,16 @@ def test_solve_artifacts(tmp_path):
     assert summary["command"] == "solve"
     assert summary["dofs"] == 1
     assert summary["error"] > 0
+
+
+def test_python_m_rdafem_runs_the_cli(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "rdafem", "solve", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert json.loads((tmp_path / "solve.json").read_text())["command"] == "solve"
 
 
 def test_solve_json_reports_solver_numerics(tmp_path):

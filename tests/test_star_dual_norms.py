@@ -12,6 +12,7 @@ from rdafem import galerkin as g
 from rdafem import mesh as mesh_mod
 from rdafem.dual_system import project_pi
 
+import oracles
 from memtrace import peak_bytes
 from patch_oracle import PatchSpace
 
@@ -163,7 +164,8 @@ def _special_stars():
     """(label, mesh, vertex, depth) for the stars the condensed path treats
     apart: a corner of one element, where nothing is left after condensing;
     boundary stars; depths without interior sub-vertices; and an interior
-    star of valence 8 at depth 3, which is solved sparse uncondensed."""
+    star of valence 8, whose uncondensed system would be solved sparse.
+    Depth 4 is the first depth of three levels of nested dissection."""
     square2, nvb = dict(MESHES)["square2"], _random_nvb()
     lshape = dict(MESHES)["lshape"]
     corner = int(np.flatnonzero(np.bincount(lshape.elements.ravel()) == 1)[0])
@@ -172,11 +174,11 @@ def _special_stars():
     valence = np.bincount(nvb.elements.ravel())
     eight = int(np.flatnonzero(~nvb.boundary_vertex & (valence == 8))[0])
     inner = int(np.flatnonzero(~nvb.boundary_vertex)[0])
-    return ([("corner", lshape, corner, d) for d in (2, 3)]
-            + [("boundary", nvb, edge, d) for d in (2, 3)]
+    return ([("corner", lshape, corner, d) for d in (2, 3, 4)]
+            + [("boundary", nvb, edge, d) for d in (2, 3, 4)]
             + [("two triangles", square2, z, d) for z in (0, 1) for d in (0, 1)]
             + [("interior", nvb, inner, d) for d in (0, 1)]
-            + [("valence 8", nvb, eight, 3)])
+            + [("valence 8", nvb, eight, d) for d in (3, 4)])
 
 
 @pytest.mark.parametrize("label,mesh,z,depth", _special_stars(),
@@ -194,13 +196,57 @@ def test_condensed_special_stars_match_patch_space(label, mesh, z, depth, monkey
     for kappa in KAPPAS:
         for name, src in _sources(mesh, kappa, rng):
             with monkeypatch.context() as patch:
-                # no star of depth <= 3 takes the sparse solve any more
+                # none of these condensed stars takes the sparse solve
                 patch.setattr(est.spla, "spsolve", None)
                 got = est.discrete_dual_norm(mesh, [z], src, kappa, depth)
             ref = np.array([space.dual_norm(g.as_source(mesh, src), kappa)])
             _assert_matches(got, ref, (label, depth, kappa, name))
             if depth == 0 and mesh.boundary_vertex[z]:
                 assert got[0] == 0.0
+
+
+def _perturbed_parents(rng):
+    """A 16-element square with its interior vertices moved at random, so
+    that the parents have unequal, some obtuse, angles."""
+    mesh = mesh_mod.uniform_refine(mesh_mod.unit_square_crisscross(), 2)
+    moved = mesh.vertices + np.where(mesh.boundary_vertex[:, None], 0.0,
+                                     rng.uniform(-0.1, 0.1, mesh.vertices.shape))
+    return mesh_mod.Mesh(moved, mesh.elements)
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_condense_matches_dense_elimination_of_the_template(depth):
+    # nested dissection against one dense elimination of every template
+    # vertex off the parent's boundary, per parent
+    rng = np.random.default_rng(depth)
+    mesh = _perturbed_parents(rng)
+    ref = est._ref_blocks(depth, g.DEFAULT_DEGREE)
+    blocks = oracles.template_blocks(depth)
+    b = ref.boundary
+    i = np.setdiff1d(np.arange(ref.n_nodes), b)
+    assert len(b) == 3 * 2**depth and len(i) == ref.n_nodes - len(b)
+    field = g.ScalarField(lambda x, y: 0.5 * (np.exp(x) * np.cos(3.0 * y) - x * y))
+    face = np.where(mesh.interior_face, rng.standard_normal(mesh.n_faces), 0.0)
+    piece = g.PiecewiseFunctional(mesh, rng.standard_normal((mesh.n_elements, 3)), face)
+    parents = rng.permutation(mesh.n_elements)
+    for kappa in KAPPAS:
+        for name, src in (("field", g.SourceFunctional(mesh, field=field)),
+                          ("piecewise", piece),
+                          ("mixed", g.SourceFunctional(mesh, field=field, piecewise=piece))):
+            weights = est._parent_weights(mesh, parents, kappa)
+            loads = est._parent_loads(mesh, g.as_source(mesh, src), parents, ref)
+            got = est._condense(ref, weights, loads)
+            k = np.einsum("pk,kij->pij", weights, blocks)
+            x = np.linalg.solve(k[:, i[:, None], i], np.concatenate(
+                [k[:, i[:, None], b], loads[:, i, None]], axis=2))
+            y = k[:, b[:, None], i] @ x
+            want = (k[:, b[:, None], b] - y[..., :-1], loads[:, b] - y[..., -1],
+                    (loads[:, i] * x[..., -1]).sum(axis=1))
+            for part, a, w in zip(("schur", "loads", "energy"), got, want):
+                assert a.shape == w.shape, (depth, part)
+                tol = RTOL * np.abs(w) + NOISE * np.abs(w).max()
+                assert (np.abs(a - w) <= tol).all(), (depth, kappa, name, part,
+                                                     np.abs(a - w).max())
 
 
 def test_one_star_per_batch_at_depth_3(monkeypatch):
