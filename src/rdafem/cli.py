@@ -328,15 +328,16 @@ def run(args):
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(opts["threads"])
     outdir = opts["out"]
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {outdir}: {exc}") from None
 
     from .galerkin import SolverError
     from .mesh import MeshError
 
     try:
         return COMMANDS[args.command](opts, outdir)
-    except UsageError:
-        raise
     except MeshError as exc:
         print(f"rdafem: bad mesh: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,7 +50,7 @@ import scipy.sparse.linalg as spla
 from . import quadrature
 from .galerkin import (PiecewiseFunctional, _p1_mass_sq, apply_operator, as_source,
                        data_minus, field_rows, grad_jumps, load_vector, residual_source)
-from .mesh import cached_rows, index_array
+from .mesh import cached_rows, index_array, row_blocks
 from .quadrature import DEFAULT_DEGREE
 
 _DENSE_MAX = 220  # patch systems up to this size are solved densely
@@ -301,9 +301,9 @@ def discrete_dual_norm(mesh, vertices, g, kappa, depth=2, quad_degree=DEFAULT_DE
 def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
     """Same surrogate on the whole domain with zero trace on its boundary.
 
-    Every parent is condensed onto its boundary sub-vertices, and the domain
-    solves for its free vertices, then the sub-vertices of every interior
-    face.
+    Every parent is condensed onto its boundary sub-vertices, a block of
+    parents at a time, and the domain solves for its free vertices, then the
+    sub-vertices of every interior face.
     """
     g = as_source(mesh, g)
     ref = _ref_blocks(int(depth), int(quad_degree))
@@ -312,8 +312,10 @@ def global_dual_norm(mesh, g, kappa, depth=2, quad_degree=DEFAULT_DEGREE):
     n_v, n_f, every = int(free.sum()), int(inner.sum()), np.arange(mesh.n_elements)
     local = _local(ref, mesh.elements, np.where(free, np.cumsum(free) - 1, -1)[mesh.elements],
                    np.where(inner, n_v + (np.cumsum(inner) - 1) * m, -1)[mesh.elem_faces])
-    schur, cond, interior = _condense(ref, _parent_weights(mesh, every, kappa),
-                                      _parent_loads(mesh, g, every, ref))
+    schur, cond, interior = (np.concatenate(parts) for parts in zip(*(
+        _condense(ref, _parent_weights(mesh, every[b], kappa),
+                  _parent_loads(mesh, g, every[b], ref))
+        for b in row_blocks(len(every), 2 * len(ref.quad_bary)))))
     rows, cols = np.divmod(np.arange(nb * nb), nb)
     energy = interior.sum() + _patch_energies(
         np.array([n_v + n_f * m]), np.zeros_like(every), local, rows, cols,

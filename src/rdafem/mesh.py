@@ -25,6 +25,7 @@ take slower paths to the same bits.
 
 import io
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -405,115 +406,90 @@ class Mesh:
 # -- construction and i/o ---------------------------------------------------
 
 
-# the bytes of a plain mesh file, and the line edges (blank ones) it lacks
-_PLAIN = b"0123456789+-.eE \t\n"
-_LINE_EDGES = (b"\n\n", b"\n ", b"\n\t", b" \n", b"\t\n")
-
-
 def load_mesh(path):
     """Read a mesh from the plain-text format.
 
     First line: `nv ne`.  Then nv lines `x y` and ne lines `i j k` with
     0-based counter-clockwise vertex indices.  Blank lines and `#` comments
-    are allowed.  Boundary is inferred from face incidence.  A plain file, of
-    numbers only, is parsed whole (`_read_plain`); any other, or one failing
-    there, line by line (`_read_lines`), naming the first bad line.
+    are allowed.  Boundary is inferred from face incidence.  The file streams
+    through `np.loadtxt`, one call per block; a file it refuses is scanned
+    line by line (`_refuse`) only to name the bad line.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    blocks = _read_plain(data)
-    vertices, elements = _read_lines(path, data) if blocks is None else blocks
-    del data, blocks
+    # the lines of str.splitlines, each ended by the "\n" np.loadtxt splits at;
+    # a byte that is not UTF-8 reads as U+FFFD, which is no number
+    if not data.isascii() or any(end in data for end in b"\r\v\f\x1c\x1d\x1e"):
+        data = "\n".join(data.decode("utf-8", errors="replace").splitlines()).encode()
+    stream = io.BytesIO(data)
+    with warnings.catch_warnings():
+        # a blank or comment line is skipped, and counts toward no max_rows
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        try:
+            nv, ne = np.loadtxt(stream, np.int64, max_rows=1, ndmin=1, encoding="utf-8").tolist()
+            # max_rows rows are allocated at once; no file has more rows than bytes
+            vertices = np.loadtxt(stream, max_rows=min(nv, len(data)), ndmin=2, encoding="utf-8")
+            elements = np.loadtxt(stream, np.int64, ndmin=2, encoding="utf-8")
+            valid = ((len(vertices), vertices.size, len(elements), elements.size)
+                     == (nv, 2 * nv, ne, 3 * ne) and _nonfinite_vertex(vertices) is None)
+        except ValueError:
+            valid = False
+        if not valid:
+            _refuse(path, data)
+    del data, stream  # not held through the Mesh build
     try:
-        mesh = Mesh(vertices, elements)
+        mesh = Mesh(vertices.reshape(nv, 2), elements.reshape(ne, 3))
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
     mesh.audit()
     return mesh
 
 
-def _read_plain(data):
-    """(vertices, elements) of a plain file's bytes, one `np.loadtxt` a block,
-    or None where the file is not plain or a block fails.  A blank line would
-    shift the blocks: no line may be empty, or start or end with a blank."""
-    try:
-        nv, ne = (int(token) for token in io.BytesIO(data).readline().split())
-        if (data.translate(None, _PLAIN) or min(nv, ne) < 0 or data[:1].isspace()
-                or data[-1:] in (b" ", b"\t") or any(e in data for e in _LINE_EDGES)
-                or data.count(b"\n") + (not data.endswith(b"\n")) != 1 + nv + ne):
-            return None
-        # no np.loadtxt of an empty block: it warns
-        vertices = (np.loadtxt(io.BytesIO(data), skiprows=1, max_rows=nv, ndmin=2)
-                    if nv else np.empty((0, 2)))
-        elements = (np.loadtxt(io.BytesIO(data), dtype=np.int64, skiprows=1 + nv, ndmin=2)
-                    if ne else np.empty((0, 3), dtype=np.int64))
-    except ValueError:
-        return None
-    if (vertices.shape != (nv, 2) or elements.shape != (ne, 3)
-            or _nonfinite_vertex(vertices) is not None):
-        return None
-    return vertices, elements
-
-
-def _read_lines(path, data):
-    """(vertices, elements) of any file's bytes; MeshError names a bad line."""
-    lines = data.decode("utf-8").splitlines()
+def _refuse(path, data):
+    """Raise the MeshError naming a refused file's first fault: an empty file,
+    the header, the count of content lines, then each line's token count and
+    values, block by block, and a non-finite vertex after the vertex lines."""
+    lines = data.decode().splitlines()
     # 1-based numbers of the content lines: the text before '#' is not blank
     numbers = [ln for ln, text in enumerate(lines, start=1)
                if text.split("#", 1)[0].strip()]
     if not numbers:
         raise MeshError(f"{path}: empty mesh file")
-    if len(numbers) < len(lines):
-        lines = [lines[ln - 1] for ln in numbers]
-    header = "header must be 'nv ne'"
-    nv, ne = _read_block(path, lines[:1], numbers[:1], np.int64, 2,
-                         header, header)[0].tolist()
-    if nv < 0 or ne < 0:
-        raise MeshError(f"{path}:{numbers[0]}: {header}")
-    if len(lines) != 1 + nv + ne:
-        raise MeshError(
-            f"{path}: expected {1 + nv + ne} content lines for nv={nv} ne={ne}, "
-            f"found {len(lines)}"
-        )
-    vertices = _read_block(path, lines[1:1 + nv], numbers[1:1 + nv], float, 2,
-                           "vertex line must be 'x y'", "bad vertex coordinates")
-    nonfinite = _nonfinite_vertex(vertices)
-    if nonfinite is not None:
-        v, diagnosis = nonfinite
-        raise MeshError(f"{path}:{numbers[1 + v]}: {diagnosis}")
-    elements = _read_block(path, lines[1 + nv:], numbers[1 + nv:], np.int64, 3,
-                           "element line must be 'i j k'", "bad element indices")
-    return vertices, elements
+    lines = [lines[ln - 1] for ln in numbers]
 
-
-def _read_block(path, lines, numbers, dtype, width, shape_msg, value_msg):
-    """Parse content lines of `width` numbers each into an (n, width) array.
-
-    The numbers are the tokens `np.loadtxt` reads: Python's `int` and `float`
-    also take `1_000` and non-ASCII digits, the reader refuses them.  On
-    failure the first bad line is named, its token count checked before its
-    values.
-    """
-    if not lines:
-        return np.empty((0, width), dtype=dtype)
-    try:
-        block = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=2)
-        if block.shape == (len(lines), width):
-            return block
-    except ValueError:
-        pass
-    for ln, text in zip(numbers, lines):
-        if len(text.split("#", 1)[0].split()) != width:
-            raise MeshError(f"{path}:{ln}: {shape_msg}")
+    def parse(rows, dtype, width):
+        # rows as an (n, width) array, or None where np.loadtxt refuses them
         try:
-            np.loadtxt([text], dtype=dtype, comments="#")
+            block = np.loadtxt(rows, dtype, ndmin=2)
         except ValueError:
-            raise MeshError(f"{path}:{ln}: {value_msg}") from None
-    # not reached: a block fails to parse only where one of its lines does
-    raise MeshError(f"{path}:{numbers[0]}: {value_msg}")
+            return None
+        return block if block.shape == (len(rows), width) else None
+
+    header = parse(lines[:1], np.int64, 2)
+    nv, ne = (-1, -1) if header is None else header[0].tolist()
+    if nv < 0 or ne < 0:
+        raise MeshError(f"{path}:{numbers[0]}: header must be 'nv ne'")
+    if len(lines) != 1 + nv + ne:
+        raise MeshError(f"{path}: expected {1 + nv + ne} content lines for nv={nv} "
+                        f"ne={ne}, found {len(lines)}")
+    for lo, hi, dtype, width, shape_msg, value_msg in (
+            (1, 1 + nv, float, 2, "vertex line must be 'x y'", "bad vertex coordinates"),
+            (1 + nv, len(lines), np.int64, 3, "element line must be 'i j k'",
+             "bad element indices")):
+        block = parse(lines[lo:hi], dtype, width)
+        if block is None:
+            for ln, text in zip(numbers[lo:hi], lines[lo:hi]):
+                if len(text.split("#", 1)[0].split()) != width:
+                    raise MeshError(f"{path}:{ln}: {shape_msg}")
+                if parse([text], dtype, width) is None:
+                    raise MeshError(f"{path}:{ln}: {value_msg}")
+        elif dtype is float and (bad := _nonfinite_vertex(block)):
+            raise MeshError(f"{path}:{numbers[1 + bad[0]]}: {bad[1]}")
+    # not reached: the stream refuses a file only where one of these checks does
+    raise MeshError(f"{path}: unreadable mesh file")
 
 
 def save_mesh(mesh, path):

@@ -204,6 +204,17 @@ def test_missing_mesh_file_names_path(tmp_path, capsys):
     assert "nope.msh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["file", "file/below"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("not a directory\n")
+    code = run_cli("solve", "--mesh", "crisscross", "--out", str(tmp_path / out))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"rdafem: cannot create output directory {tmp_path / out}: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
 def test_mesh_without_elements_is_a_bad_mesh(tmp_path, capsys):
     path = tmp_path / "none.msh"
     path.write_text("0 0\n")

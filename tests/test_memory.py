@@ -20,9 +20,10 @@ import pytest
 
 from rdafem import adapt, cli
 from rdafem import dual_system as ds
+from rdafem import estimator as est
 from rdafem import galerkin as g
 from rdafem import mesh as mesh_mod
-from rdafem.mesh import (Mesh, bisect, load_mesh, save_mesh, uniform_refine,
+from rdafem.mesh import (Mesh, bisect, l_shape, load_mesh, save_mesh, uniform_refine,
                          unit_square_2tri, unit_square_crisscross)
 from rdafem.quadrature import DEFAULT_DEGREE, simplex_rule
 
@@ -163,6 +164,19 @@ def test_adaptive_loop_memory_bounded():
     peak, run = peak_bytes(lambda: adapt.adaptive_loop(problem, max_dof=3000))
     assert peak < 10 * MB, peak
     assert run.final["dofs"] == 3141 and run.final["oscillation"] is not None
+
+
+def test_global_dual_norm_memory_bounded():
+    # depth 5 on 96 elements, the template blocks built on this first call:
+    # peaks at 53.8 MB with the parents condensed a block at a time, 95.9 MB
+    # with every parent's field loads and condensation at once; the norm is
+    # that of condensing them at once (the same bits on x86-64)
+    mesh = uniform_refine(l_shape(), 4)
+    problem = g.make_problem(mesh, 1.0, "sinsin")
+    est._ref_blocks.cache_clear()
+    peak, norm = peak_bytes(lambda: est.global_dual_norm(mesh, problem.rhs, 1.0, 5))
+    assert peak < 60 * MB, peak
+    assert norm == pytest.approx(3.9436250586969326, rel=1e-14)
 
 
 # -- blocks of any size, and carried rows, give the same arrays -------------------

@@ -1,6 +1,8 @@
-"""The mesh-file path: the whole-block reader against a line-by-line oracle,
-save_mesh against a row-by-row writer, non-finite coordinates and the
-duplicate checks of the audit."""
+"""The mesh-file path: load_mesh, which streams every valid file through
+np.loadtxt and scans a refused one line by line only to name its bad line,
+against a line-by-line oracle (bytes that are not UTF-8 included), save_mesh
+against a row-by-row writer, non-finite coordinates and the duplicate checks
+of the audit."""
 
 import pathlib
 import warnings
@@ -135,6 +137,8 @@ MALFORMED = {
     "bad_header_one_count": "\n4\n0 0\n",
     "bad_header_three_counts": "4 2 1\n",
     "bad_header_float": "4.0 2\n",
+    # the vertex block must not allocate 10^15 rows up front
+    "huge_vertex_count": SQUARE.replace("4 2", "1000000000000000 2"),
     "too_few_lines": SQUARE.rsplit("\n", 2)[0] + "\n",
     "too_many_lines": SQUARE + "0 1 3\n",
     "empty": "# nothing here\n\n",
@@ -313,7 +317,7 @@ def test_areas_are_those_of_the_stored_corners(tmp_path):
             assert np.array_equal(getattr(mesh, name), getattr(fresh, name)), name
 
 
-# -- the whole-file path for plain files ------------------------------------------
+# -- the stream, and the scan of the files it refuses ----------------------------
 
 
 def decorated_copies(text):
@@ -347,14 +351,65 @@ def test_comments_blanks_and_crlf_anywhere_match_the_oracle(tmp_path, name):
             assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1]), label
 
 
-def test_plain_files_are_not_scanned_line_by_line(tmp_path, monkeypatch):
+def test_valid_files_are_never_scanned_line_by_line(tmp_path, monkeypatch):
     def scan(path, data):
-        raise AssertionError("a plain file was scanned line by line")
+        raise AssertionError("a valid file was scanned line by line")
 
-    path = tmp_path / "saved.msh"
-    save_mesh(uniform_refine(l_shape(), 4), str(path))
-    monkeypatch.setattr(mesh_mod, "_read_lines", scan)
-    assert_same_outcome(path)
+    saved = tmp_path / "saved.msh"
+    save_mesh(uniform_refine(l_shape(), 4), str(saved))
+    # 18,562 rows, so each block's array grows several times, CRLF ends and a
+    # blank or comment line before every 997th row
+    save_mesh(uniform_refine(l_shape(), 11), str(tmp_path / "long.msh"))
+    lines = (tmp_path / "long.msh").read_text().splitlines()
+    long = "".join(("# c\r\n" if i % 2 else "\r\n") * (i % 997 == 0) + line + "\r\n"
+                   for i, line in enumerate(lines))
+    cafe = SQUARE.replace("1 0\n", "1 0 # café\n")
+    files = [("saved", saved.read_text(), "utf-8"), ("long", long, "utf-8"),
+             *((name, text, "utf-8") for name, text in DECORATED.items()),
+             *((label, copy, "utf-8") for label, copy in decorated_copies(SQUARE)),
+             ("lone_cr", SQUARE.replace("\n", "\r"), "utf-8"),
+             ("utf8_comment", cafe, "utf-8"), ("latin1_comment", cafe, "latin-1")]
+    monkeypatch.setattr(mesh_mod, "_refuse", scan)
+    path, oracle = tmp_path / "valid.msh", tmp_path / "oracle.msh"
+    for label, text, encoding in files:
+        path.write_bytes(text.encode(encoding))
+        oracle.write_bytes(text.encode("utf-8"))
+        new, old = load_mesh(str(path)), load_mesh_by_lines(str(oracle))
+        assert np.array_equal(new.vertices, old.vertices), label
+        assert np.array_equal(new.elements, old.elements), label
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-8"])
+def test_comment_bytes_that_are_not_ascii_do_not_matter(tmp_path, capsys, encoding):
+    path = tmp_path / "cafe.msh"
+    path.write_bytes(SQUARE.replace("0 0\n", "0 0 # café\n").encode(encoding))
+    mesh = load_mesh(str(path))
+    assert np.array_equal(mesh.vertices, [[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert run_solve(path, tmp_path / "out", capsys) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    (4, "1\xe9 1", "bad vertex coordinates"),
+    (4, "1 1\xff", "bad vertex coordinates"),
+    (7, "0 2\x80 3", "bad element indices"),
+    (1, "4 \xe92", "header must be 'nv ne'"),
+])
+def test_bytes_that_are_not_utf8_in_a_number_name_the_line(tmp_path, capsys, line, bad,
+                                                           message):
+    path = tmp_path / "bytes.msh"
+    lines = SQUARE.encode().splitlines(keepends=True)
+    lines[line - 1] = bad.encode("latin-1") + b"\n"
+    path.write_bytes(b"".join(lines))
+    assert outcome(load_mesh, path) == f"{path}:{line}: {message}"
+    assert run_solve(path, tmp_path / "out", capsys) == (
+        cli.EXIT_USAGE, f"rdafem: bad mesh: {path}:{line}: {message}\n")
+
+
+def run_solve(mesh_path, out, capsys):
+    """(exit code, stderr) of `rdafem solve` on a mesh file."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--mesh", str(mesh_path), "--out", str(out)])
+    return info.value.code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, bad, message", [
