@@ -5,6 +5,7 @@ environment before the numerics stack loads.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -64,20 +65,23 @@ def build_parser():
 def read_config(path):
     values = {}
     try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, val = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key not in OPTIONS or key == "config":
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = val
+        with open(path, "rb") as fh:
+            text = fh.read().decode()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: the byte at offset {exc.start} is not UTF-8") from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in OPTIONS or key == "config":
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val
     return values
 
 
@@ -344,6 +348,10 @@ def run(args):
     except SolverError as exc:
         print(f"rdafem: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # a mesh file that cannot be read is a MeshError
+        print(f"rdafem: cannot write {exc.filename or 'an artefact'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main(argv=None):

@@ -20,25 +20,25 @@ grow the value, so `depth` tunes the accuracy of the surrogate.  These
 surrogates price the oscillation f - Pi f and back the verification of the
 localization and error-residual identities.
 
-One engine builds every red-refined system.  A free sub-vertex of a patch
-has its whole hat support inside the patch, so a patch system is a
-principal submatrix of the operator on the red-refined mesh, and the
-interior of every parent is condensed by nested dissection (A. George,
-SINUM 10, 1973; E. L. Wilson, IJNME 8, 1974).  Every red-refined
-sub-triangle is the image of its parent's corners, so `_condense` eliminates
-level by level, with one stacked solve per level, the sub-vertices on each
-sub-triangle's middle child's edges, leaving per parent the Schur complement
-onto its corners and face sub-vertices, their loads and the eliminated
-energy.  A patch then solves for its free vertices and face sub-vertices
-alone (face id, then the dyadic index from the face's lower endpoint):
-1 + 3k unknowns at depth 2 and 1 + 63k at depth 6 for an interior star of k
-elements.  Patches of equal size are solved by one stacked dense solve,
-those above `_DENSE_MAX` by one sparse solve of their block-diagonal system.
-`discrete_dual_norm` prices stars in batches of bounded size, so memory does
-not grow with the mesh; `global_dual_norm` prices the whole domain as one
-patch.  The field part of the loads is cached per element by `star_loads`
-(120 B at depth 2, 360 B at depth 3), which `all_oscillations` and
-`localize_check` make; without it a batch evaluates the field on its parents.
+One engine builds every red-refined system.  A free sub-vertex of a patch has
+its whole hat support inside the patch, so a patch system is a principal
+submatrix of the operator on the red-refined mesh, and the interior of every
+parent is condensed by nested dissection (A. George, SINUM 10, 1973; E. L.
+Wilson, IJNME 8, 1974).  Every red-refined sub-triangle is the image of its
+parent's corners, so `_condense` eliminates level by level, with one stacked
+solve per level, the sub-vertices on each sub-triangle's middle child's edges,
+in the template's numbering (after the parent's boundary), leaving per parent
+the Schur complement onto its corners and face sub-vertices, their loads and
+the eliminated energy.  A patch then solves for its free vertices and face
+sub-vertices alone (face id, then the dyadic index from the face's lower
+endpoint): 1 + 3k unknowns at depth 2 and 1 + 63k at depth 6 for an interior
+star of k elements.  Patches of equal size are solved by one stacked dense
+solve, those above `_DENSE_MAX` by one sparse solve of their block-diagonal
+system.  `discrete_dual_norm` prices stars in batches of bounded size, so
+memory does not grow with the mesh; `global_dual_norm` prices the whole domain
+as one patch.  The field part of the loads is cached per element by
+`star_loads` (120 B at depth 2, 360 B at depth 3), which `all_oscillations`
+and `localize_check` make; else a batch evaluates the field on its parents.
 """
 
 import functools
@@ -112,35 +112,6 @@ def classic_indicators(problem, U, quad_degree=DEFAULT_DEGREE):
 # -- P1 spaces on red-refined patches -------------------------------------------
 
 
-class _Template:
-    """Uniform red refinement of the reference triangle: the vertices'
-    barycentrics `bary` and the sub-triangles `tris`."""
-
-    def __init__(self, depth):
-        verts = [np.eye(3)[i] for i in range(3)]
-        tris = [(0, 1, 2)]
-        for _ in range(depth):
-            cache = {}
-
-            def midpoint(a, b):
-                key = (a, b) if a < b else (b, a)
-                if key not in cache:
-                    verts.append(0.5 * (verts[a] + verts[b]))
-                    cache[key] = len(verts) - 1
-                return cache[key]
-
-            nxt = []
-            for a, b, c in tris:
-                ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-                nxt += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-            tris = nxt
-        self.bary = np.array(verts)
-        self.tris = np.array(tris, dtype=np.int64)
-
-
-_template = functools.cache(_Template)
-
-
 def _places(level):
     """Integer barycentrics (sum 2^level) of a level-`level` skeleton: the
     boundary (corners, then faces 0, 1, 2 by step toward the face's second
@@ -178,6 +149,27 @@ def _lookup(table):
     return lambda q: rows[q[..., 0] * n + q[..., 1]]
 
 
+class _Template:
+    """Uniform red refinement of the reference triangle, numbered for nested
+    dissection: `bary` holds the vertices' barycentrics, first the parent's
+    boundary places in `_places` order, then level by level, bottom up, the
+    places each sub-triangle eliminates, one block per level with the
+    sub-triangles in `_sub_corners` order.  `tris` holds the corners of the
+    4^depth smallest sub-triangles (`_sub_corners` at level 0), so each has
+    the parent's angle at every local corner."""
+
+    def __init__(self, depth):
+        n = 2**depth
+        lattice = np.concatenate([_places(depth)[:3 * n]] + [
+            (_places(level)[3 * 2**level:] @ _sub_corners(depth, level) // 2**level)
+            .reshape(-1, 3) for level in range(depth + 1)])
+        self.bary = lattice / n
+        self.tris = _lookup(lattice)(_sub_corners(depth, 0))
+
+
+_template = functools.cache(_Template)
+
+
 class _RefBlocks:
     """Reference data of the depth-d template, shared by all parents.
 
@@ -188,42 +180,40 @@ class _RefBlocks:
     holds, bottom up for the levels l = min(d, 2)..d, the boundary size nb,
     `where` (the skeleton places of the four children's boundaries; None at
     the lowest level, whose skeleton is `start` times the weights) and `elim`
-    (the template vertex of every eliminated place of each of the 4^(d-l)
-    sub-triangles); `boundary` is the template vertex of each of the
-    parent's boundary places.  Loads per unit parent area come from
-    `mass_bary` for P1 densities and from the sparse (node, point) matrix
-    `field_weights` for field values at the points `quad_bary` (every
+    (the template vertices eliminated in each of the 4^(d-l) sub-triangles:
+    the level's block of the numbering); `boundary` is the parent's boundary
+    places, the template's first 3 2^d vertices.  Loads per unit parent area
+    come from `mass_bary` for P1 densities and from the sparse (node, point)
+    matrix `field_weights` for field values at the points `quad_bary` (every
     quadrature point of every sub-triangle); line sources load through
     `face_line`, per unit face length.
     """
 
     def __init__(self, depth, quad_degree):
-        tpl = _template(depth)
-        n_sub = 4**depth
+        tpl, n_sub = _template(depth), 4**depth
         nt = self.n_nodes = len(tpl.bary)
         self.depth, self.quad_degree = depth, quad_degree
         m = self.face_dofs = 2**depth - 1
         self.face_local = np.repeat(np.arange(3), m)
         self.face_step = np.tile(np.arange(1, m + 1), 3)
 
-        # the template vertex of every place, found by its dyadic barycentrics
-        vertex_at = _lookup(np.rint(tpl.bary * 2**depth).astype(np.int64))
         bottom = min(depth, 2)
-        self.levels = []
+        self.levels, first = [], 3 * 2**depth
         for level in range(bottom, depth + 1):
             places, nb = _places(level), 3 * 2**level
             where = None if level == bottom else _lookup(places)(
                 _children(_places(level - 1)[:nb // 2], level))
-            elim = vertex_at(places[nb:] @ _sub_corners(depth, level) // 2**level)
+            s = 4 ** (depth - level)
+            elim = first + np.arange(s * (len(places) - nb)).reshape(s, -1)
+            first += elim.size
             self.levels.append((nb, where, elim))
-        self.boundary = vertex_at(places[:nb])
+        self.boundary = np.arange(nb)
 
         # S_k: grad(lam_i).grad(lam_j) = -cot(theta_k) / (2|T|), {i, j, k} = {0, 1, 2}
         edge = np.array([np.roll([0.0, 1.0, -1.0], k) for k in range(3)])
         unit = [*(edge[:, :, None] * edge[:, None, :] / 2.0),
                 (np.ones((3, 3)) + np.eye(3)) / (12.0 * n_sub)]
-        n = len(_places(bottom))
-        tris = _lookup(_places(bottom))(_sub_corners(bottom, 0))
+        n, tris = len(_places(bottom)), _template(bottom).tris
         pattern = (tris[:, :, None] * n + tris[:, None, :]).ravel()
         self.start = np.stack([np.bincount(pattern, np.tile(u.ravel(), len(tris)), n * n)
                                for u in unit])
@@ -245,7 +235,7 @@ class _RefBlocks:
         # integral of every sub-hat over parent face i, per unit face length
         self.face_line = np.zeros((3, nt))
         self.face_line[self.face_local, self.boundary[3:]] = 1.0 / 2**depth
-        self.face_line[[0, 0, 1, 1, 2, 2], self.boundary[[1, 2, 2, 0, 0, 1]]] = 0.5 / 2**depth
+        self.face_line[[0, 0, 1, 1, 2, 2], [1, 2, 2, 0, 0, 1]] = 0.5 / 2**depth
 
         # per center corner the places a star can free (the corner and the
         # sub-vertices of the two faces through it), and the work one (star,
@@ -403,7 +393,7 @@ def _condense(ref, weights, loads):
         schur = k[:, :nb, :nb] - y[..., :nb]
         cond = b[..., :nb] - y[..., nb:].transpose(0, 2, 1)
         energy += (b_e * x[..., nb:]).sum(axis=(1, 2))
-    return schur, cond[:, 0] + loads[:, ref.boundary], energy
+    return schur, cond[:, 0] + loads[:, :nb], energy
 
 
 def _patch_energies(n, patch, local, rows, cols, vals, loads):

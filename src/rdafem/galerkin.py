@@ -46,19 +46,17 @@ class ScalarField:
     """Analytic scalar function, vectorized over point arrays.
 
     `value(x, y)` returns an array; `grad(x, y)`, when available, returns the
-    pair (d/dx, d/dy) of arrays.  The data f of a preset also knows its
-    exact solution u (`exact`) and evaluates f, u, du/dx and du/dy at one
-    set of nodes in one `kernel(x, y)` call, which shares their common
-    factors and gives the bits of `value`, `exact.value` and `exact.grad`.
+    pair (d/dx, d/dy) of arrays.  The data f of a preset also has a
+    `kernel(x, y)`, which evaluates f, u, du/dx and du/dy at one set of
+    nodes in one call, sharing their common factors; it is the one statement
+    of the exact solution u (`exact`), whose value and grad are read from
+    it.  `value` gives the bits of the kernel's f at the cost of f alone.
     """
 
-    def __init__(self, value, grad=None, exact=None, kernel=None):
-        if (exact is None) != (kernel is None):
-            raise ValueError("an exact solution comes with the kernel of both")
-        self.value = value
-        self.grad = grad
-        self.exact = exact
-        self.kernel = kernel
+    def __init__(self, value, grad=None, kernel=None):
+        self.value, self.grad, self.kernel = value, grad, kernel
+        self.exact = None if kernel is None else ScalarField(
+            lambda x, y: kernel(x, y)[1], lambda x, y: kernel(x, y)[2:])
 
 
 class DiscreteFunction:
@@ -214,7 +212,7 @@ def residual_source(problem, U):
 class Problem:
     """Mesh, reaction coefficient and data of one boundary value problem."""
 
-    def __init__(self, mesh, kappa, rhs, exact=None, name=""):
+    def __init__(self, mesh, kappa, rhs, exact=None):
         self.mesh = mesh
         self.kappa = float(kappa)
         if not (0.0 < self.kappa and self.kappa * self.kappa < np.inf):
@@ -222,30 +220,23 @@ class Problem:
                              f"square, got {kappa!r}")
         self.rhs = rhs
         self.exact = exact
-        self.name = name
 
     def on_mesh(self, mesh):
         """Same problem posed on another mesh (for refinement loops)."""
         if isinstance(self.rhs, PiecewiseFunctional):
             raise TypeError("a mesh-bound right-hand side cannot move to a new mesh")
-        return Problem(mesh, self.kappa, self.rhs, self.exact, self.name)
+        return Problem(mesh, self.kappa, self.rhs, self.exact)
 
 
 def _sinsin(kappa):
-    pi = np.pi
-    u = ScalarField(
-        lambda x, y: np.sin(pi * x) * np.sin(pi * y),
-        lambda x, y: (pi * np.cos(pi * x) * np.sin(pi * y),
-                      pi * np.sin(pi * x) * np.cos(pi * y)),
-    )
-    c = 2.0 * pi**2 + kappa**2
+    pi, c = np.pi, 2.0 * np.pi**2 + kappa**2
 
     def kernel(x, y):
         sx, cx, sy, cy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
         return c * sx * sy, sx * sy, pi * cx * sy, pi * sx * cy
 
-    f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y), exact=u, kernel=kernel)
-    return f, u
+    f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y), kernel=kernel)
+    return f, f.exact
 
 
 def _const1(kappa):
@@ -256,8 +247,7 @@ def _const1(kappa):
 def _layer1d(kappa):
     # u = (1 - cosh(kappa(x-1/2))/cosh(kappa/2)) sin(pi y), written with
     # decaying exponentials so kappa = 1e4 does not overflow
-    pi = np.pi
-    k = float(kappa)
+    pi, k = np.pi, float(kappa)
     scale = 1.0 + np.exp(-k)
 
     def decays(x):
@@ -267,25 +257,17 @@ def _layer1d(kappa):
         return [np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
                 for arg in (-k * (1.0 - x), -k * x)]
 
-    def ratio(x):
-        left, right = decays(x)
-        return (left + right) / scale
-
-    def grad(x, y):
-        left, right = decays(x)
-        return (-(k * (left - right) / scale) * np.sin(pi * y),
-                pi * (1.0 - (left + right) / scale) * np.cos(pi * y))
-
     def kernel(x, y):
         left, right = decays(x)
         rest, sy, cy = 1.0 - (left + right) / scale, np.sin(pi * y), np.cos(pi * y)
         return ((k**2 + pi**2 * rest) * sy, rest * sy,
                 -(k * (left - right) / scale) * sy, pi * rest * cy)
 
-    u = ScalarField(lambda x, y: (1.0 - ratio(x)) * np.sin(pi * y), grad)
-    f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - ratio(x))) * np.sin(pi * y),
-                    exact=u, kernel=kernel)
-    return f, u
+    # f alone: the decays are freed once summed, and NumPy reuses the buffer
+    # of every unnamed temporary, so f holds no more arrays than it needs
+    f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - np.add(*decays(x)) / scale))
+                    * np.sin(pi * y), kernel=kernel)
+    return f, f.exact
 
 
 PRESETS = {"sinsin": _sinsin, "const1": _const1, "layer1d": _layer1d}
@@ -315,7 +297,7 @@ def make_problem(mesh, kappa, preset):
             x, y = mesh.vertices.take(outside[0], axis=0)
             raise MeshError(f"preset 'layer1d' is posed on the unit square, but vertex "
                             f"{outside[0]} at ({x:g}, {y:g}) lies outside [0, 1]^2")
-    problem = Problem(mesh, kappa, None, name=preset)  # checks kappa first
+    problem = Problem(mesh, kappa, None)  # checks kappa first
     problem.rhs, problem.exact = _preset_fields(preset, problem.kappa)
     return problem
 

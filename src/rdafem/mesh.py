@@ -47,11 +47,14 @@ class MeshError(Exception):
 
 def index_array(indices, n, what):
     """`indices` as int64 entries in [0, n) (MeshError otherwise).  A boolean
-    mask would cast to indices 0 and 1, so it is refused (TypeError)."""
-    if np.asarray(indices).dtype == bool:
-        raise TypeError(f"{what} must be indices, not a boolean mask: "
-                        f"pass np.flatnonzero(mask)")
-    indices = np.asarray(indices, dtype=np.int64)
+    mask would cast to indices 0 and 1, and floats or strings would be cut
+    or parsed, so anything but integers (or nothing) is refused (TypeError)."""
+    indices = np.asarray(indices)
+    if indices.dtype == bool:
+        raise TypeError(f"{what} must be indices, not a boolean mask: pass np.flatnonzero(mask)")
+    if indices.size and indices.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, got dtype {indices.dtype}")
+    indices = indices.astype(np.int64, copy=False)
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise MeshError(f"{what} out of range")
     return indices

@@ -215,6 +215,18 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, out):
     assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, artefact", [("solve", "solve.json"), ("adapt", "run.csv")])
+def test_artefact_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, command,
+                                                          artefact):
+    # a directory in the artefact's place: write_json and write_csv fail
+    (tmp_path / artefact).mkdir()
+    code = run_cli(command, "--mesh", "crisscross", "--max-dof", "10", "--out", str(tmp_path))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"rdafem: cannot write {tmp_path / artefact}: ")
+    assert err.count("\n") == 1
+
+
 def test_mesh_without_elements_is_a_bad_mesh(tmp_path, capsys):
     path = tmp_path / "none.msh"
     path.write_text("0 0\n")
@@ -370,6 +382,16 @@ def test_config_bad_syntax(tmp_path, capsys):
     assert run_cli("solve", "--config", str(cfg),
                    "--out", str(tmp_path)) == cli.EXIT_USAGE
     assert "key=value" in capsys.readouterr().err
+
+
+def test_config_byte_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # in a comment too; the offset counts bytes from the start of the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"kappa = 2\n# caf\xe9\n")
+    code = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"rdafem: {cfg}: the byte at offset 15 is not UTF-8\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_bad_option_values_are_usage_errors(tmp_path, capsys):

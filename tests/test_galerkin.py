@@ -96,42 +96,45 @@ def test_galerkin_orthogonality_energy_identity():
 
 
 def test_layer1d_preset_consistency():
-    # the stated right-hand side is -lap u + kappa^2 u for the stated u
-    problem = g.make_problem(unit_square_2tri(), 50.0, "layer1d")
-    u, f = problem.exact, problem.rhs
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(0.05, 0.95, size=(40, 2))
-    h = 1e-5
-    x, y = pts[:, 0], pts[:, 1]
-    lap = (u.value(x + h, y) + u.value(x - h, y) + u.value(x, y + h)
-           + u.value(x, y - h) - 4 * u.value(x, y)) / h**2
-    resid = -lap + 50.0**2 * u.value(x, y) - f.value(x, y)
-    assert np.abs(resid).max() < 1e-3 * np.abs(f.value(x, y)).max()
-    # boundary values vanish on x in {0,1} and y in {0,1}
-    s = np.linspace(0.0, 1.0, 13)
-    for edge in (u.value(0 * s, s), u.value(1 + 0 * s, s),
-                 u.value(s, 0 * s), u.value(s, 1 + 0 * s)):
-        assert np.abs(edge).max() < 1e-13
+    # the stated right-hand side is -lap u + kappa^2 u: u is stated only in
+    # the kernel and f.value apart from it, so this checks the kernel's u
+    for preset in ("layer1d", "sinsin"):
+        problem = g.make_problem(unit_square_2tri(), 50.0, preset)
+        u, f = problem.exact, problem.rhs
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0.05, 0.95, size=(40, 2))
+        h = 1e-5
+        x, y = pts[:, 0], pts[:, 1]
+        lap = (u.value(x + h, y) + u.value(x - h, y) + u.value(x, y + h)
+               + u.value(x, y - h) - 4 * u.value(x, y)) / h**2
+        resid = -lap + 50.0**2 * u.value(x, y) - f.value(x, y)
+        assert np.abs(resid).max() < 1e-3 * np.abs(f.value(x, y)).max(), preset
+        # boundary values vanish on x in {0,1} and y in {0,1}
+        s = np.linspace(0.0, 1.0, 13)
+        for edge in (u.value(0 * s, s), u.value(1 + 0 * s, s),
+                     u.value(s, 0 * s), u.value(s, 1 + 0 * s)):
+            assert np.abs(edge).max() < 1e-13, preset
 
 
 def test_layer1d_grad_matches_fd():
-    problem = g.make_problem(unit_square_2tri(), 200.0, "layer1d")
-    u = problem.exact
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0.01, 0.99, size=(30, 2))
-    h = 1e-6
-    gx, gy = u.grad(pts[:, 0], pts[:, 1])
-    fx = (u.value(pts[:, 0] + h, pts[:, 1]) - u.value(pts[:, 0] - h, pts[:, 1])) / (2 * h)
-    fy = (u.value(pts[:, 0], pts[:, 1] + h) - u.value(pts[:, 0], pts[:, 1] - h)) / (2 * h)
-    assert np.abs(gx - fx).max() < 1e-4 * max(1.0, np.abs(gx).max())
-    assert np.abs(gy - fy).max() < 1e-4 * max(1.0, np.abs(gy).max())
+    # grad u, read from the kernel, against differences of u
+    for preset in ("layer1d", "sinsin"):
+        problem = g.make_problem(unit_square_2tri(), 200.0, preset)
+        u = problem.exact
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.01, 0.99, size=(30, 2))
+        h = 1e-6
+        gx, gy = u.grad(pts[:, 0], pts[:, 1])
+        fx = (u.value(pts[:, 0] + h, pts[:, 1]) - u.value(pts[:, 0] - h, pts[:, 1])) / (2 * h)
+        fy = (u.value(pts[:, 0], pts[:, 1] + h) - u.value(pts[:, 0], pts[:, 1] - h)) / (2 * h)
+        assert np.abs(gx - fx).max() < 1e-4 * max(1.0, np.abs(gx).max()), preset
+        assert np.abs(gy - fy).max() < 1e-4 * max(1.0, np.abs(gy).max()), preset
 
 
 def test_layer1d_refuses_meshes_outside_unit_square():
     # its data overflow off [0, 1]^2; vertex 0 of the L-shape sits at (-1, -1)
     with pytest.raises(mesh_mod.MeshError, match=r"'layer1d'.*vertex 0 at \(-1, -1\)"):
         g.make_problem(mesh_mod.l_shape(), 1e4, "layer1d")
-    assert g.make_problem(mesh_mod.l_shape(), 1e4, "sinsin").name == "sinsin"
     # the unit square, boundary included, is unchanged
     m = uniform_refine(unit_square_2tri(), 2)
     problem = g.make_problem(m, 1e4, "layer1d")

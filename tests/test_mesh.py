@@ -148,6 +148,16 @@ def test_bisect_refuses_a_boolean_mask():
                           bisect(m, [m.n_elements - 1]).elements)
 
 
+@pytest.mark.parametrize("marked", [[2.9], np.array([0.7]), ["1"], [np.nan]],
+                         ids=["float", "float-array", "string", "nan"])
+def test_bisect_refuses_indices_that_are_not_integers(marked):
+    # cast to int64, 2.9 would mark element 2 and '1' element 1
+    m = uniform_refine(l_shape(), 1)
+    with pytest.raises(TypeError, match=f"integers, got dtype {np.asarray(marked).dtype}$"):
+        bisect(m, marked)
+    assert bisect(m, []).n_elements == m.n_elements
+
+
 def test_uniform_refine_keeps_shape():
     m = unit_square_2tri()
     fine = uniform_refine(m, 4)

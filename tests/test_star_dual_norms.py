@@ -153,6 +153,16 @@ def test_boolean_vertex_mask_is_refused():
     assert est.discrete_dual_norm(mesh, np.flatnonzero(mask), src, 1.0).shape == (3,)
 
 
+@pytest.mark.parametrize("vertices", [[2.9], np.array([0.7]), ["1"], [np.nan]],
+                         ids=["float", "float-array", "string", "nan"])
+def test_vertices_that_are_not_integers_are_refused(vertices):
+    mesh = mesh_mod.uniform_refine(mesh_mod.l_shape(), 2)
+    src = g.make_problem(mesh, 1.0, "sinsin").rhs
+    with pytest.raises(TypeError, match=f"integers, got dtype {np.asarray(vertices).dtype}$"):
+        est.discrete_dual_norm(mesh, vertices, src, 1.0)
+    assert est.discrete_dual_norm(mesh, [], src, 1.0).shape == (0,)
+
+
 def _condensed_size(mesh, z, depth):
     """Unknowns of the star of z once its parents' interiors are condensed:
     the center if free, and the sub-vertices of the interior faces through it."""
@@ -212,6 +222,51 @@ def _perturbed_parents(rng):
     moved = mesh.vertices + np.where(mesh.boundary_vertex[:, None], 0.0,
                                      rng.uniform(-0.1, 0.1, mesh.vertices.shape))
     return mesh_mod.Mesh(moved, mesh.elements)
+
+
+def _angles(p):
+    """Interior angle at each corner of triangles p, (..., 3, 2)."""
+    u, v = np.roll(p, -1, axis=-2) - p, np.roll(p, 1, axis=-2) - p
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    return np.arctan2(np.abs(cross), (u * v).sum(axis=-1))
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_template_is_numbered_for_nested_dissection(depth):
+    tpl, n = est._template(depth), 2**depth
+    lattice = np.rint(tpl.bary * n).astype(np.int64)
+    assert np.array_equal(lattice / n, tpl.bary)
+    # every point of the lattice exactly once
+    assert len(lattice) == (n + 1) * (n + 2) // 2
+    assert (lattice >= 0).all() and (lattice.sum(axis=1) == n).all()
+    assert len(np.unique(lattice, axis=0)) == len(lattice)
+    # the parent's boundary first, in the order of its places
+    assert np.array_equal(lattice[:3 * n], est._places(depth)[:3 * n])
+    assert np.array_equal(est._ref_blocks(depth, 2).boundary, np.arange(3 * n))
+    # then per level one block: per sub-triangle, in order, the points inside
+    # it that lie inside none of its four children (a barycentric of 1/2)
+    first = 3 * n
+    levels = est._ref_blocks(depth, 2).levels
+    assert [nb for nb, _, _ in levels] == [3 * 2**level for level in
+                                            range(min(depth, 2), depth + 1)]
+    for level, (_, _, elim) in zip(range(min(depth, 2), depth + 1), levels):
+        corners = est._sub_corners(depth, level)
+        assert np.array_equal(elim, first + np.arange(elim.size).reshape(len(corners), -1))
+        for t, c in enumerate(corners):
+            lam = np.linalg.solve(c.T.astype(float), lattice.T.astype(float)).T * 2**level
+            inside = (lam > 0.5).all(axis=1) & (np.abs(lam - 2 ** (level - 1)) < 0.5).any(axis=1)
+            assert np.array_equal(np.sort(elim[t]), np.flatnonzero(inside)), (level, t)
+        first += elim.size
+    assert first == len(lattice)
+    # the smallest sub-triangles tile the parent, each with the parent's
+    # angle at every local corner
+    parent = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    sub = tpl.bary[tpl.tris] @ parent
+    assert tpl.tris.shape == (4**depth, 3)
+    u, v = sub[:, 1] - sub[:, 0], sub[:, 2] - sub[:, 0]
+    assert np.allclose(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], 0.8 / 4**depth,
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(_angles(sub), _angles(parent), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("depth", range(6))
