@@ -85,8 +85,8 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
 
     `bisect` hands the previous mesh's cached arrays (the barycentric
     gradients, the face rows of the `DualSystem` and of the field's face
-    pairings, the data's load rows, element means and element-dual pairings,
-    the exact solution's part of the energy error and the star oscillations)
+    pairings, the data's `field_rows`, which hold the exact solution's part
+    of the energy error in the same entry, and the star oscillations)
     down to the refined mesh, which takes the rows bisection kept and computes
     only the new ones (`cached_rows`); the previous mesh goes at once.
     `repriced_elements` counts the element rows of the data priced,
@@ -113,7 +113,7 @@ def adaptive_loop(problem, theta_mark=0.5, max_dof=2000, depth=2, osc_every=1,
             break
         interpolated = project_pi(mesh, kappa, problem.rhs, quad_degree)
         err = None
-        if problem.exact is not None and problem.exact.grad is not None:
+        if problem.exact is not None:
             err = float(np.sqrt(energy_error_sq_elements(
                 problem, U, quad_degree).sum()))
         E = vertex_indicators(residuals(problem, U, interpolated), kappa)
@@ -286,7 +286,7 @@ def robustness_study(preset, kappas, mesh, max_dof=2000, theta_mark=0.5, depth=2
     report = StudyReport()
     for kappa in kappas:
         problem = galerkin.make_problem(mesh, kappa, preset)
-        has_exact = problem.exact is not None and problem.exact.grad is not None
+        has_exact = problem.exact is not None
         run = adaptive_loop(problem, theta_mark=theta_mark, max_dof=max_dof,
                             depth=depth, quad_degree=quad_degree,
                             keep_meshes=not has_exact)

@@ -66,7 +66,7 @@ def read_config(path):
     values = {}
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode()
+            text = fh.read().decode("utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -216,7 +216,7 @@ def cmd_solve(opts, outdir):
         "energy_norm": galerkin.energy_norm(mesh, opts["kappa"], U),
         "error": None,
     }
-    if problem.exact is not None and problem.exact.grad is not None:
+    if problem.exact is not None:
         summary["error"] = galerkin.energy_error(problem, U,
                                                  quad_degree=opts["quad_degree"])
     summary.update(U.solver_stats)

@@ -212,20 +212,24 @@ def residual_source(problem, U):
 class Problem:
     """Mesh, reaction coefficient and data of one boundary value problem."""
 
-    def __init__(self, mesh, kappa, rhs, exact=None):
+    def __init__(self, mesh, kappa, rhs):
         self.mesh = mesh
         self.kappa = float(kappa)
         if not (0.0 < self.kappa and self.kappa * self.kappa < np.inf):
             raise ValueError(f"kappa must be positive and finite, with a finite "
                              f"square, got {kappa!r}")
         self.rhs = rhs
-        self.exact = exact
+
+    @property
+    def exact(self):
+        """The exact solution the data state (`ScalarField.exact`), or None."""
+        return getattr(self.rhs, "exact", None)
 
     def on_mesh(self, mesh):
         """Same problem posed on another mesh (for refinement loops)."""
         if isinstance(self.rhs, PiecewiseFunctional):
             raise TypeError("a mesh-bound right-hand side cannot move to a new mesh")
-        return Problem(mesh, self.kappa, self.rhs, self.exact)
+        return Problem(mesh, self.kappa, self.rhs)
 
 
 def _sinsin(kappa):
@@ -236,12 +240,12 @@ def _sinsin(kappa):
         return c * sx * sy, sx * sy, pi * cx * sy, pi * sx * cy
 
     f = ScalarField(lambda x, y: c * np.sin(pi * x) * np.sin(pi * y), kernel=kernel)
-    return f, f.exact
+    return f
 
 
 def _const1(kappa):
     f = ScalarField(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
-    return f, None
+    return f
 
 
 def _layer1d(kappa):
@@ -267,7 +271,7 @@ def _layer1d(kappa):
     # of every unnamed temporary, so f holds no more arrays than it needs
     f = ScalarField(lambda x, y: (k**2 + pi**2 * (1.0 - np.add(*decays(x)) / scale))
                     * np.sin(pi * y), kernel=kernel)
-    return f, f.exact
+    return f
 
 
 PRESETS = {"sinsin": _sinsin, "const1": _const1, "layer1d": _layer1d}
@@ -275,8 +279,8 @@ PRESETS = {"sinsin": _sinsin, "const1": _const1, "layer1d": _layer1d}
 
 @functools.lru_cache(maxsize=64)
 def _preset_fields(preset, kappa):
-    """(rhs, exact) of a preset at a float kappa, the same objects per pair:
-    the rows cached on a mesh are keyed by the identity of the field."""
+    """The data of a preset at a float kappa, the same object per pair: the
+    rows cached on a mesh are keyed by the identity of the field."""
     return PRESETS[preset](kappa)
 
 
@@ -298,7 +302,7 @@ def make_problem(mesh, kappa, preset):
             raise MeshError(f"preset 'layer1d' is posed on the unit square, but vertex "
                             f"{outside[0]} at ({x:g}, {y:g}) lies outside [0, 1]^2")
     problem = Problem(mesh, kappa, None)  # checks kappa first
-    problem.rhs, problem.exact = _preset_fields(preset, problem.kappa)
+    problem.rhs = _preset_fields(preset, problem.kappa)
     return problem
 
 
@@ -364,40 +368,40 @@ def assemble(mesh, kappa):
 
 def field_rows(mesh, field, quad_degree=DEFAULT_DEGREE):
     """One field integrated against the element quadrature of one mesh,
-    cached on it (`_node_rows`): `load[e, i] = <f, lam_i>_T`, the
-    contributions `field_load` scatters; `mean[e]`, the mean of f on T; and
-    `dual[e, z] = <f, phi*_{z;T}>`, the pairings with the element duals of
-    `dual_system`.
+    cached on it under the field and the rule (`cached_rows`):
+    `load[e, i] = <f, lam_i>_T`, the contributions `field_load` scatters;
+    `mean[e]`, the mean of f on T; and `dual[e, z] = <f, phi*_{z;T}>`, the
+    pairings with the element duals of `dual_system`.
 
-    Where the field knows its exact solution u and the rule is one that
-    `error_rows` takes (degree 2 at least), the same pass fills u's
-    `error_rows` too: one entry, cached under both keys, carried along
-    bisection as one.
-    """
-    degree = int(quad_degree)
-    exact = field.exact if degree >= 2 else None
-    rows = _node_rows(mesh, ("field_rows", field, degree), degree, field, exact)
-    if exact is not None:
-        mesh.cache.setdefault(("error_rows", exact, degree), rows)
-    return rows
+    Where the field states its exact solution u (`kernel`) and the rule has
+    degree 2 at least (and so integrates P1^2 exactly), the entry also holds
+    the part of the energy error of u - U that does not depend on U.  u and
+    grad u are split orthogonally in the rule's inner product on each
+    element T:
 
+    * `grad_mean[e]`, the rule-weighted mean m_T of grad u, and
+      `grad_spread[e]` = int_T |grad u - m_T|^2;
+    * `proj[e]`, the barycentric coefficients c_T of the rule's L2(T)
+      projection of u onto P1, and `proj_residual[e]` = int_T (u - c_T.lam)^2.
 
-def _node_rows(mesh, key, degree, field=None, exact=None):
-    """The rows of `field_rows` (given a field) and of `error_rows` (given an
-    exact solution) against the rule of one degree, cached on the mesh
-    under key (`cached_rows`).
+    The rule's value of int_T |grad(u - U)|^2 + kappa^2 (u - U)^2 is then
+    grad_spread + |T| |m_T - grad U|^2 + kappa^2 (proj_residual +
+    int_T ((c_T - U).lam)^2): the cross terms vanish by the rule's own
+    orthogonality, and the rule integrates the P1 square exactly.  The four
+    terms are nonnegative, so nothing cancels where the error is small.
 
     The data are evaluated once, in blocks of elements, at the nodes of the
-    rows `new`: by the field's kernel where both are asked for (u is then
-    the field's own), else by `value` and `grad`.  A block's node values
-    give its `node_sums` and are then dropped.
+    rows `new`: by the kernel where the entry holds u's rows, else by
+    `value` alone.  A block's node values give its `node_sums` and are then
+    dropped.
     """
+    degree = int(quad_degree)
+    joint = degree >= 2 and field.kernel is not None
     rule = quadrature.simplex_rule(degree)
     w = rule.weights
-    if field is not None:
-        # the weights of load, mean and dual side by side: one sum per node
-        weights = np.column_stack([w[:, None] * rule.points, w, element_dual_weights(rule)])
-    if exact is not None:
+    # the weights of load, mean and dual side by side: one sum per node
+    weights = np.column_stack([w[:, None] * rule.points, w, element_dual_weights(rule)])
+    if joint:
         wsum = w.sum()
         # c_T = u at the nodes @ proj: the rule's Gram matrix of the
         # barycentrics, inverted, against the weighted barycentrics
@@ -407,19 +411,15 @@ def _node_rows(mesh, key, degree, field=None, exact=None):
     def build(new):
         pts = quadrature.map_points(rule, mesh.element_coords(new))
         x, y = pts[..., 0], pts[..., 1]
-        if field is not None and exact is not None:
+        if joint:
             f, u, gx, gy = field.kernel(x, y)
-        elif field is not None:
-            f = field.value(x, y)
         else:
-            u, (gx, gy) = exact.value(x, y), exact.grad(x, y)
-        rows = {}
-        if field is not None:
-            sums = 2.0 * node_sums(f, weights)
-            # against the 2|T| Jacobian: the mean is over |T|, duals' psi_z has 1/|T|
-            rows.update(load=mesh.areas.take(new)[:, None] * sums[:, :3], mean=sums[:, 3],
-                        dual=sums[:, 4:])
-        if exact is not None:
+            f = field.value(x, y)
+        sums = 2.0 * node_sums(f, weights)
+        # against the 2|T| Jacobian: the mean is over |T|, duals' psi_z has 1/|T|
+        rows = dict(load=mesh.areas.take(new)[:, None] * sums[:, :3], mean=sums[:, 3],
+                    dual=sums[:, 4:])
+        if joint:
             mx, my = node_sums(gx, w) / wsum, node_sums(gy, w) / wsum
             jac = 2.0 * mesh.areas.take(new)
             c = node_sums(u, proj)
@@ -431,7 +431,8 @@ def _node_rows(mesh, key, degree, field=None, exact=None):
         return rows
 
     # u and grad u are three arrays per node where f alone is one: twice the width
-    return cached_rows(mesh, key, "elements", build, width=(1 + (exact is not None)) * len(w))
+    return cached_rows(mesh, ("field_rows", field, degree), "elements", build,
+                       width=(1 + joint) * len(w))
 
 
 def field_load(mesh, field, quad_degree=DEFAULT_DEGREE):
@@ -691,38 +692,14 @@ def energy_norm(mesh, kappa, v):
     return float(np.sqrt(energy_norm_sq_elements(mesh, kappa, v).sum()))
 
 
-def error_rows(mesh, exact, quad_degree=DEFAULT_DEGREE):
-    """The part of the energy error of u - U that does not depend on U, per
-    element of one mesh, for one exact solution u and one rule of degree 2
-    at least (which integrates P1^2 exactly), cached on the mesh
-    (`_node_rows`; `field_rows` of data that know u fills it on the way).
-
-    u and grad u are evaluated once, in blocks of elements, at the nodes of
-    the rows `new`, and split orthogonally in the rule's inner product on
-    each element T:
-
-    * `grad_mean[e]`, the rule-weighted mean m_T of grad u, and
-      `grad_spread[e]` = int_T |grad u - m_T|^2;
-    * `proj[e]`, the barycentric coefficients c_T of the rule's L2(T)
-      projection of u onto P1, and `proj_residual[e]` = int_T (u - c_T.lam)^2.
-
-    The rule's value of int_T |grad(u - U)|^2 + kappa^2 (u - U)^2 is then
-    grad_spread + |T| |m_T - grad U|^2 + kappa^2 (proj_residual +
-    int_T ((c_T - U).lam)^2): the cross terms vanish by the rule's own
-    orthogonality, and the rule integrates the P1 square exactly.  The four
-    terms are nonnegative, so nothing cancels where the error is small.
-    """
-    degree = max(int(quad_degree), 2)
-    return _node_rows(mesh, ("error_rows", exact, degree), degree, exact=exact)
-
-
 def energy_error_sq_elements(problem, U, quad_degree=DEFAULT_DEGREE):
-    """Squared energy norm of u - U per element, u the exact solution, by
-    the orthogonal split of `error_rows`."""
-    if problem.exact is None or problem.exact.grad is None:
+    """Squared energy norm of u - U per element, u the exact solution the
+    data state, by the orthogonal split of the data's `field_rows` at the
+    rule of degree 2 where `quad_degree` is lower."""
+    if problem.exact is None:
         raise ValueError("problem has no exact solution to compare against")
     mesh = problem.mesh
-    rows = error_rows(mesh, problem.exact, quad_degree)
+    rows = field_rows(mesh, problem.rhs, max(int(quad_degree), 2))
     grads, out = U.element_gradients(), np.empty(mesh.n_elements)
     for e in row_blocks(mesh.n_elements, 3):
         dg = rows.grad_mean[e] - grads[e]

@@ -139,11 +139,11 @@ class Mesh:
     The face geometry (`normals`, `face_len`, `h_face`) is built on its
     first read, in one pass for all three.
 
-    `cache` holds the row arrays of `cached_rows` and nothing else: per
-    element the barycentric gradients (`element_bary_grads`), the load
-    rows, means and element-dual pairings of a field (`field_rows`) and the
-    exact solution's part of the energy error (`error_rows`), one entry
-    under both keys for a preset's data and solution; per interior
+    `cache` holds the row arrays of `cached_rows` and nothing else, each
+    entry under one key: per element the barycentric gradients
+    (`element_bary_grads`) and, per field and rule, the load rows, means and
+    element-dual pairings of the field and, for data that state their exact
+    solution, its part of the energy error (`field_rows`); per interior
     face the squeeze factors and gamma coefficients of the face duals and
     the pairings of a field with the face bubbles (`dual_system`); per
     vertex the star oscillations (`estimator.all_oscillations`).  Its
@@ -424,9 +424,10 @@ def load_mesh(path):
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
     # the lines of str.splitlines, each ended by the "\n" np.loadtxt splits at;
-    # a byte that is not UTF-8 reads as U+FFFD, which is no number
+    # a leading byte-order mark goes, and one elsewhere, like a byte that is
+    # not UTF-8 (read as U+FFFD), is no number
     if not data.isascii() or any(end in data for end in b"\r\v\f\x1c\x1d\x1e"):
-        data = "\n".join(data.decode("utf-8", errors="replace").splitlines()).encode()
+        data = "\n".join(data.decode("utf-8-sig", errors="replace").splitlines()).encode()
     stream = io.BytesIO(data)
     with warnings.catch_warnings():
         # a blank or comment line is skipped, and counts toward no max_rows
@@ -581,9 +582,6 @@ def cached_rows(mesh, key, kind, build, width=None):
     for array in arrays.values():
         array.setflags(write=False)
     rows = mesh.cache[key] = types.SimpleNamespace(new=new, **arrays)
-    if old is not None and vars(old).keys() <= vars(rows).keys():
-        # an entry handed down under two keys and filled whole under this one
-        mesh._handed = {k: entry for k, entry in mesh._handed.items() if entry is not old}
     return rows
 
 

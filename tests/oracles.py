@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from rdafem.estimator import _template, weight_elements, weight_faces
-from rdafem.galerkin import element_dual_weights, energy_error_sq_elements, error_rows
+from rdafem.galerkin import element_dual_weights, energy_error_sq_elements, field_rows
 from rdafem.mesh import bary_grads, signed_areas
 from rdafem.quadrature import (DEFAULT_DEGREE, map_points, map_to_triangle, node_sums,
                                simplex_rule)
@@ -135,7 +135,7 @@ def field_rows_apart(mesh, field, degree):
 
 
 def error_rows_apart(mesh, exact, degree):
-    """The rows of `galerkin.error_rows` for the rule of a degree of 2 at
+    """u's rows of `galerkin.field_rows` for the rule of a degree of 2 at
     least, from `exact.value` and `exact.grad` alone at the nodes of every
     element at once."""
     rule = simplex_rule(degree)
@@ -255,7 +255,7 @@ def energy_norm_sq_elements(mesh, kappa, values):
 def energy_error_sq(problem, values, quad_degree=DEFAULT_DEGREE):
     """`galerkin.energy_error_sq_elements` of the P1 function with vertex values."""
     mesh = problem.mesh
-    rows = error_rows(mesh, problem.exact, quad_degree)
+    rows = field_rows(mesh, problem.rhs, max(quad_degree, 2))
     dg = rows.grad_mean - element_gradients(mesh, values)
     grad_part = rows.grad_spread + mesh.areas * (dg[:, 0] ** 2 + dg[:, 1] ** 2)
     mass_part = rows.proj_residual + p1_mass_sq(mesh.areas, rows.proj - values[mesh.elements])

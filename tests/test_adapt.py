@@ -354,17 +354,17 @@ def test_decay_rate_recovers_power_law():
 
 def test_loop_evaluates_the_exact_solution_at_new_elements_only():
     # the energy error takes the rows of kept elements from the previous
-    # mesh, so grad u is evaluated at the nodes of new elements only
+    # mesh, so the kernel evaluates u at the nodes of new elements only
     problem = g.make_problem(uniform_refine(unit_square_2tri(), 3), 10.0, "sinsin")
-    grad = problem.exact.grad
+    f = problem.rhs
     points = []
 
     def counting(x, y):
         points.append(np.size(x))
-        return grad(x, y)
+        return f.kernel(x, y)
 
     # a field of its own: make_problem shares the preset's fields
-    problem.exact = g.ScalarField(problem.exact.value, counting)
+    problem.rhs = g.ScalarField(f.value, kernel=counting)
     report = adapt.adaptive_loop(problem, max_dof=300, osc_every=0)
     assert len(report.records) > 2
     new = [r["repriced_elements"] for r in report.records]

@@ -172,15 +172,15 @@ def test_carried_error_rows_equal_a_fresh_build(chain):
     name, data, kappa, seed, fractions = chain
     mesh = MESHES[name]()
     problem = galerkin.make_problem(mesh, kappa, data)
-    galerkin.error_rows(mesh, problem.exact)
+    galerkin.field_rows(mesh, problem.rhs)
     rng = np.random.default_rng(seed)
     for fraction in fractions:
         marks = rng.choice(mesh.n_elements, max(1, int(fraction * mesh.n_elements)),
                            replace=False)
         child = bisect(mesh, marks)
-        carried = galerkin.error_rows(child, problem.exact)
+        carried = galerkin.field_rows(child, problem.rhs)
         fresh_mesh = Mesh(child.vertices, child.elements, ref_edge_policy="asis")
-        fresh = galerkin.error_rows(fresh_mesh, problem.exact)
+        fresh = galerkin.field_rows(fresh_mesh, problem.rhs)
         for key in ERROR_ARRAYS:
             got, want = getattr(carried, key), getattr(fresh, key)
             assert got.shape == want.shape, key

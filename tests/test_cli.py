@@ -394,6 +394,18 @@ def test_config_byte_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_config_with_a_leading_byte_order_mark_is_read(tmp_path, capsys):
+    # a mark anywhere else stays part of the text, here of a key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfkappa = 2\n")
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out")) == cli.EXIT_OK
+    assert json.loads((tmp_path / "out" / "solve.json").read_text())["kappa"] == 2.0
+    cfg.write_bytes(b"kappa = 2\n\xef\xbb\xbfpreset = const1\n")
+    code = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "again"))
+    assert code == cli.EXIT_USAGE
+    assert f"{cfg}:2: unknown key '\\ufeffpreset'" in capsys.readouterr().err
+
+
 def test_bad_option_values_are_usage_errors(tmp_path, capsys):
     assert run_cli("solve", "--quad-degree", "0",
                    "--out", str(tmp_path)) == cli.EXIT_USAGE

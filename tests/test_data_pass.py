@@ -1,20 +1,24 @@
 """One pass of the problem data per quadrature node.
 
-The data f of a preset knows its exact solution u and a kernel that
+The data f of a preset states its exact solution u in a kernel that
 evaluates f, u and grad u at once, sharing their common factors; it must
-give the bits of `value` and `grad`.  The rows `field_rows` builds from it
-hold u's `error_rows` too, and must equal rows built from each evaluation
-alone (`oracles.field_rows_apart`, `oracles.error_rows_apart`), on a fresh
-mesh and carried along bisection.  Where the rules differ (a load rule of
-degree 0 or 1, the error rule of degree 2) and for data without a kernel,
-each set of rows is built alone.
+give the bits of `value` and `grad`.  The entry `field_rows` builds from it
+holds u's energy-error rows too, under the one key of the data and the
+rule, and must equal rows built from each evaluation alone
+(`oracles.field_rows_apart`, `oracles.error_rows_apart`), on a fresh mesh
+and carried along bisection.  A load rule of degree 0 or 1 evaluates f
+alone, and the error reads the joint entry of the degree-2 rule, whose
+kernel runs once per node.  Data without a kernel have no error rows.
+No cache entry sits under two keys.
 """
 
 import numpy as np
 import pytest
 
 from rdafem import galerkin as g
+from rdafem.adapt import adaptive_loop
 from rdafem.mesh import Mesh, bisect, l_shape, uniform_refine, unit_square_crisscross
+from rdafem.quadrature import simplex_rule
 
 from oracles import error_rows_apart, field_rows_apart
 
@@ -41,8 +45,8 @@ def assert_rows_equal(rows, want):
 @pytest.mark.parametrize("preset", ["sinsin", "layer1d"])
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_kernel_gives_the_bits_of_value_and_grad(preset, kappa):
-    f, u = g.PRESETS[preset](kappa)
-    assert f.exact is u
+    f = g.PRESETS[preset](kappa)
+    u = f.exact
     for x, y in node_sets(kappa):
         want = (f.value(x, y), u.value(x, y), *u.grad(x, y))
         for got, array in zip(f.kernel(x, y), want, strict=True):
@@ -59,7 +63,6 @@ def test_joint_rows_equal_rows_built_apart(preset, kappa, degree):
     problem = g.make_problem(mesh, kappa, preset)
     for _ in range(3):
         rows = g.field_rows(mesh, problem.rhs, degree)
-        assert g.error_rows(mesh, problem.exact, degree) is rows
         if parent is not None:
             assert mesh.parent is parent and 0 < len(rows.new) < mesh.n_elements
         assert_rows_equal(rows, field_rows_apart(mesh, problem.rhs, degree)
@@ -70,14 +73,14 @@ def test_joint_rows_equal_rows_built_apart(preset, kappa, degree):
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_low_degree_energy_error_is_that_of_the_degree_2_rule(degree):
-    # the load rule is not the error rule: each set of rows is built alone
+    # the load rule is not the error rule: it evaluates f alone
     mesh = uniform_refine(l_shape(), 2)
     problem = g.make_problem(mesh, 10.0, "sinsin")
     U = g.solve(problem, quad_degree=degree)
     rows = g.field_rows(mesh, problem.rhs, degree)
     assert not hasattr(rows, "proj")
     assert_rows_equal(rows, field_rows_apart(mesh, problem.rhs, degree))
-    assert_rows_equal(g.error_rows(mesh, problem.exact, degree),
+    assert_rows_equal(g.field_rows(mesh, problem.rhs, 2),
                       error_rows_apart(mesh, problem.exact, 2))
     # bit for bit the error through the joint rows of degree 2
     copy = Mesh(mesh.vertices, mesh.elements, ref_edge_policy="asis")
@@ -88,36 +91,72 @@ def test_low_degree_energy_error_is_that_of_the_degree_2_rule(degree):
 
 
 def test_data_without_a_kernel_is_evaluated_apart():
-    # a hand-built problem: its data does not know the exact solution
+    # a hand-built problem: its data state no exact solution, so its rows
+    # hold f's alone and there is no energy error to take
     mesh = uniform_refine(unit_square_crisscross(), 3)
-    f, u = g.PRESETS["sinsin"](3.0)
-    problem = g.Problem(mesh, 3.0, g.ScalarField(f.value), exact=g.ScalarField(u.value, u.grad))
+    f = g.PRESETS["sinsin"](3.0)
+    problem = g.Problem(mesh, 3.0, g.ScalarField(f.value))
+    assert problem.exact is None
     U = g.solve(problem)
     rows = g.field_rows(mesh, problem.rhs)
     assert not hasattr(rows, "proj")
     assert_rows_equal(rows, field_rows_apart(mesh, f, 8))
-    g.energy_error(problem, U)
-    assert_rows_equal(g.error_rows(mesh, problem.exact), error_rows_apart(mesh, u, 8))
+    with pytest.raises(ValueError, match="no exact solution"):
+        g.energy_error(problem, U)
+    assert list(mesh.cache) == [("bary_grads",), ("field_rows", problem.rhs, 8)]
 
 
-@pytest.mark.parametrize("order", [("error", "field"), ("field", "error")])
-def test_a_child_takes_the_joint_rows_under_either_key_first(order):
-    # the joint entry is handed down under both keys; looking up one key
-    # first leaves the other's kept rows to take
+def test_a_child_takes_the_joint_rows_it_was_handed():
+    # the joint entry is handed down under its one key; the child takes the
+    # kept rows of f's and of u's arrays alike
     parent = uniform_refine(unit_square_crisscross(), 2)
     problem = g.make_problem(parent, 1.0, "sinsin")
     g.field_rows(parent, problem.rhs)
     child = bisect(parent, np.arange(10))
+    rows = g.field_rows(child, problem.rhs)
+    fresh = g.field_rows(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
+                         problem.rhs)
+    assert np.array_equal(rows.new, np.flatnonzero(child.parent_elements < 0))
+    names = ("load", "mean", "dual", "grad_mean", "grad_spread", "proj", "proj_residual")
+    assert_rows_equal(rows, {name: getattr(fresh, name) for name in names})
 
-    def lookup(mesh):
-        get = {"error": lambda: g.error_rows(mesh, problem.exact),
-               "field": lambda: g.field_rows(mesh, problem.rhs)}
-        rows = {key: get[key]() for key in order}
-        return rows["error"], rows["field"]
 
-    new = np.flatnonzero(child.parent_elements < 0)
-    fresh = lookup(Mesh(child.vertices, child.elements, ref_edge_policy="asis"))
-    names = (("grad_mean", "grad_spread", "proj", "proj_residual"), ("load", "mean", "dual"))
-    for rows, want, arrays in zip(lookup(child), fresh, names):
-        assert np.array_equal(rows.new, new)
-        assert_rows_equal(rows, {name: getattr(want, name) for name in arrays})
+@pytest.mark.parametrize("degree", [0, 1])
+def test_low_degree_error_rows_evaluate_the_kernel_once_per_node(degree):
+    # f alone at the load rule's nodes, the kernel once at the degree-2 nodes
+    mesh = uniform_refine(l_shape(), 2)
+    f = g.PRESETS["sinsin"](10.0)
+    nodes = []
+
+    def counting(x, y):
+        nodes.append(np.size(x))
+        return f.kernel(x, y)
+
+    problem = g.Problem(mesh, 10.0, g.ScalarField(f.value, kernel=counting))
+    U = g.solve(problem, quad_degree=degree)
+    assert nodes == []
+    error = g.energy_error(problem, U, degree)
+    assert sum(nodes) == len(simplex_rule(2).weights) * mesh.n_elements
+    # bit for bit the error through the preset's joint rows of degree 2
+    copy = Mesh(mesh.vertices, mesh.elements, ref_edge_policy="asis")
+    joint = g.make_problem(copy, 10.0, "sinsin")
+    g.field_rows(copy, joint.rhs, 2)
+    assert error.hex() == g.energy_error(joint, g.DiscreteFunction(copy, U.values), 2).hex()
+
+
+def assert_one_key_per_entry(mesh):
+    entries = list(mesh.cache.values())
+    assert len({id(rows) for rows in entries}) == len(entries), list(mesh.cache)
+
+
+def test_no_cache_entry_sits_under_two_keys():
+    mesh = uniform_refine(unit_square_crisscross(), 3)
+    problem = g.make_problem(mesh, 2.0, "sinsin")
+    g.energy_error(problem, g.solve(problem))
+    assert_one_key_per_entry(mesh)
+    for preset in ("layer1d", "sinsin"):
+        problem = g.make_problem(unit_square_crisscross(), 10.0, preset)
+        run = adaptive_loop(problem, max_dof=150, keep_meshes=True)
+        assert len(run.meshes) > 2 and run.meshes[-1].cache
+        for mesh in run.meshes:
+            assert_one_key_per_entry(mesh)

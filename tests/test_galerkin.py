@@ -280,13 +280,13 @@ def test_residual_source_is_orthogonal_after_solve():
 
 def test_energy_norm_field_exact():
     # |||(x, y) -> x||| with grad (1, 0): integral of 1 + kappa^2 x^2, as the
-    # energy error of a zero U
+    # energy error of a zero U against data f = kappa^2 x that state u = x
     m = uniform_refine(unit_square_2tri(), 2)
-    field = g.ScalarField(lambda x, y: x, lambda x, y: (np.ones_like(x),
-                                                        np.zeros_like(x)))
     zero = g.DiscreteFunction(m, np.zeros(m.n_vertices))
     for kappa in (1.0, 3.0):
-        val = g.energy_error(g.Problem(m, kappa, None, exact=field), zero, quad_degree=4)
+        field = g.ScalarField(lambda x, y: kappa**2 * x, kernel=lambda x, y: (
+            kappa**2 * x, x, np.ones_like(x), np.zeros_like(x)))
+        val = g.energy_error(g.Problem(m, kappa, field), zero, quad_degree=4)
         assert np.isclose(val, np.sqrt(1.0 + kappa**2 / 3.0), rtol=1e-13)
 
 

@@ -4,8 +4,8 @@ Every evaluation over the rows of a mesh runs in blocks of
 `mesh.BLOCK_POINTS` (2^16) quadrature points (`mesh.row_blocks`): the
 areas, edge lengths, rotation and face keys of a `Mesh` and its face
 geometry, which is built on first read and so never by `rdafem solve`, the
-quadrature data of `field_rows` and `error_rows` (one pass for the data
-and exact solution of a preset) and of the face-bubble pairings, the
+quadrature data of `field_rows` (one pass for the data and exact solution
+of a preset) and of the face-bubble pairings, the
 barycentric gradients and face rows of the dual system, the local matrices
 and sums of `assemble`, the strength test and row maxima of the SA set-up,
 the per-element energies, the rows of `write_csv` and the hanging-vertex
@@ -74,7 +74,7 @@ def test_energies_memory_bounded(square):
     mesh = parentless(square)
     problem = g.make_problem(mesh, 1.0, "sinsin")
     g.element_bary_grads(mesh)
-    g.error_rows(mesh, problem.exact)
+    g.field_rows(mesh, problem.rhs)
     U = g.DiscreteFunction(mesh, np.where(mesh.boundary_vertex, 0.0,
                                           np.cos(mesh.vertices[:, 0])))
     peak, _ = peak_bytes(lambda: (g.energy_norm(mesh, 1.0, U),
@@ -100,8 +100,7 @@ def test_quadrature_rows_memory_bounded(square):
     # 12.3 MB in two passes), of which the rows keep 7 MB
     mesh = parentless(square)
     problem = g.make_problem(mesh, 1.0, "sinsin")
-    peak, _ = peak_bytes(lambda: (g.field_rows(mesh, problem.rhs),
-                                  g.error_rows(mesh, problem.exact)))
+    peak, _ = peak_bytes(lambda: g.field_rows(mesh, problem.rhs))
     assert peak < 20 * MB, peak
 
 
@@ -192,9 +191,8 @@ def blocked_arrays(mesh, kappa):
     problem = g.make_problem(mesh, kappa, "layer1d")
     system = ds.get_dual_system(mesh, kappa)
     field = g.field_rows(mesh, problem.rhs)
-    error = g.error_rows(mesh, problem.exact)
     matrix = g.assemble(mesh, kappa).matrix
-    arrays = {name: getattr(error, name) for name in ERROR_ARRAYS}
+    arrays = {name: getattr(field, name) for name in ERROR_ARRAYS}
     arrays.update(grads=g.element_bary_grads(mesh), thetas=system.thetas,
                   gammas=system.gammas, psi=system._psi_pair_field(problem.rhs),
                   load=field.load, mean=field.mean, dual=field.dual,

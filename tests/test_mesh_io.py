@@ -388,6 +388,21 @@ def test_comment_bytes_that_are_not_ascii_do_not_matter(tmp_path, capsys, encodi
     assert run_solve(path, tmp_path / "out", capsys) == (cli.EXIT_OK, "")
 
 
+def test_leading_byte_order_mark_is_read(tmp_path):
+    # a file saved with a UTF-8 byte-order mark reads as the plain file; a
+    # mark anywhere else is no number
+    plain, marked, inside = (tmp_path / f"{name}.msh" for name in ("plain", "marked", "inside"))
+    save_mesh(uniform_refine(l_shape(), 2), str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = load_mesh(str(plain)), load_mesh(str(marked))
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.elements, want.elements)
+    lines = plain.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xef\xbb\xbf" + lines[1]
+    inside.write_bytes(b"".join(lines))
+    assert outcome(load_mesh, inside) == f"{inside}:2: bad vertex coordinates"
+
+
 @pytest.mark.parametrize("line, bad, message", [
     (4, "1\xe9 1", "bad vertex coordinates"),
     (4, "1 1\xff", "bad vertex coordinates"),

@@ -9,6 +9,8 @@ and `__dir__`, and dunder methods, are called by Python itself.
 Per-vertex sums go through `np.bincount` alone, so every one adds in the
 order of its indices: the package holds no `np.add.at` scatter.  The hot
 layers gather vertex coordinates with `take`, never by advanced indexing.
+Only `mesh.cached_rows` stores `Mesh.cache` entries, each under one key,
+and only `bisect` hands them down.
 """
 
 import ast
@@ -89,3 +91,33 @@ def test_vertex_coordinates_are_gathered_with_take():
             and "vertices" in (getattr(node.value, "id", None),
                                getattr(node.value, "attr", None))]
     assert uses == []
+
+
+def _owned(tree):
+    """(name of the innermost enclosing def, or "", node) of every node."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield inner, child
+            yield from visit(child, inner)
+    return visit(tree, "")
+
+
+def test_only_cached_rows_stores_cache_entries_and_only_bisect_hands_them_down():
+    # an entry stored under a second key is handed down under both, and a
+    # child that looks one key up prices the rows the other one holds
+    writes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _owned(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target, allowed = node.value, {"cached_rows"}
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("setdefault", "update", "__setitem__")):
+                target, allowed = node.func.value, set()
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                target, allowed = node, {"__init__", "bisect"}
+            else:
+                continue
+            if getattr(target, "attr", None) in ("cache", "_handed") and owner not in allowed:
+                writes.append(f"{path.name}:{node.lineno} in {owner or 'module'}")
+    assert writes == []
