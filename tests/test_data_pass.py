@@ -106,13 +106,23 @@ def test_data_without_a_kernel_is_evaluated_apart():
     assert list(mesh.cache) == [("bary_grads",), ("field_rows", problem.rhs, 8)]
 
 
-def test_a_child_takes_the_joint_rows_it_was_handed():
-    # the joint entry is handed down under its one key; the child takes the
-    # kept rows of f's and of u's arrays alike
+@pytest.mark.parametrize("order", [("error", "field"), ("field", "error")])
+def test_a_child_takes_the_joint_rows_under_either_key_first(order):
+    # the joint entry is handed down under its one key; whether the energy
+    # error or the load looks it up first, the child takes the kept rows of
+    # f's and of u's arrays alike, and holds them in one entry
     parent = uniform_refine(unit_square_crisscross(), 2)
     problem = g.make_problem(parent, 1.0, "sinsin")
     g.field_rows(parent, problem.rhs)
     child = bisect(parent, np.arange(10))
+    on_child = problem.on_mesh(child)
+    U = g.DiscreteFunction(child, np.zeros(child.n_vertices))
+    get = {"error": lambda: g.energy_error(on_child, U),
+           "field": lambda: g.field_rows(child, problem.rhs)}
+    for key in order:
+        get[key]()
+    assert [key for key in child.cache if key[0] == "field_rows"] == [
+        ("field_rows", problem.rhs, 8)]
     rows = g.field_rows(child, problem.rhs)
     fresh = g.field_rows(Mesh(child.vertices, child.elements, ref_edge_policy="asis"),
                          problem.rhs)
